@@ -7,7 +7,7 @@ under a smooth-L1 loss, cluster the embedded training points, and predict by
 aggregating the label sets of nearest neighbors inside the closest cluster.
 """
 
-from .cluster import ClusterIndex, kmeans, nearest_cluster
+from .cluster import ClusterIndex, kmeans, nearest_cluster, nearest_clusters
 from .data_io import (
     Dataset,
     LabelSet,
@@ -50,12 +50,20 @@ from .net import (
     smooth_l1,
     train,
 )
-from .predictor import Prediction, aggregate_labels, knn_search, predict, top_p
+from .predictor import (
+    Prediction,
+    aggregate_labels,
+    knn_batch,
+    knn_search,
+    predict,
+    predict_batch,
+    top_p,
+)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClusterIndex", "kmeans", "nearest_cluster",
+    "ClusterIndex", "kmeans", "nearest_cluster", "nearest_clusters",
     "Dataset", "LabelSet", "SparseVector",
     "load_repo_file", "normalize_features", "parse_repo_file",
     "save_repo_file", "write_repo_file",
@@ -70,6 +78,7 @@ __all__ = [
     "MlpModel", "OptimizerState", "TrainConfig",
     "embed_distance", "forward", "init_model", "loss_and_gradients",
     "sgd_step", "smooth_l1", "train",
-    "Prediction", "aggregate_labels", "knn_search", "predict", "top_p",
+    "Prediction", "aggregate_labels", "knn_batch", "knn_search", "predict",
+    "predict_batch", "top_p",
     "__version__",
 ]

@@ -16,7 +16,6 @@ import json
 import logging
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import IO, Any, Sequence
 
@@ -27,7 +26,7 @@ from .cluster import kmeans
 from .errors import DataFormatError, DxmlError, ModelFileError, ValidationError
 from .metrics import evaluate
 from .model_io import ModelArtifacts, load_model, save_model
-from .predictor import aggregate_labels, knn_search
+from .predictor import aggregate_labels
 
 __all__ = ["main", "cmd_train", "cmd_predict", "cmd_evaluate", "cmd_sweep_k", "cmd_embed_labels"]
 
@@ -38,7 +37,6 @@ SCALE_DEFAULTS = {
     "large": {"embed_dim": 300, "hidden": 512, "clusters": 8},
 }
 DEFAULT_K = 10
-DEFAULT_P = 5
 DEFAULT_KS = (1, 3, 5)
 
 
@@ -315,40 +313,26 @@ def _load_test_for_model(artifacts: ModelArtifacts, path: str) -> data_io.Datase
     return data_io.normalize_features(test, artifacts.meta.get("normalize_features", "none"))
 
 
-def _predict_all(
-    artifacts: ModelArtifacts, test: data_io.Dataset, k: int, p: int, weighting: str, threads: int
-) -> list[predictor.Prediction]:
-    def one(sv: data_io.SparseVector) -> predictor.Prediction:
-        return predictor.predict(
-            artifacts.mlp, artifacts.clusters, artifacts.train_embeds,
-            artifacts.train_labels, sv, k=k, p=p, weighting=weighting,
-        )
-
-    xs = [sv for sv, _ in test.points]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, xs))
-    return [one(sv) for sv in xs]
-
-
-def _write_predictions(preds: Sequence[predictor.Prediction], stream: IO[str]) -> None:
-    for pred in preds:
-        ranked = sorted(pred.scores.items(), key=lambda kv: (-kv[1], kv[0]))
+def _write_predictions(preds: Sequence[dict[int, float]], stream: IO[str]) -> None:
+    for scores in preds:
+        ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
         stream.write("\t".join(f"{label}:{score!r}" for label, score in ranked) + "\n")
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    opts = _Options(args, {"k", "p", "weighting", "threads"})
+    opts = _Options(args, {"k", "weighting", "threads"})
     k = opts.get("k", DEFAULT_K, int)
-    p = opts.get("p", DEFAULT_P, int)
     weighting = opts.choice("weighting", "uniform", ("uniform", "inverse_distance"))
-    threads = opts.get("threads", 1, int)
-    if k < 1 or p < 1 or threads < 1:
-        raise _UsageError("k, p, and threads must be >= 1")
+    threads = opts.get("threads", 1, int)  # checked, then unused: the search is one thread
+    if k < 1 or threads < 1:
+        raise _UsageError("k and threads must be >= 1")
     artifacts = load_model(args.model)
     test = _load_test_for_model(artifacts, args.test_file)
     t0 = time.perf_counter()
-    preds = _predict_all(artifacts, test, k, p, weighting, threads)
+    preds = predictor.predict_batch(
+        artifacts.mlp, artifacts.clusters, artifacts.train_embeds, artifacts.train_labels,
+        [sv for sv, _ in test.points], k=k, weighting=weighting,
+    )
     log.info("predicted %d points in %.2fs", len(preds), time.perf_counter() - t0)
     stream, owned = _open_out(args.out)
     try:
@@ -423,17 +407,11 @@ def cmd_sweep_k(args: argparse.Namespace) -> int:
     test = _load_test_for_model(artifacts, args.validation_file)
     ks = _int_list(args.ks) if args.ks else DEFAULT_KS
 
-    # One embedding + one max-k scan per point; each smaller k reads a prefix.
-    max_k = max(grid)
-    per_point: list[tuple[np.ndarray, np.ndarray]] = []
-    for sv, _ in test.points:
-        fx = net.forward(artifacts.mlp, sv)
-        ci = predictor.nearest_cluster(artifacts.clusters, fx)
-        member_ids = artifacts.clusters.members[ci]
-        ids, dists = knn_search(
-            artifacts.train_embeds[member_ids], fx, max_k, ids=member_ids
-        )
-        per_point.append((ids, dists))
+    # One search at max k; each smaller k reads a prefix of the neighbors.
+    per_point = predictor.knn_batch(
+        artifacts.clusters, artifacts.train_embeds,
+        net.embed_points(artifacts.mlp, [sv for sv, _ in test.points]), max(grid),
+    )
 
     reports: dict[int, Any] = {}
     for k in grid:
@@ -574,9 +552,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("model")
     pr.add_argument("test_file")
     pr.add_argument("-k", type=int, help="neighbors consulted per point")
-    pr.add_argument("-p", type=int, help="labels kept in the ranked head")
     pr.add_argument("--weighting", choices=("uniform", "inverse_distance"))
-    pr.add_argument("--threads", type=int, help="parallel scoring threads")
+    pr.add_argument("--threads", type=int, help="accepted and unused; the search runs in one thread")
     pr.add_argument("--out", metavar="FILE", help="predictions path, default stdout")
     _add_common(pr)
     pr.set_defaults(func=cmd_predict)

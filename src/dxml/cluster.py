@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["ClusterIndex", "kmeans", "nearest_cluster"]
+__all__ = ["ClusterIndex", "kmeans", "nearest_cluster", "nearest_clusters"]
 
 log = logging.getLogger(__name__)
 
@@ -68,13 +68,25 @@ def _sq_dists_to(points: np.ndarray, center: np.ndarray) -> np.ndarray:
 
 
 def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Index of the nearest center per point; ties go to the lowest index."""
-    n = points.shape[0]
+    """Index of the nearest center per point; ties go to the lowest index.
+
+    One center (or, for fewer points than centers, one point) at a time, so
+    temporaries stay at chunk x dim plus a chunk x m distance table.  Either
+    way each distance is the same row sum, so the result is the same bits.
+    """
+    n, m = points.shape[0], centers.shape[0]
     out = np.empty(n, dtype=np.int64)
+    d = np.empty((min(n, _CHUNK), m), dtype=np.float64)
     for s in range(0, n, _CHUNK):
         block = points[s : s + _CHUNK]
-        d = ((block[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        out[s : s + _CHUNK] = np.argmin(d, axis=1)
+        dist = d[: block.shape[0]]
+        if block.shape[0] < m:
+            for i, point in enumerate(block):
+                dist[i] = _sq_dists_to(centers, point)
+        else:
+            for c, center in enumerate(centers):
+                dist[:, c] = _sq_dists_to(block, center)
+        out[s : s + _CHUNK] = dist.argmin(axis=1)
     return out
 
 
@@ -164,6 +176,16 @@ def kmeans(
     return index
 
 
+def nearest_clusters(index: ClusterIndex, queries: np.ndarray) -> np.ndarray:
+    """Nearest center per row of ``queries``, as in k-means assignment; ties pick the lowest id."""
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != index.centers.shape[1]:
+        raise ValidationError(
+            f"queries shape {queries.shape} does not match center dim {index.centers.shape[1]}"
+        )
+    return _assign(queries, index.centers)
+
+
 def nearest_cluster(index: ClusterIndex, query: np.ndarray) -> int:
     """Cluster whose center is Euclidean-nearest to ``query``; ties pick the lowest id."""
     query = np.asarray(query, dtype=np.float64)
@@ -171,5 +193,4 @@ def nearest_cluster(index: ClusterIndex, query: np.ndarray) -> int:
         raise ValidationError(
             f"query shape {query.shape} does not match center dim {index.centers.shape[1]}"
         )
-    d = ((index.centers - query) ** 2).sum(axis=1)
-    return int(np.argmin(d))
+    return int(nearest_clusters(index, query[None, :])[0])

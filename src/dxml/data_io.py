@@ -146,9 +146,6 @@ class Dataset:
             sv.validate(self.num_features)
             ls.validate(self.num_labels)
 
-    def labeled_indices(self) -> list[int]:
-        return [i for i, (_, ls) in enumerate(self.points) if len(ls) > 0]
-
 
 def _parse_header(line: str, lineno: int) -> tuple[int, int, int]:
     parts = line.split()

@@ -163,6 +163,12 @@ class TestPredict:
         assert main(["predict", trained_model, test, "-k", "0",
                      "--out", str(tmp_path / "p.txt")]) == 1
 
+    def test_p_flag_is_gone(self, trained_model, data_files, tmp_path):
+        # -p only ever filled a field the output file never showed
+        _, test = data_files
+        assert main(["predict", trained_model, test, "-p", "1",
+                     "--out", str(tmp_path / "p.txt")]) == 1
+
 
 class TestEvaluate:
     def perfect_fixture(self, tmp_path):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dxml import ClusterIndex, ValidationError, kmeans, nearest_cluster
+from dxml import ClusterIndex, ValidationError, kmeans, nearest_cluster, nearest_clusters
+from dxml.cluster import _assign, _sq_dists_to
 
 
 def blobs(rng, centers, per_blob, spread=0.05):
@@ -127,6 +128,57 @@ class TestNearestCluster:
         index = self.index_with_centers([[0.0, 0.0]])
         with pytest.raises(ValidationError):
             nearest_cluster(index, np.zeros(3))
+        with pytest.raises(ValidationError):
+            nearest_clusters(index, np.zeros((2, 3)))
+        with pytest.raises(ValidationError):
+            nearest_clusters(index, np.zeros(2))
+
+    def test_batch_routing_matches_single_queries(self):
+        rng = np.random.default_rng(10)
+        centers = rng.integers(-2, 3, size=(9, 3)).astype(np.float64)  # ties abound
+        index = self.index_with_centers(centers)
+        queries = rng.integers(-2, 3, size=(300, 3)).astype(np.float64)
+        got = nearest_clusters(index, queries)
+        assert got.tolist() == [nearest_cluster(index, q) for q in queries]
+        assert nearest_clusters(index, np.empty((0, 3))).size == 0
+
+
+def broadcast_sq_dists(points, centers):
+    """The all-pairs formula k-means assignment used before it went per center."""
+    return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+
+
+class TestAssign:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_broadcast_formula_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 120))
+        m = int(rng.integers(1, 65))
+        dim = int(rng.integers(1, 40))
+        if seed % 3 == 0:  # small integers: exact distance ties between centers
+            points = rng.integers(-2, 3, size=(n, dim)).astype(np.float64)
+            centers = rng.integers(-2, 3, size=(m, dim)).astype(np.float64)
+        else:
+            scale = 10.0 ** rng.integers(-3, 7)
+            points = scale * rng.standard_normal((n, dim))
+            centers = scale * rng.standard_normal((m, dim))
+        want = broadcast_sq_dists(points, centers)
+        for c in range(m):  # the per-center column, as used for many points
+            assert np.array_equal(_sq_dists_to(points, centers[c]), want[:, c])
+        for i in range(n):  # the per-point row, as used for fewer points than centers
+            assert np.array_equal(_sq_dists_to(centers, points[i]), want[i])
+        assert np.array_equal(_assign(points, centers), np.argmin(want, axis=1))
+
+    def test_chunk_boundaries(self, monkeypatch):
+        import dxml.cluster
+
+        monkeypatch.setattr(dxml.cluster, "_CHUNK", 7)
+        rng = np.random.default_rng(3)
+        points = rng.standard_normal((50, 4))
+        for m in (3, 10):  # fewer and more centers than a chunk's points
+            centers = rng.standard_normal((m, 4))
+            want = np.argmin(broadcast_sq_dists(points, centers), axis=1)
+            assert np.array_equal(_assign(points, centers), want)
 
 
 class TestValidate:

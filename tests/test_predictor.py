@@ -1,9 +1,14 @@
 """Clustered k-NN prediction: search, aggregation, ranking, full path."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dxml import (
+    ClusterIndex,
     LabelSet,
     Prediction,
     SparseVector,
@@ -13,10 +18,13 @@ from dxml import (
     forward,
     init_model,
     kmeans,
+    knn_batch,
     knn_search,
     predict,
+    predict_batch,
     top_p,
 )
+from dxml import predictor
 from dxml.net import embed_points, train_embedding_net
 
 from conftest import random_dataset
@@ -63,6 +71,10 @@ class TestKnnSearch:
         vectors = rng.standard_normal((20, 3))
         ids, dists = knn_search(vectors, vectors[13], 5)
         assert ids[0] == 13 and dists[0] == 0.0
+
+    def test_zero_dimensional_vectors_all_tie(self):
+        ids, dists = knn_search(np.zeros((3, 0)), np.zeros(0), 2)
+        assert ids.tolist() == [0, 1] and dists.tolist() == [0.0, 0.0]
 
     def test_custom_ids_are_reported(self):
         vectors = np.array([[0.0], [1.0]])
@@ -253,3 +265,183 @@ class TestPredict:
             predict(mlp, clusters, embeds, label_sets, q, k=0)
         with pytest.raises(ValidationError):
             predict(mlp, clusters, embeds, label_sets, q, p=0)
+
+
+# ── the batched engine against a full-sort oracle ────────────────────────────
+
+
+def routed_oracle(index, embeds, q, k):
+    """Nearest center by linear scan, then a full sort of its members by (distance, id)."""
+    c = int(np.argmin(((index.centers - q) ** 2).sum(axis=1)))
+    members = index.members[c]
+    d2 = ((embeds[members] - q) ** 2).sum(axis=1)
+    order = sorted(range(members.size), key=lambda j: (d2[j], members[j]))[:k]
+    return members[order], np.sqrt(d2[order])
+
+
+def engine_case(seed, n, dim, m, kind, query_kind, num_queries):
+    """Training rows, a cluster index over them and queries, for one engine check.
+
+    kind: 'gaussian'; 'grid' (entries in {-1, 0, 1}, so exact distance ties and
+    duplicate rows); 'duplicates' (a few distinct rows, each repeated); 'offset'
+    (a large common offset plus small noise, where |v|^2 - 2 q.v loses every
+    digit that separates the rows).
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        rows = rng.integers(-1, 2, size=(n, dim)).astype(np.float64)
+    elif kind == "duplicates":
+        base = rng.standard_normal((max(1, n // 4), dim))
+        rows = base[rng.integers(base.shape[0], size=n)]
+    elif kind == "offset":
+        offset = 10.0 ** rng.integers(3, 9)
+        rows = offset + 10.0 ** rng.integers(-3, 1) * rng.standard_normal((n, dim))
+    else:
+        rows = rng.standard_normal((n, dim))
+    m = min(m, n)
+    assign = rng.permutation(np.concatenate([np.arange(m), rng.integers(m, size=n - m)]))
+    members = [np.flatnonzero(assign == c) for c in range(m)]
+    centers = np.stack([rows[ids].mean(axis=0) for ids in members])
+    index = ClusterIndex(centers=centers, assignments=assign, members=members)
+    if query_kind == "train_rows":
+        queries = rows[rng.integers(n, size=num_queries)]
+    else:
+        spread = rows.std(axis=0) + 1e-3
+        queries = rows.mean(axis=0) + spread * rng.standard_normal((num_queries, dim))
+    return rows, index, queries
+
+
+engine_cases = st.builds(
+    engine_case,
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 90),
+    dim=st.integers(1, 8),
+    m=st.integers(1, 4),
+    kind=st.sampled_from(["gaussian", "grid", "duplicates", "offset"]),
+    query_kind=st.sampled_from(["random", "train_rows"]),
+    num_queries=st.integers(1, 12),
+)
+
+
+def assert_same_neighbors(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+class TestKnnBatch:
+    # k below the cluster size takes the GEMM shortlist; k at or above it, the whole scan.
+    @given(engine_cases, st.one_of(st.integers(1, 8), st.integers(1, 100)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_sort_oracle(self, case, k):
+        rows, index, queries = case
+        got = knn_batch(index, rows, queries, k)
+        assert len(got) == len(queries)
+        for q, nbrs in zip(queries, got):
+            assert_same_neighbors(nbrs, routed_oracle(index, rows, q, k))
+
+    @given(engine_cases, st.integers(1, 12), st.sampled_from([1, 2, 5]))
+    @settings(max_examples=100, deadline=None)
+    def test_batch_equals_one_at_a_time(self, case, k, block):
+        rows, index, queries = case
+        with mock.patch.object(predictor, "_BLOCK", block):
+            batch = knn_batch(index, rows, queries, k)
+        for q, nbrs in zip(queries, batch):
+            assert_same_neighbors(nbrs, knn_batch(index, rows, q[None, :], k)[0])
+
+    def test_duplicate_rows_and_ties_break_by_id(self):
+        rows = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [3.0, 3.0]])
+        index = kmeans(rows, 1)
+        ids, dists = knn_batch(index, rows, np.zeros((1, 2)), 4)[0]
+        assert ids.tolist() == [1, 2, 0, 3]
+        assert dists.tolist() == [0.0, 0.0, 1.0, 1.0]
+
+    def test_k_at_least_cluster_size_returns_whole_cluster(self):
+        rows, index, queries = engine_case(4, 30, 3, 3, "gaussian", "random", 20)
+        sizes = {c: ids.size for c, ids in enumerate(index.members)}
+        routed = {int(np.argmin(((index.centers - q) ** 2).sum(axis=1))) for q in queries}
+        assert len(routed) > 1, "queries should reach more than one cluster"
+        for q, (ids, _) in zip(queries, knn_batch(index, rows, queries, 50)):
+            c = int(np.argmin(((index.centers - q) ** 2).sum(axis=1)))
+            assert ids.size == sizes[c]
+            assert sorted(ids.tolist()) == index.members[c].tolist()
+
+    def test_query_equal_to_training_row(self):
+        rows, index, _ = engine_case(5, 80, 6, 1, "gaussian", "random", 1)
+        for i in (0, 17, 79):
+            ids, dists = knn_batch(index, rows, rows[i][None, :], 5)[0]
+            assert ids[0] == i and dists[0] == 0.0
+
+    def test_large_offset_widens_the_shortlist(self):
+        rng = np.random.default_rng(6)
+        rows = 1e8 + 1e-3 * rng.standard_normal((60, 4))
+        queries = 1e8 + 1e-3 * rng.standard_normal((8, 4))
+        index = kmeans(rows, 1)
+        k = 5
+        # The GEMM form alone cannot rank these rows: its values are whole ulps of 4e16.
+        approx = (rows**2).sum(axis=1) - 2.0 * queries @ rows.T
+        naive = [np.argsort(a, kind="stable")[:k].tolist() for a in approx]
+        exact = [routed_oracle(index, rows, q, k)[0].tolist() for q in queries]
+        assert naive != exact
+        for q, nbrs in zip(queries, knn_batch(index, rows, queries, k)):
+            assert_same_neighbors(nbrs, routed_oracle(index, rows, q, k))
+
+    def test_single_cluster_searches_without_copying(self):
+        rows, index, queries = engine_case(7, 40, 3, 1, "gaussian", "random", 5)
+        spy = mock.patch.object(predictor, "_block_neighbors", wraps=predictor._block_neighbors)
+        with spy as block_neighbors:
+            knn_batch(index, rows, queries, 5)
+        assert block_neighbors.call_count == 1
+        assert block_neighbors.call_args.args[0] is rows
+
+    def test_empty_batch(self):
+        rows, index, _ = engine_case(8, 10, 2, 2, "gaussian", "random", 1)
+        assert knn_batch(index, rows, np.empty((0, 2)), 3) == []
+
+    def test_bad_inputs(self):
+        rows, index, queries = engine_case(9, 10, 2, 1, "gaussian", "random", 2)
+        with pytest.raises(ValidationError):
+            knn_batch(index, rows, queries, 0)
+        with pytest.raises(ValidationError):
+            knn_batch(index, rows, np.zeros((2, 3)), 3)
+
+
+def oracle_prediction(mlp, index, embeds, label_sets, x, k, p, weighting):
+    """Prediction from the routed full-sort oracle and a plain dict vote."""
+    ids, dists = routed_oracle(index, embeds, forward(mlp, x), k)
+    if weighting == "uniform":
+        weights = [1.0 / ids.size] * ids.size
+    else:
+        raw = 1.0 / (dists + 1e-8)
+        weights = (raw / raw.sum()).tolist()
+    scores: dict[int, float] = {}
+    for i, w in zip(ids.tolist(), weights):
+        for label in label_sets[i]:
+            scores[label] = scores.get(label, 0.0) + w
+    top = sorted(scores, key=lambda l: (-scores[l], l))[:p]
+    return Prediction(scores=scores, top_labels=top)
+
+
+class TestPredictBatch:
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("weighting", ["uniform", "inverse_distance"])
+    def test_matches_oracle_and_single_predict(self, m, weighting):
+        mlp, clusters, embeds, label_sets, xs = trained_toy_artifacts(seed=11, n=60, m=m)
+        rng = np.random.default_rng(12)
+        queries = xs[:10] + [
+            SparseVector.from_pairs((i, float(v)) for i, v in enumerate(rng.standard_normal(8)))
+            for _ in range(15)
+        ]
+        for k in (1, 4, 25, 100):
+            batch = predict_batch(
+                mlp, clusters, embeds, label_sets, queries, k=k, weighting=weighting
+            )
+            for x, scores in zip(queries, batch):
+                got = predict(mlp, clusters, embeds, label_sets, x, k, 3, weighting)
+                assert got.scores == scores
+                assert got == oracle_prediction(
+                    mlp, clusters, embeds, label_sets, x, k, 3, weighting
+                )
+
+    def test_empty_batch(self):
+        mlp, clusters, embeds, label_sets, _ = trained_toy_artifacts(seed=14)
+        assert predict_batch(mlp, clusters, embeds, label_sets, []) == []
