@@ -144,22 +144,25 @@ def _open_out(path: str | None):
 
 # ── train ────────────────────────────────────────────────────────────────────
 
-_TRAIN_KEYS = {
-    "scale", "seed", "normalize", "no_target_norm", "embed_dim", "hidden", "clusters",
-    "walks_per_node", "walk_length", "window", "negatives", "embed_epochs", "embed_lr",
-    "embed_min_lr", "weighted_walks", "epochs", "lr", "momentum", "weight_decay",
-    "dropout", "batch_size", "loss_mode", "no_bias", "threads",
+_DEEPWALK_KEYS = {
+    "scale", "seed", "embed_dim", "walks_per_node", "walk_length", "window", "negatives",
+    "embed_epochs", "embed_lr", "embed_min_lr", "weighted_walks",
+}
+_TRAIN_KEYS = _DEEPWALK_KEYS | {
+    "normalize", "no_target_norm", "hidden", "clusters", "epochs", "lr", "momentum",
+    "weight_decay", "dropout", "batch_size", "loss_mode", "no_bias",
 }
 
 
-def _resolve_train(args: argparse.Namespace):
-    opts = _Options(args, _TRAIN_KEYS)
+def _resolve_deepwalk(
+    opts: _Options,
+) -> tuple[str, int, dict[str, int], graph_embed.DeepWalkConfig]:
+    """(scale, master seed, derived seeds, validated DeepWalk config) from the options."""
     scale = opts.choice("scale", "small", ("small", "large"))
-    sd = SCALE_DEFAULTS[scale]
     seed = opts.get("seed", 0, int)
     seeds = _derived_seeds(seed)
     deepwalk = graph_embed.DeepWalkConfig(
-        dim=opts.get("embed_dim", sd["embed_dim"], int),
+        dim=opts.get("embed_dim", SCALE_DEFAULTS[scale]["embed_dim"], int),
         walks_per_node=opts.get("walks_per_node", 10, int),
         walk_length=opts.get("walk_length", 40, int),
         window=opts.get("window", 5, int),
@@ -170,6 +173,30 @@ def _resolve_train(args: argparse.Namespace):
         weighted_walks=bool(opts.get("weighted_walks", False, bool)),
         rng_seed=seeds["deepwalk"],
     )
+    try:
+        deepwalk.validate()
+    except ValidationError as exc:
+        raise _UsageError(str(exc)) from None
+    return scale, seed, seeds, deepwalk
+
+
+def _label_graph(args: argparse.Namespace, dataset: data_io.Dataset) -> label_graph.LabelGraph:
+    """Read the graph from --graph-file or build it; write it to --export-graph if given."""
+    if args.graph_file:
+        with open(args.graph_file, "r", encoding="utf-8") as fh:
+            graph = label_graph.read_adjacency(fh, dataset.num_labels)
+    else:
+        graph = label_graph.build_label_graph(dataset)
+    if args.export_graph:
+        with open(args.export_graph, "w", encoding="utf-8", newline="\n") as fh:
+            label_graph.write_adjacency(graph, fh)
+    return graph
+
+
+def _resolve_train(args: argparse.Namespace):
+    opts = _Options(args, _TRAIN_KEYS)
+    scale, seed, seeds, deepwalk = _resolve_deepwalk(opts)
+    sd = SCALE_DEFAULTS[scale]
     train_cfg = net.TrainConfig(
         learning_rate=opts.get("lr", 0.015, float),
         momentum=opts.get("momentum", 0.9, float),
@@ -189,15 +216,13 @@ def _resolve_train(args: argparse.Namespace):
         "normalize_targets": not bool(opts.get("no_target_norm", False, bool)),
         "hidden": opts.get("hidden", sd["hidden"], int),
         "clusters": opts.get("clusters", sd["clusters"], int),
-        "threads": opts.get("threads", 1, int),
     }
     try:
-        deepwalk.validate()
         train_cfg.validate()
     except ValidationError as exc:
         raise _UsageError(str(exc)) from None
-    if resolved["hidden"] < 1 or resolved["clusters"] < 1 or resolved["threads"] < 1:
-        raise _UsageError("hidden, clusters, and threads must be >= 1")
+    if resolved["hidden"] < 1 or resolved["clusters"] < 1:
+        raise _UsageError("hidden and clusters must be >= 1")
     return resolved, deepwalk, train_cfg
 
 
@@ -236,15 +261,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
 
     with _stage("label graph", timings):
-        if args.graph_file:
-            with open(args.graph_file, "r", encoding="utf-8") as fh:
-                graph = label_graph.read_adjacency(fh, dataset.num_labels)
-        else:
-            graph = label_graph.build_label_graph(dataset)
+        graph = _label_graph(args, dataset)
     log.info("graph: %d nodes, %d edges", graph.num_nodes, graph.num_edges)
-    if args.export_graph:
-        with open(args.export_graph, "w", encoding="utf-8", newline="\n") as fh:
-            label_graph.write_adjacency(graph, fh)
 
     with _stage("label embeddings", timings):
         embeddings = graph_embed.embed_labels(graph, deepwalk_cfg)
@@ -279,7 +297,6 @@ def cmd_train(args: argparse.Namespace) -> int:
                 "scale": resolved["scale"],
                 "seed": resolved["seed"],
                 "seeds": resolved["seeds"],
-                "threads": resolved["threads"],
                 "normalize_features": resolved["normalize_features"],
                 "normalize_targets": resolved["normalize_targets"],
                 "deepwalk": dataclasses.asdict(deepwalk_cfg),
@@ -453,38 +470,9 @@ def cmd_sweep_k(args: argparse.Namespace) -> int:
 
 
 def cmd_embed_labels(args: argparse.Namespace) -> int:
-    opts = _Options(args, {"scale", "seed", "embed_dim", "walks_per_node", "walk_length",
-                           "window", "negatives", "embed_epochs", "embed_lr",
-                           "embed_min_lr", "weighted_walks"})
-    scale = opts.choice("scale", "small", ("small", "large"))
-    seed = opts.get("seed", 0, int)
-    seeds = _derived_seeds(seed)
-    cfg = graph_embed.DeepWalkConfig(
-        dim=opts.get("embed_dim", SCALE_DEFAULTS[scale]["embed_dim"], int),
-        walks_per_node=opts.get("walks_per_node", 10, int),
-        walk_length=opts.get("walk_length", 40, int),
-        window=opts.get("window", 5, int),
-        negative_samples=opts.get("negatives", 5, int),
-        epochs=opts.get("embed_epochs", 5, int),
-        initial_learning_rate=opts.get("embed_lr", 0.025, float),
-        min_learning_rate=opts.get("embed_min_lr", 1e-4, float),
-        weighted_walks=bool(opts.get("weighted_walks", False, bool)),
-        rng_seed=seeds["deepwalk"],
-    )
-    try:
-        cfg.validate()
-    except ValidationError as exc:
-        raise _UsageError(str(exc)) from None
+    *_, cfg = _resolve_deepwalk(_Options(args, _DEEPWALK_KEYS))
     dataset = data_io.load_repo_file(args.train_file)
-    if args.graph_file:
-        with open(args.graph_file, "r", encoding="utf-8") as fh:
-            graph = label_graph.read_adjacency(fh, dataset.num_labels)
-    else:
-        graph = label_graph.build_label_graph(dataset)
-    if args.export_graph:
-        with open(args.export_graph, "w", encoding="utf-8", newline="\n") as fh:
-            label_graph.write_adjacency(graph, fh)
-    embeddings = graph_embed.embed_labels(graph, cfg)
+    embeddings = graph_embed.embed_labels(_label_graph(args, dataset), cfg)
     stream, owned = _open_out(args.out)
     try:
         graph_embed.write_embeddings_text(embeddings, stream)
@@ -542,7 +530,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--batch-size", type=int)
     tr.add_argument("--loss-mode", choices=("mean", "sum"), help="batch loss reduction")
     tr.add_argument("--no-bias", action="store_true", default=None, help="freeze biases at zero")
-    tr.add_argument("--threads", type=int, help="thread budget recorded in the model")
     tr.add_argument("--dry-run", action="store_true", help="print the plan and stop")
     _add_deepwalk_flags(tr)
     _add_common(tr)

@@ -5,6 +5,15 @@ skip-gram model with negative sampling trained on that corpus yields one
 embedding column per label.  Both stages are deterministic for a fixed seed:
 walks draw from per-(node, walk) derived generators, so the corpus does not
 depend on generation order, and training is single threaded.
+
+Training draws its (centre, context) pairs and their negatives as arrays, a
+bounded block at a time, and applies them in chunks of a few hundred pairs
+with delayed updates: each pair of a chunk reads the vectors as they stood
+at the chunk's start, and the chunk's updates, duplicate rows included, are
+then added in pair order.  Sequential per-pair SGD would let every pair see
+the updates of the pairs before it; the delayed form gives that up, as
+multi-threaded word2vec (Hogwild) does, and keeps the objective, the
+learning-rate schedule and the noise distribution.
 """
 
 from __future__ import annotations
@@ -191,12 +200,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (np.tanh(0.5 * x) + 1.0)
 
 
-def _corpus_noise_cdf(corpus: WalkCorpus) -> np.ndarray:
+def _corpus_noise_cdf(tokens: np.ndarray, num_nodes: int) -> np.ndarray:
     """Cumulative unigram^0.75 distribution over corpus node frequencies."""
-    counts = np.zeros(corpus.num_nodes, dtype=np.float64)
-    for walk in corpus.walks:
-        counts += np.bincount(walk, minlength=corpus.num_nodes)
-    noise = counts**0.75
+    noise = np.bincount(tokens, minlength=num_nodes).astype(np.float64) ** 0.75
     total = noise.sum()
     if total <= 0:
         raise ValidationError("empty walk corpus")
@@ -205,6 +211,122 @@ def _corpus_noise_cdf(corpus: WalkCorpus) -> np.ndarray:
 
 def _init_node_vectors(num_nodes: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.random((num_nodes, dim)) - 0.5) / dim
+
+
+# Pairs drawn at once, so skip-gram temporaries stay bounded whatever the
+# corpus size: a block takes _BLOCK_PAIRS // (2 * window) centre tokens.
+_BLOCK_PAIRS = 1 << 16
+# Pairs per delayed update, measured on both benchmark workloads (CHANGES.md).
+_CHUNK_PAIRS = 256
+
+
+def _flatten(corpus: WalkCorpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tokens, starts, lengths): the walks end to end, and where each one sits."""
+    lengths = np.array([w.size for w in corpus.walks], dtype=np.intp)
+    tokens = np.concatenate(corpus.walks) if corpus.walks else np.zeros(0, dtype=np.intp)
+    return tokens.astype(np.intp, copy=False), np.cumsum(lengths) - lengths, lengths
+
+
+def _token_blocks(starts, lengths, order, block_tokens):
+    """Cut the tokens of the walks taken in ``order`` into runs of ``block_tokens``.
+
+    Yields ``(step, pos, start, end)`` per run: each token's number in this
+    order, its position in the flattened corpus, and the bounds of its walk
+    there.  A run may start or end inside a walk.
+    """
+    lens = lengths[order]
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if ends.size else 0
+    for first in range(0, total, block_tokens):
+        step = np.arange(first, min(first + block_tokens, total))
+        j = np.searchsorted(ends, step, side="right")
+        start = starts[order[j]]
+        yield step, start + step - (ends[j] - lens[j]), start, start + lens[j]
+
+
+def _window_pairs(pos, start, end, reach, window):
+    """Every (centre, context) pair of the tokens at ``pos``, in corpus order.
+
+    Token i pairs with each other position u of its walk ``[start[i],
+    end[i])`` with ``|u - pos[i]| <= reach[i]``.  Returns the index i and the
+    position u of each pair, ordered by i, then by u.
+    """
+    offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
+    ctx = pos[:, None] + offsets
+    ok = (np.abs(offsets) <= reach[:, None]) & (ctx >= start[:, None]) & (ctx < end[:, None])
+    i, col = np.nonzero(ok)
+    return i, ctx[i, col]
+
+
+def _pair_chunks(flat, cdf, order, window, reach, negatives, rng):
+    """Skip-gram pairs of the walks taken in ``order``, in chunks.
+
+    ``flat`` is the corpus as ``_flatten`` returns it and ``cdf`` its noise
+    distribution.  ``reach(n)`` gives the window reach of the next n centre
+    tokens; each pair then draws ``negatives`` nodes from ``cdf``.  Yields
+    ``(step, centre, rows, keep)`` per chunk of at most _CHUNK_PAIRS pairs:
+    the centre token's number in this order, the centre node, the context
+    node followed by the negatives, and a weight per row that is 0 for a
+    negative equal to the context and 1 otherwise.
+    """
+    tokens, starts, lengths = flat
+    block_tokens = max(1, _BLOCK_PAIRS // (2 * window))
+    for step, pos, start, end in _token_blocks(starts, lengths, order, block_tokens):
+        i, ctx = _window_pairs(pos, start, end, reach(pos.size), window)
+        rows = np.empty((i.size, negatives + 1), dtype=np.intp)
+        rows[:, 0] = tokens[ctx]
+        rows[:, 1:] = np.searchsorted(cdf, rng.random((i.size, negatives)))
+        keep = np.ones(rows.shape)
+        keep[:, 1:] = rows[:, 1:] != rows[:, :1]
+        centre, step = tokens[pos[i]], step[i]
+        for a in range(0, i.size, _CHUNK_PAIRS):
+            b = a + _CHUNK_PAIRS
+            yield step[a:b], centre[a:b], rows[a:b], keep[a:b]
+
+
+def _work_arrays(pairs: int, width: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat work arrays for ``_sgns_update`` on up to ``pairs`` pairs of ``width`` rows.
+
+    Allocated once per training: when chunk-sized temporaries were made
+    afresh for every chunk, the allocator handed them back to the OS and
+    faulted them in again each time, which doubled the skip-gram time on
+    the Bibtex shape.
+    """
+    size = pairs * width * dim
+    return np.empty(size), np.empty(size, dtype=np.intp)
+
+
+def _scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray, flat: np.ndarray) -> None:
+    """``table[rows] += values``, adding every duplicate row, in order.
+
+    ``table`` is C-contiguous; ``flat`` is an integer work array of at least
+    ``rows.size * dim`` entries.
+    """
+    dim = table.shape[1]
+    idx = flat[: rows.size * dim].reshape(rows.size, dim)
+    np.add(rows.reshape(-1, 1) * dim, np.arange(dim), out=idx)
+    np.add.at(table.reshape(-1), idx.reshape(-1), values.reshape(-1))
+
+
+def _sgns_update(syn0, syn1, centre, rows, weight, work) -> None:
+    """One delayed negative-sampling step for a chunk of pairs.
+
+    Pair i pulls ``syn0[centre[i]]`` and ``syn1[rows[i, 0]]`` (its context)
+    together and pushes ``syn1[rows[i, 1:]]`` (its negatives) away, each
+    term scaled by ``weight[i, j]``.  Every pair reads both tables as they
+    stand on entry; then all the pairs' updates are added, duplicate rows
+    included.  ``work`` comes from ``_work_arrays``.
+    """
+    grad_buf, flat = work
+    v = syn0[centre]
+    ctx = syn1[rows]
+    g = -_sigmoid(np.einsum("cd,ckd->ck", v, ctx))
+    g[:, 0] += 1.0
+    g *= weight
+    grad = grad_buf[: ctx.size].reshape(ctx.shape)
+    np.multiply(g[:, :, None], v[:, None, :], out=grad)
+    _scatter_add(syn1, rows, grad, flat)
+    _scatter_add(syn0, centre, np.einsum("ck,ckd->cd", g, ctx), flat)
 
 
 def negative_sampling_objective(
@@ -216,28 +338,20 @@ def negative_sampling_objective(
     generator seeded by ``rng_seed``, so repeated calls are comparable.
     """
     rng = _stream_rng(rng_seed, _EVAL_STREAM)
-    cdf = _corpus_noise_cdf(corpus)
+    flat = _flatten(corpus)
+    window = config.window
+    chunks = _pair_chunks(
+        flat, _corpus_noise_cdf(flat[0], corpus.num_nodes), np.arange(len(corpus.walks)),
+        window, lambda n: np.full(n, window), config.negative_samples, rng,
+    )
     syn0, syn1 = model.node_vectors, model.context_vectors
-    K = config.negative_samples
     total = 0.0
     pairs = 0
-    for walk in corpus.walks:
-        n = walk.size
-        for t in range(n):
-            v = syn0[walk[t]]
-            lo, hi = max(0, t - config.window), min(n, t + config.window + 1)
-            for u in range(lo, hi):
-                if u == t:
-                    continue
-                ctx = int(walk[u])
-                negs = np.searchsorted(cdf, rng.random(K))
-                negs = negs[negs != ctx]
-                total += float(np.log(_sigmoid(syn1[ctx] @ v) + 1e-12))
-                if negs.size:
-                    total += float(
-                        np.sum(np.log(_sigmoid(-(syn1[negs] @ v)) + 1e-12))
-                    )
-                pairs += 1
+    for _, centre, rows, keep in chunks:
+        scores = np.einsum("cd,ckd->ck", syn0[centre], syn1[rows])
+        scores[:, 1:] *= -1.0
+        total += float(np.sum(keep * np.log(_sigmoid(scores) + 1e-12)))
+        pairs += centre.size
     return total / max(pairs, 1)
 
 
@@ -249,11 +363,18 @@ def fit_skipgram(
     """Train skip-gram with negative sampling on the walk corpus.
 
     Single threaded and deterministic for a fixed config.  Node vectors start
-    uniform in [-0.5/dim, 0.5/dim]; context vectors start at zero.  The
-    learning rate decays linearly from ``initial_learning_rate`` to
-    ``min_learning_rate`` over all center positions.  Negatives are drawn
-    from the unigram^0.75 distribution of corpus node frequencies; draws that
-    collide with the context word are dropped.
+    uniform in [-0.5/dim, 0.5/dim]; context vectors start at zero.  Each
+    epoch visits the walks in a fresh random order; every centre position
+    draws a reach in [1, window] and pairs with the positions of its walk
+    within that reach.  The learning rate decays linearly from
+    ``initial_learning_rate`` to ``min_learning_rate`` over all centre
+    positions, and each pair takes its centre's rate.  Negatives are drawn
+    from the unigram^0.75 distribution of corpus node frequencies; a draw
+    that equals the context gets weight 0.
+
+    Updates are delayed, as the module docstring describes: the pairs are
+    applied in chunks of _CHUNK_PAIRS, and every pair of a chunk computes
+    its gradient from the vectors as they stood at the start of the chunk.
     """
     config.validate()
     L, dim = corpus.num_nodes, config.dim
@@ -266,37 +387,21 @@ def fit_skipgram(
             model, corpus, config, config.rng_seed
         )
 
-    cdf = _corpus_noise_cdf(corpus)
-    K = config.negative_samples
+    flat = _flatten(corpus)
+    cdf = _corpus_noise_cdf(flat[0], L)
+    work = _work_arrays(_CHUNK_PAIRS, config.negative_samples + 1, dim)
     lr0, lr_min = config.initial_learning_rate, config.min_learning_rate
-    total_steps = max(1, config.epochs * corpus.total_tokens)
-    labels = np.zeros(K + 1)
-    labels[0] = 1.0
-    step = 0
+    n_tokens = flat[0].size
+    total_steps = max(1, config.epochs * n_tokens)
+    window = config.window
     for epoch in range(config.epochs):
-        for wi in rng.permutation(len(corpus.walks)):
-            walk = corpus.walks[wi]
-            n = walk.size
-            for t in range(n):
-                lr = max(lr_min, lr0 * (1.0 - step / total_steps))
-                step += 1
-                if n < 2:
-                    continue
-                reach = int(rng.integers(1, config.window + 1))
-                center = int(walk[t])
-                v = syn0[center]  # view, updated in place
-                lo, hi = max(0, t - reach), min(n, t + reach + 1)
-                for u in range(lo, hi):
-                    if u == t:
-                        continue
-                    ctx = int(walk[u])
-                    negs = np.searchsorted(cdf, rng.random(K))
-                    negs = negs[negs != ctx]
-                    idx = np.concatenate(([ctx], negs))
-                    rows = syn1[idx]  # gather copies the pre-update rows
-                    g = lr * (labels[: idx.size] - _sigmoid(rows @ v))
-                    np.add.at(syn1, idx, g[:, None] * v[None, :])
-                    v += g @ rows
+        chunks = _pair_chunks(
+            flat, cdf, rng.permutation(len(corpus.walks)), window,
+            lambda n: rng.integers(1, window + 1, size=n), config.negative_samples, rng,
+        )
+        for step, centre, rows, keep in chunks:
+            lr = np.maximum(lr_min, lr0 * (1.0 - (epoch * n_tokens + step) / total_steps))
+            _sgns_update(syn0, syn1, centre, rows, lr[:, None] * keep, work)
         log.debug("skip-gram epoch %d/%d done", epoch + 1, config.epochs)
     if track_objective:
         model.objective_after = negative_sampling_objective(

@@ -98,6 +98,14 @@ class TestTrain:
                      "--dry-run", "--config", str(cfg)])
         assert code == 1
 
+    def test_threads_is_not_a_train_option(self, data_files, tmp_path):
+        train, _ = data_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 2\n")
+        base = ["train", train, "--model-out", str(tmp_path / "m.dxml"), "--dry-run"]
+        assert main(base + ["--config", str(cfg)]) == 1
+        assert main(base + ["--threads", "2"]) == 1
+
     def test_exported_graph_reimports_identically(self, data_files, tmp_path):
         train, _ = data_files
         graph = str(tmp_path / "graph.txt")
@@ -275,6 +283,22 @@ class TestEmbedLabels:
             assert len(fields) == 9  # index + 8 coordinates
             assert int(fields[0]) == idx
             np.array(fields[1:], dtype=np.float64)  # parses as floats
+
+    def test_graph_file_and_config_file_reproduce_output(self, data_files, tmp_path):
+        train, _ = data_files
+        flags = ["--embed-dim", "8", "--walks-per-node", "3", "--walk-length", "10",
+                 "--window", "3", "--embed-epochs", "1", "--seed", "4"]
+        graph = str(tmp_path / "graph.txt")
+        a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+        assert main(["embed-labels", train, "--out", a, "--export-graph", graph, *flags]) == 0
+        assert main(["embed-labels", train, "--out", b, "--graph-file", graph, *flags]) == 0
+        assert read_bytes(a) == read_bytes(b)
+        # DeepWalk settings from a config file resolve as the same flags do
+        cfg = tmp_path / "dw.cfg"
+        cfg.write_text("embed_dim = 8\nwalks_per_node = 3\n")
+        assert main(["embed-labels", train, "--out", b, "--config", str(cfg),
+                     *flags[4:]]) == 0
+        assert read_bytes(a) == read_bytes(b)
 
 
 class TestUsage:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from dxml import DeepWalkConfig, ValidationError, embed_labels, generate_walks, train_skipgram
-from dxml.graph_embed import fit_skipgram
+from dxml import graph_embed
+from dxml.graph_embed import (
+    WalkCorpus, _flatten, _sgns_update, _token_blocks, _window_pairs, _work_arrays, fit_skipgram,
+)
 
 from test_label_graph import dataset_from_label_sets
 from dxml import build_label_graph
@@ -137,6 +140,85 @@ class TestSkipgram:
         V = train_skipgram(corpus, SMALL_CFG)
         model = fit_skipgram(corpus, SMALL_CFG)
         assert np.array_equal(V.values, model.node_vectors.T)
+
+
+def reference_pairs(walks, order, reach):
+    """(centre, context) corpus positions by a plain loop over (walk, t, u).
+
+    ``reach[s]`` is the reach of the s-th token when the walks are taken in
+    ``order``.
+    """
+    starts = np.cumsum([0] + [w.size for w in walks])
+    pairs, s = [], 0
+    for wi in order:
+        n = walks[wi].size
+        for t in range(n):
+            r = int(reach[s])
+            s += 1
+            for u in range(max(0, t - r), min(n, t + r + 1)):
+                if u != t:
+                    pairs.append((int(starts[wi]) + t, int(starts[wi]) + u))
+    return pairs
+
+
+def reference_update(syn0, syn1, centre, rows, weight):
+    """Every row read at chunk start, then each pair's update added in a loop."""
+    syn0_0, syn1_0 = syn0.copy(), syn1.copy()
+    syn0, syn1 = syn0.copy(), syn1.copy()
+    for i, c in enumerate(centre):
+        v = syn0_0[c]
+        for j, r in enumerate(rows[i]):
+            label = 1.0 if j == 0 else 0.0
+            g = weight[i, j] * (label - 1.0 / (1.0 + np.exp(-(syn1_0[r] @ v))))
+            syn1[r] += g * v
+            syn0[c] += g * syn1_0[r]
+    return syn0, syn1
+
+
+class TestChunkedSkipgram:
+    def test_pairs_match_double_loop(self):
+        # length-1 and length-2 walks, and reaches that run past a walk's end
+        walks = [np.array([3]), np.array([1, 2]), np.arange(7), np.array([4]),
+                 np.array([0, 5]), np.arange(10, 15)]
+        corpus = WalkCorpus(walks=walks, num_nodes=15, walk_length=7, walks_per_node=1)
+        tokens, starts, lengths = _flatten(corpus)
+        window = 3
+        reach = np.random.default_rng(0).integers(1, window + 1, size=tokens.size)
+        reach[:4] = window
+        for order in (np.arange(len(walks)), np.array([4, 2, 0, 5, 1, 3])):
+            expected = reference_pairs(walks, order, reach)
+            for block_tokens in (1, 2, 5, tokens.size):
+                got = []
+                for step, pos, start, end in _token_blocks(starts, lengths, order, block_tokens):
+                    i, ctx = _window_pairs(pos, start, end, reach[step], window)
+                    got += zip(pos[i].tolist(), ctx.tolist())
+                assert got == expected, (order, block_tokens)
+
+    def test_chunk_update_adds_every_duplicate_row(self):
+        rng = np.random.default_rng(3)
+        syn0 = rng.normal(size=(6, 8))
+        syn1 = rng.normal(size=(6, 8))
+        centre = np.array([0, 1, 0])
+        # row 3: context of pair 0 and twice a negative of pair 1; row 4: a
+        # negative of pair 0, context of pair 1, negative of pair 2; pair 2
+        # drew its own context as a negative, which carries weight 0
+        rows = np.array([[3, 4, 5], [4, 3, 3], [5, 5, 4]])
+        weight = np.full(rows.shape, 0.05)
+        weight[2, 1] = 0.0
+        want0, want1 = reference_update(syn0, syn1, centre, rows, weight)
+        _sgns_update(syn0, syn1, centre, rows, weight, _work_arrays(3, 3, 8))
+        np.testing.assert_allclose(syn0, want0, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(syn1, want1, rtol=1e-12, atol=1e-15)
+
+    def test_tiny_blocks_train_deterministically(self, monkeypatch):
+        monkeypatch.setattr(graph_embed, "_BLOCK_PAIRS", 4)
+        g = graph_of([{0, 1, 2}, {2, 3}, {3, 4}], 5)
+        corpus = generate_walks(g, 3, 12, rng_seed=1)
+        a = fit_skipgram(corpus, SMALL_CFG)
+        b = fit_skipgram(corpus, SMALL_CFG)
+        assert np.all(np.isfinite(a.node_vectors)) and np.all(np.isfinite(a.context_vectors))
+        assert a.node_vectors.tobytes() == b.node_vectors.tobytes()
+        assert a.context_vectors.tobytes() == b.context_vectors.tobytes()
 
 
 def pairwise_cosines(V, nodes):
