@@ -268,15 +268,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         embeddings = graph_embed.embed_labels(graph, deepwalk_cfg)
 
     with _stage("label targets", timings):
-        targets, point_ids, skipped = label_projection.project_targets(
+        targets, rows, skipped = label_projection.project_targets(
             embeddings, dataset, normalize=resolved["normalize_targets"]
         )
-    if skipped:
-        log.warning("skipped %d unlabeled training points", skipped)
-    if not point_ids:
+    if rows.size == 0:
         raise ValidationError("training file has no labeled points")
 
-    xs = [dataset.points[i][0] for i in point_ids]
+    labeled = [dataset.points[i] for i in rows.tolist()]
+    xs = [sv for sv, _ in labeled]
     with _stage("network training", timings):
         mlp = net.train_embedding_net(
             xs, targets, dataset.num_features, train_cfg, resolved["hidden"]
@@ -292,7 +291,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             mlp=mlp,
             clusters=clusters,
             train_embeds=train_embeds,
-            train_labels=[dataset.points[i][1] for i in point_ids],
+            train_labels=[ls for _, ls in labeled],
             meta={
                 "scale": resolved["scale"],
                 "seed": resolved["seed"],

@@ -50,37 +50,34 @@ class LabelGraph:
         return self.adj_weights[node]
 
 
-def _from_edge_counts(
-    counts: dict[tuple[int, int], int], num_nodes: int
+def _from_edges(
+    a: np.ndarray, b: np.ndarray, weights: np.ndarray, num_nodes: int
 ) -> LabelGraph:
-    nbr: list[list[int]] = [[] for _ in range(num_nodes)]
-    wts: list[list[int]] = [[] for _ in range(num_nodes)]
-    for (a, b), c in counts.items():
-        nbr[a].append(b)
-        wts[a].append(c)
-        nbr[b].append(a)
-        wts[b].append(c)
-    adj, adj_weights = [], []
-    for node in range(num_nodes):
-        ids = np.array(nbr[node], dtype=np.int32)
-        w = np.array(wts[node], dtype=np.int64)
-        order = np.argsort(ids)
-        adj.append(ids[order])
-        adj_weights.append(w[order])
-    return LabelGraph(num_nodes=num_nodes, adj=adj, adj_weights=adj_weights)
+    """Adjacency of undirected edges (a[e], b[e]) carrying ``weights[e]``, each listed once."""
+    src = np.concatenate([a, b]).astype(np.int64)
+    dst = np.concatenate([b, a]).astype(np.int32)
+    wts = np.concatenate([weights, weights]).astype(np.int64)
+    order = np.lexsort((dst, src))
+    cuts = np.searchsorted(src[order], np.arange(1, num_nodes))
+    return LabelGraph(
+        num_nodes=num_nodes,
+        adj=np.split(dst[order], cuts),
+        adj_weights=np.split(wts[order], cuts),
+    )
 
 
 def build_label_graph(dataset: Dataset) -> LabelGraph:
     """Count pairwise label co-occurrences across all points of ``dataset``."""
-    counts: dict[tuple[int, int], int] = {}
-    for _, label_set in dataset.points:
-        ids = label_set.ids.tolist()
-        for i in range(len(ids)):
-            a = ids[i]
-            for j in range(i + 1, len(ids)):
-                key = (a, ids[j])
-                counts[key] = counts.get(key, 0) + 1
-    return _from_edge_counts(counts, dataset.num_labels)
+    ids, indptr, L = dataset.label_ids, dataset.label_indptr, dataset.num_labels
+    # Entry p pairs with the later entries of its point: p + 1 .. row end - 1.
+    row_end = np.repeat(indptr[1:], np.diff(indptr))
+    later = row_end - np.arange(ids.size) - 1
+    first = np.repeat(np.arange(ids.size), later)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+    codes, weights = np.unique(
+        ids[first].astype(np.int64) * L + ids[second], return_counts=True
+    )
+    return _from_edges(codes // L, codes % L, weights, L)
 
 
 def write_adjacency(graph: LabelGraph, stream: IO[str]) -> None:
@@ -136,4 +133,6 @@ def read_adjacency(stream: IO[str], num_nodes: int | None = None) -> LabelGraph:
         if key in counts:
             raise DataFormatError(f"duplicate edge {key[0]} {key[1]}", line=lineno)
         counts[key] = w
-    return _from_edge_counts(counts, num_nodes)
+    edges = np.array(list(counts), dtype=np.int64).reshape(-1, 2)
+    weights = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    return _from_edges(edges[:, 0], edges[:, 1], weights, num_nodes)

@@ -6,6 +6,8 @@ scaled to unit norm so it lives on the same sphere as the network output.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 
 from .data_io import Dataset, LabelSet
@@ -14,7 +16,10 @@ from .graph_embed import EmbeddingMatrix
 
 __all__ = ["project_label_vector", "project_targets"]
 
+log = logging.getLogger(__name__)
+
 _DEGENERATE_NORM = 1e-12
+_GATHER_FLOATS = 1 << 18  # floats per block of gathered label columns
 
 
 def project_label_vector(
@@ -46,22 +51,42 @@ def project_label_vector(
 
 def project_targets(
     embeddings: EmbeddingMatrix, dataset: Dataset, normalize: bool = True
-) -> tuple[np.ndarray, list[int], int]:
-    """Targets for every labeled point of ``dataset``.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Targets for every labeled point of ``dataset``, the training data of the network.
 
-    Returns (targets, point_ids, skipped) where ``targets[i]`` belongs to
-    ``dataset.points[point_ids[i]]`` and ``skipped`` counts unlabeled points.
+    Returns (targets, rows, skipped): ``targets[i]`` belongs to point
+    ``rows[i]`` and equals ``project_label_vector`` of its labels bit for bit;
+    ``skipped`` counts the unlabeled points, which get no target.
     """
-    targets: list[np.ndarray] = []
-    point_ids: list[int] = []
-    skipped = 0
-    for i, (_, labels) in enumerate(dataset.points):
-        if len(labels) == 0:
-            skipped += 1
-            continue
-        targets.append(project_label_vector(embeddings, labels, normalize=normalize))
-        point_ids.append(i)
-    stacked = (
-        np.stack(targets) if targets else np.empty((0, embeddings.dim), dtype=np.float64)
-    )
-    return stacked, point_ids, skipped
+    counts = np.diff(dataset.label_indptr)
+    rows = np.flatnonzero(counts)
+    skipped = counts.size - rows.size
+    if skipped:
+        log.warning("skipped %d unlabeled training points", skipped)
+    ids = dataset.label_ids
+    if ids.size and (ids.min() < 0 or ids.max() >= embeddings.count):
+        raise ValidationError(f"label id outside [0, {embeddings.count})")
+    E = embeddings.values
+    targets = np.empty((rows.size, embeddings.dim), dtype=np.float64)
+    starts, counts = dataset.label_indptr[rows], counts[rows]
+    # Points with m labels are averaged together as a (dim, points, m) gather
+    # whose mean runs over the same m contiguous values, in the same order, as
+    # project_label_vector's; a block keeps the gather near _GATHER_FLOATS.
+    for m in np.unique(counts).tolist():
+        same = np.flatnonzero(counts == m)
+        step = max(1, _GATHER_FLOATS // (m * E.shape[0]))
+        for s in range(0, same.size, step):
+            sel = same[s : s + step]
+            cols = ids[starts[sel][:, None] + np.arange(m)]
+            targets[sel] = E[:, cols].mean(axis=2).T
+    if not normalize:
+        return targets, rows, skipped
+    # np.linalg.norm of a vector is sqrt(x.dot(x)); one BLAS dot per row keeps its bits.
+    norms = np.sqrt([t.dot(t) for t in targets])
+    degenerate = np.flatnonzero(norms < _DEGENERATE_NORM)
+    if degenerate.size:
+        raise DegenerateTargetError(
+            f"averaged label embedding has norm {norms[degenerate[0]]:.3e}, cannot normalize"
+        )
+    targets /= norms[:, None]
+    return targets, rows, skipped

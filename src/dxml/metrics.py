@@ -89,6 +89,29 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
 
+def _ranked_head(
+    point_scores: Mapping[int, float], num_labels: int, top: int
+) -> np.ndarray:
+    """``rank_k`` of the dense score vector at ``top``, from the scored labels only.
+
+    A label without a score ranks as a zero score.  Only the ``top`` lowest
+    such ids can reach the head, so they are the only ones ranked.
+    """
+    labels = np.fromiter(point_scores.keys(), dtype=np.int64, count=len(point_scores))
+    scores = np.fromiter(point_scores.values(), dtype=np.float64, count=len(point_scores))
+    outside = np.flatnonzero((labels < 0) | (labels >= num_labels))
+    if outside.size:
+        raise ValidationError(
+            f"score for label {labels[outside[0]]} outside [0, {num_labels})"
+        )
+    scored = np.zeros(min(num_labels, top + labels.size), dtype=bool)
+    scored[labels[labels < scored.size]] = True
+    unscored = np.flatnonzero(~scored)[:top]
+    ids = np.concatenate([labels, unscored])
+    order = np.lexsort((ids, -np.concatenate([scores, np.zeros(unscored.size)])))
+    return ids[order[:top]]
+
+
 def evaluate(
     score_maps: Sequence[Mapping[int, float]],
     dataset: Dataset,
@@ -98,7 +121,9 @@ def evaluate(
     """Average P@k and nDCG@k of sparse score maps against ``dataset`` truth.
 
     Unlabeled test points count as zeros unless ``skip_unlabeled`` excludes
-    them from the average.
+    them from the average.  Each point is ranked once, at the largest k; every
+    k reads a prefix of that ranking and gets ``precision_at_k`` and
+    ``ndcg_at_k`` bit for bit.
     """
     if len(score_maps) != dataset.num_points:
         raise ValidationError(
@@ -107,26 +132,34 @@ def evaluate(
     ks = tuple(ks)
     if not ks or any(k < 1 for k in ks):
         raise ValidationError("ks must be a non-empty list of positive ints")
-    dense = np.zeros(dataset.num_labels, dtype=np.float64)
+    top = min(max(ks), dataset.num_labels)
+    gains = [1.0 / math.log2(pos + 1) for pos in range(1, max(ks) + 1)]
+    ideal = [0.0]  # ideal[j]: the best DCG of j hits, summed in rank order
+    for g in gains:
+        ideal.append(ideal[-1] + g)
     p_sums = {k: 0.0 for k in ks}
     n_sums = {k: 0.0 for k in ks}
     counted = 0
     skipped = 0
-    for point_scores, (_, truth) in zip(score_maps, dataset.points):
-        if skip_unlabeled and len(truth) == 0:
+    lp = dataset.label_indptr.tolist()
+    for i, point_scores in enumerate(score_maps):
+        truth = dataset.label_ids[lp[i] : lp[i + 1]]
+        if skip_unlabeled and truth.size == 0:
             skipped += 1
             continue
-        touched = list(point_scores.keys())
-        for label in touched:
-            if not 0 <= label < dataset.num_labels:
-                raise ValidationError(f"score for label {label} outside [0, {dataset.num_labels})")
-            dense[label] = point_scores[label]
+        truth_ids = set(truth.tolist())
+        ranked = _ranked_head(point_scores, dataset.num_labels, top).tolist()
+        hit_count = [0]  # hit_count[j], dcg[j]: over the first j ranked labels
+        dcg = [0.0]
+        for pos, label in enumerate(ranked):
+            hit = label in truth_ids
+            hit_count.append(hit_count[-1] + hit)
+            dcg.append(dcg[-1] + gains[pos] if hit else dcg[-1])
         for k in ks:
-            p_sums[k] += precision_at_k(dense, truth, k)
-            n_sums[k] += ndcg_at_k(dense, truth, k)
+            p_sums[k] += hit_count[min(k, top)] / k
+            if truth.size:  # no truth: nDCG 0
+                n_sums[k] += dcg[min(k, top)] / ideal[min(k, truth.size)]
         counted += 1
-        for label in touched:
-            dense[label] = 0.0
     if counted == 0:
         raise ValidationError("no test points to evaluate")
     return MetricReport(

@@ -353,12 +353,8 @@ def train(
 
     Unlabeled points are skipped with a counted warning.
     """
-    targets, point_ids, skipped = project_targets(
-        embeddings, dataset, normalize=normalize_targets
-    )
-    if skipped:
-        log.warning("skipping %d unlabeled training points", skipped)
-    xs = [dataset.points[i][0] for i in point_ids]
+    targets, rows, _ = project_targets(embeddings, dataset, normalize=normalize_targets)
+    xs = [dataset.points[i][0] for i in rows.tolist()]
     return train_embedding_net(
         xs, targets, dataset.num_features, config, hidden_size, record_losses
     )

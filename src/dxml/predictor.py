@@ -117,8 +117,9 @@ def top_p(scores: Mapping[int, float], p: int) -> list[int]:
     """The p highest-scoring labels, ties broken by ascending label index."""
     if p < 1:
         raise ValidationError("p must be >= 1")
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [label for label, _ in ranked[:p]]
+    labels = np.fromiter(scores.keys(), dtype=np.int64, count=len(scores))
+    values = np.fromiter(scores.values(), dtype=np.float64, count=len(scores))
+    return labels[np.lexsort((labels, -values))[:p]].tolist()
 
 
 def _block_neighbors(

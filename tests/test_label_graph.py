@@ -76,6 +76,27 @@ class TestBuild:
                         got[(v, u)] = w
             assert got == expected
 
+    def test_against_brute_force_many_labels(self):
+        # Up to 12 labels a point and unlabeled points; neighbours sorted.
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            L = int(rng.integers(1, 30))
+            ds = random_dataset(rng, n=80, L=L, max_labels=min(L, 12), allow_unlabeled=True)
+            g = build_label_graph(ds)
+            got = {}
+            for v in range(L):
+                assert g.adj[v].dtype == np.int32 and g.adj_weights[v].dtype == np.int64
+                assert np.all(np.diff(g.adj[v]) > 0)
+                for u, w in zip(g.neighbors(v).tolist(), g.edge_weights(v).tolist()):
+                    if v < u:
+                        got[(v, u)] = w
+            assert got == brute_force_counts([set(ls) for _, ls in ds.points], L)
+
+    def test_no_labels_at_all(self):
+        g = build_label_graph(dataset_from_label_sets([set(), set()], 4))
+        assert g.num_nodes == 4 and g.num_edges == 0
+        assert all(a.size == 0 for a in g.adj)
+
     def test_node_range_errors(self):
         g = build_label_graph(dataset_from_label_sets([{0, 1}], 2))
         with pytest.raises(ValidationError):

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from dxml import (
+    Dataset,
     DegenerateTargetError,
     LabelSet,
+    SparseVector,
     UnlabeledPointError,
     ValidationError,
     project_label_vector,
 )
+from dxml import label_projection
 from dxml.graph_embed import EmbeddingMatrix
 from dxml.label_projection import project_targets
 
@@ -18,6 +21,11 @@ from conftest import random_dataset
 
 def matrix(cols):
     return EmbeddingMatrix(values=np.array(cols, dtype=np.float64).T)
+
+
+def dataset_from_label_sets(label_sets, L):
+    points = [(SparseVector.from_pairs([]), LabelSet.from_iterable(ls)) for ls in label_sets]
+    return Dataset(len(points), 1, L, points)
 
 
 class TestProjection:
@@ -94,3 +102,38 @@ class TestProjectTargets:
         targets, ids, _ = project_targets(V, ds)
         for row, i in zip(targets, ids):
             assert np.array_equal(row, project_label_vector(V, ds.points[i][1]))
+
+
+class TestProjectTargetsBitwise:
+    """The grouped gather must reproduce project_label_vector bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 7, 100])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_matches_per_point(self, dim, normalize):
+        rng = np.random.default_rng(dim)
+        # Up to 20 labels a point: numpy's pairwise sum switches at 8 terms.
+        ds = random_dataset(rng, n=120, L=24, max_labels=20, allow_unlabeled=True)
+        V = EmbeddingMatrix(values=rng.standard_normal((dim, ds.num_labels)) * 10.0)
+        targets, rows, skipped = project_targets(V, ds, normalize=normalize)
+        want_rows = [i for i, (_, ls) in enumerate(ds.points) if len(ls)]
+        assert rows.tolist() == want_rows and skipped == ds.num_points - len(want_rows)
+        for row, i in zip(targets, want_rows):
+            want = project_label_vector(V, ds.points[i][1], normalize=normalize)
+            assert row.tobytes() == want.tobytes()
+
+    def test_blocks_of_the_gather(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        ds = random_dataset(rng, n=40, L=10, max_labels=6)
+        V = EmbeddingMatrix(values=rng.standard_normal((3, ds.num_labels)))
+        whole = project_targets(V, ds)[0]
+        monkeypatch.setattr(label_projection, "_GATHER_FLOATS", 1)
+        assert project_targets(V, ds)[0].tobytes() == whole.tobytes()
+
+    def test_degenerate_and_out_of_range(self):
+        V = matrix([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        ds = dataset_from_label_sets([[2], [0, 1]], 3)
+        with pytest.raises(DegenerateTargetError):
+            project_targets(V, ds)
+        assert project_targets(V, ds, normalize=False)[0][1].tolist() == [0.0, 0.0]
+        with pytest.raises(ValidationError):
+            project_targets(matrix([[1.0, 0.0]]), ds)

@@ -250,3 +250,51 @@ class TestReportFormat:
         table = self.report().format_table()
         assert "66.03" in table and "40.21" in table
         assert "points evaluated: 100" in table
+
+
+def reference_evaluate(score_maps, dataset, ks, skip_unlabeled=False):
+    """Every k ranks every point's full dense score vector: the first evaluate."""
+    dense = np.zeros(dataset.num_labels)
+    p_sums = {k: 0.0 for k in ks}
+    n_sums = {k: 0.0 for k in ks}
+    counted = skipped = 0
+    for point_scores, (_, truth) in zip(score_maps, dataset.points):
+        if skip_unlabeled and len(truth) == 0:
+            skipped += 1
+            continue
+        for label, score in point_scores.items():
+            dense[label] = score
+        for k in ks:
+            p_sums[k] += precision_at_k(dense, truth, k)
+            n_sums[k] += ndcg_at_k(dense, truth, k)
+        counted += 1
+        dense[:] = 0.0
+    return ({k: p_sums[k] / counted for k in ks}, {k: n_sums[k] / counted for k in ks},
+            counted, skipped)
+
+
+@st.composite
+def scored_points(draw):
+    L = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 8))
+    label_sets = [draw(st.lists(st.integers(0, L - 1), unique=True, max_size=L)) for _ in range(n)]
+    score = st.one_of(
+        st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, float("nan")]),
+        st.floats(-2.0, 2.0),
+    )
+    maps = [draw(st.dictionaries(st.integers(0, L - 1), score, max_size=L)) for _ in range(n)]
+    ks = draw(st.lists(st.integers(1, 15), min_size=1, max_size=6, unique=True))
+    return tiny_dataset(label_sets, L), maps, tuple(ks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_points(), st.booleans())
+def test_evaluate_bitwise_equals_ranking_every_k(case, skip):
+    """Ties, zero and negative scores, unscored labels and k > L included."""
+    ds, maps, ks = case
+    if skip and all(len(ls) == 0 for _, ls in ds.points):
+        skip = False
+    report = evaluate(maps, ds, ks=ks, skip_unlabeled=skip)
+    precision, ndcg, counted, skipped = reference_evaluate(maps, ds, ks, skip)
+    assert report.precision == precision and report.ndcg == ndcg
+    assert (report.num_points, report.num_skipped) == (counted, skipped)

@@ -147,10 +147,12 @@ class TestTopP:
         rng = np.random.default_rng(3)
         for _ in range(100):
             n = int(rng.integers(1, 15))
-            scores = {int(l): float(rng.integers(0, 4)) / 4 for l in rng.choice(50, n, False)}
+            scores = {int(l): float(rng.integers(-2, 4)) / 4 for l in rng.choice(50, n, False)}
             p = int(rng.integers(1, 8))
             want = sorted(scores, key=lambda l: (-scores[l], l))[:p]
-            assert top_p(scores, p) == want
+            got = top_p(scores, p)
+            assert got == want
+            assert all(type(label) is int for label in got)
 
     def test_sum_vs_average_same_ranking(self):
         # ranking is invariant under positive scaling of all scores
