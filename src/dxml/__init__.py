@@ -11,6 +11,7 @@ from .cluster import ClusterIndex, kmeans, nearest_cluster, nearest_clusters
 from .data_io import (
     Dataset,
     LabelSet,
+    SparseRows,
     SparseVector,
     load_repo_file,
     normalize_features,
@@ -64,7 +65,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClusterIndex", "kmeans", "nearest_cluster", "nearest_clusters",
-    "Dataset", "LabelSet", "SparseVector",
+    "Dataset", "LabelSet", "SparseRows", "SparseVector",
     "load_repo_file", "normalize_features", "parse_repo_file",
     "save_repo_file", "write_repo_file",
     "DataFormatError", "DegenerateTargetError", "DxmlError",

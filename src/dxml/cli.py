@@ -274,8 +274,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if rows.size == 0:
         raise ValidationError("training file has no labeled points")
 
-    labeled = [dataset.points[i] for i in rows.tolist()]
-    xs = [sv for sv, _ in labeled]
+    xs = dataset.features.take(rows)
     with _stage("network training", timings):
         mlp = net.train_embedding_net(
             xs, targets, dataset.num_features, train_cfg, resolved["hidden"]
@@ -291,7 +290,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             mlp=mlp,
             clusters=clusters,
             train_embeds=train_embeds,
-            train_labels=[ls for _, ls in labeled],
+            train_labels=dataset.label_sets(rows),
             meta={
                 "scale": resolved["scale"],
                 "seed": resolved["seed"],
@@ -347,7 +346,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     preds = predictor.predict_batch(
         artifacts.mlp, artifacts.clusters, artifacts.train_embeds, artifacts.train_labels,
-        [sv for sv, _ in test.points], k=k, weighting=weighting,
+        test.features, k=k, weighting=weighting,
     )
     log.info("predicted %d points in %.2fs", len(preds), time.perf_counter() - t0)
     stream, owned = _open_out(args.out)
@@ -426,7 +425,7 @@ def cmd_sweep_k(args: argparse.Namespace) -> int:
     # One search at max k; each smaller k reads a prefix of the neighbors.
     per_point = predictor.knn_batch(
         artifacts.clusters, artifacts.train_embeds,
-        net.embed_points(artifacts.mlp, [sv for sv, _ in test.points]), max(grid),
+        net.embed_points(artifacts.mlp, test.features), max(grid),
     )
 
     reports: dict[int, Any] = {}

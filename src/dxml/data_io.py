@@ -22,7 +22,7 @@ import io
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice, repeat
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .errors import DataFormatError, ValidationError
 
 __all__ = [
     "SparseVector",
+    "SparseRows",
     "LabelSet",
     "Dataset",
     "parse_repo_file",
@@ -86,6 +87,44 @@ class SparseVector:
         return np.array_equal(self.indices, other.indices) and np.array_equal(
             self.values, other.values
         )
+
+
+@dataclass(frozen=True, eq=False)
+class SparseRows:
+    """Sparse points as CSR arrays, the input of the embedding network.
+
+    Row i has the feature ids ``indices[indptr[i]:indptr[i + 1]]`` (strictly
+    increasing) and the ``values`` alongside them.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def pack(cls, xs: Sequence[SparseVector]) -> "SparseRows":
+        """The vectors as rows, in order; one vector is wrapped without a copy."""
+        if len(xs) == 1:
+            x = xs[0]
+            indptr = np.array([0, x.indices.size], dtype=np.int64)
+            return cls(indptr, x.indices, np.asarray(x.values, dtype=np.float64))
+        return cls(
+            _offsets([x.indices.size for x in xs]),
+            _concat([x.indices for x in xs], np.int32),
+            _concat([x.values for x in xs], np.float64),
+        )
+
+    def __len__(self) -> int:
+        return int(self.indptr.size - 1)
+
+    def take(self, rows: np.ndarray) -> "SparseRows":
+        """The given rows, in that order, copied into new arrays."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        indptr = _offsets(counts)
+        pos = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+        return SparseRows(indptr, self.indices[pos], self.values[pos])
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +197,8 @@ class Dataset:
     unique).  ``Dataset(n, d, L, points)`` builds the arrays from
     (SparseVector, LabelSet) pairs, ``Dataset.from_csr`` takes them as they
     are, and ``points`` gives the pairs back as views of the arrays, built the
-    first time it is read.
+    first time it is read.  ``features`` gives the feature arrays as one
+    ``SparseRows``, the input of the embedding network.
     """
 
     def __init__(
@@ -202,6 +242,11 @@ class Dataset:
         ds.label_ids = np.asarray(label_ids, dtype=np.int32)
         return ds
 
+    @property
+    def features(self) -> SparseRows:
+        """The feature rows of every point, as the dataset's own arrays."""
+        return SparseRows(self.indptr, self.indices, self.values)
+
     @cached_property
     def points(self) -> list[tuple[SparseVector, LabelSet]]:
         """(features, labels) of every point, as views of the CSR arrays."""
@@ -210,6 +255,11 @@ class Dataset:
             (SparseVector(self.indices[a:b], self.values[a:b]), LabelSet(self.label_ids[c:e]))
             for a, b, c, e in zip(ip, ip[1:], lp, lp[1:])
         ]
+
+    def label_sets(self, rows: np.ndarray) -> list[LabelSet]:
+        """The label sets of the given points, in order, as views of ``label_ids``."""
+        lp = self.label_indptr.tolist()
+        return [LabelSet(self.label_ids[lp[i] : lp[i + 1]]) for i in rows.tolist()]
 
     def validate(self) -> None:
         if self.num_points < 0 or self.num_features <= 0 or self.num_labels <= 0:

@@ -74,7 +74,8 @@ def _array_specs(dims: dict[str, int]) -> list[tuple[str, str, tuple[int, ...]]]
     ]
 
 
-def _payload(artifacts: ModelArtifacts) -> bytes:
+def _payload_parts(artifacts: ModelArtifacts) -> list:
+    """The payload as buffers in file order: header length, header, arrays, label table."""
     n = artifacts.train_embeds.shape[0]
     dims = {
         "num_features": artifacts.mlp.input_dim,
@@ -113,26 +114,29 @@ def _payload(artifacts: ModelArtifacts) -> bytes:
         arr = np.ascontiguousarray(arrays[name], dtype=dtype)
         if arr.shape != shape:
             raise ModelFileError(f"{name} has shape {arr.shape}, expected {shape}")
-        parts.append(arr.tobytes())
-    parts.append(np.ascontiguousarray(flat, dtype="<u4").tobytes())
-    return b"".join(parts)
+        parts.append(arr.reshape(-1).view(np.uint8))
+    parts.append(np.ascontiguousarray(flat, dtype="<u4").view(np.uint8))
+    return parts
 
 
 def save_model(artifacts: ModelArtifacts, path: str) -> None:
-    """Serialize atomically: write a sibling temp file, then rename over ``path``."""
-    payload = _payload(artifacts)
-    blob = (
-        MAGIC
-        + struct.pack("<I", FORMAT_VERSION)
-        + struct.pack("<Q", len(payload))
-        + payload
-        + hashlib.sha256(payload).digest()
-    )
+    """Serialize atomically: write a sibling temp file, then rename over ``path``.
+
+    The payload is hashed and written a part at a time, never joined, so
+    saving holds one float32 copy of the arrays and no copy of the file.
+    """
+    parts = _payload_parts(artifacts)
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    payload_len = sum(len(part) for part in parts)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            fh.write(MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<Q", payload_len))
+            fh.writelines(parts)
+            fh.write(digest.digest())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -202,11 +206,8 @@ def _parse_payload(payload: bytes) -> ModelArtifacts:
         raise ModelFileError("payload size disagrees with label table")
     flat = np.frombuffer(payload, dtype="<u4", count=total_labels, offset=pos).astype(np.int32)
 
-    n = dims["num_train"]
-    labels = [
-        LabelSet(np.array(flat[offsets[i] : offsets[i + 1]], dtype=np.int32))
-        for i in range(n)
-    ]
+    offs = offsets.tolist()
+    labels = [LabelSet(flat[a:b]) for a, b in zip(offs, offs[1:])]
     assignments = raw["assignments"].astype(np.int64)
     m = dims["num_clusters"]
     if assignments.size and (assignments.min() < 0 or assignments.max() >= m):

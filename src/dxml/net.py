@@ -4,6 +4,22 @@ Architecture: relu(x W1 + b1) W2 + b2, dropout on the output layer at train
 time, then scaling to the unit sphere.  The loss is the coordinate-wise
 smooth-L1 distance between the network output and the point's label target,
 minimized with minibatch SGD plus momentum and weight decay.
+
+Training, ``embed_points`` and ``forward`` (a batch of one) run one forward
+pass over CSR rows (``SparseRows``).  Only the first layer is per point: one
+BLAS vector-matrix product of the point's values with its gathered rows of
+W1.  Bias, ReLU and dropout are one array operation each over the batch.
+The second layer is a stacked ``np.matmul(A[:, None, :], W2)``, one
+vector-matrix product per row, not a GEMM: a GEMM blocks its sums by the
+batch size and the row's place in it, so a point's bits would depend on its
+batch.  Each row's norm is its own dot product, as in ``np.linalg.norm``.  A
+point thus embeds to the same bits alone or in any batch.
+
+``sgd_step`` applies the exact dense momentum and decay update in row blocks
+of about 128 KB per array, so each block stays in cache through all of its
+operations; they are elementwise, so the bits do not depend on the block
+size.  The trainer reuses one W1 gradient buffer and zeroes it after every
+step.
 """
 
 from __future__ import annotations
@@ -16,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data_io import Dataset, SparseVector
+from .data_io import Dataset, SparseRows, SparseVector
 from .errors import ValidationError
 from .graph_embed import EmbeddingMatrix
 from .label_projection import project_targets
@@ -40,6 +56,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _NORM_EPS = 1e-12
+_UPDATE_BYTES = 1 << 17  # per array in one row block of the momentum step
+_EMBED_ROWS = 256  # points embedded together; bounds embed_points' temporaries
 
 
 @dataclass(eq=False)
@@ -172,76 +190,76 @@ def embed_distance(fx: np.ndarray, fy: np.ndarray) -> float:
     return float(np.sum(smooth_l1(fx, fy)))
 
 
+def _forward_rows(
+    model: MlpModel,
+    x: SparseRows,
+    masks: np.ndarray | None,
+    start: int = 0,
+    stop: int | None = None,
+):
+    """The forward pass over rows ``start:stop`` of ``x``: (Hpre, A, Zd, F, norms, guarded)."""
+    W1, idx, val, d = model.W1, x.indices, x.values, model.input_dim
+    ip = x.indptr[start : None if stop is None else stop + 1].tolist()
+    Hpre = np.empty((len(ip) - 1, model.hidden_size))
+    for i, (a, b) in enumerate(zip(ip, ip[1:])):
+        if a == b:
+            Hpre[i] = -0.0  # -0.0 + b1 is b1 exactly, the sign of a zero included
+            continue
+        if idx[a] < 0 or idx[b - 1] >= d:  # a row's ids increase
+            raise ValidationError(f"feature index outside [0, {d})")
+        np.matmul(val[a:b], W1[idx[a:b]], out=Hpre[i])
+    Hpre += model.b1
+    A = np.maximum(Hpre, 0.0)
+    # One vector-matrix product per row; a GEMM's sums depend on the batch.
+    Zd = np.matmul(A[:, None, :], model.W2)[:, 0]
+    Zd += model.b2
+    if masks is not None:
+        Zd *= masks
+    # Each row's own dot product: np.linalg.norm of a vector is sqrt(z.dot(z)).
+    norms = np.sqrt(np.matmul(Zd[:, None, :], Zd[:, :, None])[:, 0, 0])
+    guarded = norms + _NORM_EPS
+    return Hpre, A, Zd, Zd / guarded[:, None], norms, guarded
+
+
 def forward(
     model: MlpModel, x: SparseVector, dropout_mask: np.ndarray | None = None
 ) -> np.ndarray:
-    """Embed one sparse point; eval mode when ``dropout_mask`` is None.
+    """Embed one sparse point, as a batch of one; eval mode when ``dropout_mask`` is None.
 
     A train-mode mask must already carry the inverted-dropout scale
     1/(1 - rate).  Output norm is epsilon-guarded, so it is 1 up to 1e-9
     whenever the pre-normalization vector is not vanishingly small.
     """
-    if x.nnz and (x.indices[-1] >= model.input_dim or x.indices[0] < 0):
-        raise ValidationError(
-            f"feature index outside [0, {model.input_dim})"
-        )
-    h = model.b1.copy()
-    if x.nnz:
-        h += x.values @ model.W1[x.indices]
-    np.maximum(h, 0.0, out=h)
-    z = h @ model.W2 + model.b2
-    if dropout_mask is not None:
-        z = z * dropout_mask
-    return z / (np.linalg.norm(z) + _NORM_EPS)
-
-
-def _forward_batch(model: MlpModel, xs: Sequence[SparseVector], masks):
-    # Mirrors forward() operation-for-operation per point so that a batch of
-    # size one reproduces forward() bit-for-bit.
-    B = len(xs)
-    Hpre = np.empty((B, model.hidden_size))
-    Zd = np.empty((B, model.output_dim))
-    F = np.empty((B, model.output_dim))
-    norms = np.empty(B)
-    for i, sv in enumerate(xs):
-        h = model.b1.copy()
-        if sv.nnz:
-            if sv.indices[-1] >= model.input_dim or sv.indices[0] < 0:
-                raise ValidationError(f"feature index outside [0, {model.input_dim})")
-            h += sv.values @ model.W1[sv.indices]
-        Hpre[i] = h
-        np.maximum(h, 0.0, out=h)
-        z = h @ model.W2 + model.b2
-        if masks is not None:
-            z = z * masks[i]
-        Zd[i] = z
-        norms[i] = np.linalg.norm(z)
-        F[i] = z / (norms[i] + _NORM_EPS)
-    A = np.maximum(Hpre, 0.0)
-    guarded = norms + _NORM_EPS
-    return Hpre, A, Zd, F, norms, guarded
+    masks = None if dropout_mask is None else np.asarray(dropout_mask)[None]
+    return _forward_rows(model, SparseRows.pack([x]), masks)[3][0]
 
 
 def loss_and_gradients(
     model: MlpModel,
-    batch: Sequence[tuple[SparseVector, np.ndarray]],
+    batch: Sequence[tuple[SparseVector, np.ndarray]] | tuple[SparseRows, np.ndarray],
     dropout_masks: np.ndarray | None = None,
     loss_mode: str = "mean",
+    dW1: np.ndarray | None = None,
 ) -> tuple[float, Gradients]:
     """Smooth-L1 batch loss and exact gradients for all four tensors.
 
-    ``dropout_masks`` is a (B, l) array of pre-scaled mask rows or None;
-    gradients are for the mean per-point distance ('mean') or the plain sum
-    ('sum').
+    ``batch`` is a sequence of (point, target) pairs, or one pair of CSR
+    rows and a (B, l) target array.  ``dropout_masks`` is a (B, l) array of
+    pre-scaled mask rows or None; gradients are for the mean per-point
+    distance ('mean') or the plain sum ('sum').  ``dW1``, if given, must be
+    zero; it receives the W1 gradient in place of a new array.
     """
-    if not batch:
-        raise ValidationError("empty batch")
     if loss_mode not in ("mean", "sum"):
         raise ValidationError("loss_mode must be 'mean' or 'sum'")
-    xs = [x for x, _ in batch]
-    T = np.stack([t for _, t in batch]).astype(np.float64)
-    B = len(xs)
-    Hpre, A, Zd, F, norms, guarded = _forward_batch(model, xs, dropout_masks)
+    if len(batch) and isinstance(batch[0], SparseRows):
+        x, T = batch
+    else:
+        x, T = SparseRows.pack([sv for sv, _ in batch]), [t for _, t in batch]
+    B = len(x)
+    if B == 0:
+        raise ValidationError("empty batch")
+    T = np.asarray(T, dtype=np.float64)
+    Hpre, A, Zd, F, norms, guarded = _forward_rows(model, x, dropout_masks)
 
     per_point = smooth_l1(F, T).sum(axis=1)
     scale = 1.0 / B if loss_mode == "mean" else 1.0
@@ -259,12 +277,34 @@ def loss_and_gradients(
     db2 = dZ.sum(axis=0)
     dA = dZ @ model.W2.T
     dH = dA * (Hpre > 0.0)
-    dW1 = np.zeros_like(model.W1)
-    for i, sv in enumerate(xs):
-        if sv.nnz:
-            dW1[sv.indices] += sv.values[:, None] * dH[i]
+    if dW1 is None:
+        dW1 = np.zeros_like(model.W1)
+    idx, val, ip = x.indices, x.values, x.indptr.tolist()
+    for i, (a, b) in enumerate(zip(ip, ip[1:])):
+        if a < b:
+            dW1[idx[a:b]] += val[a:b, None] * dH[i]
     db1 = dH.sum(axis=0)
     return loss, Gradients(dW1=dW1, db1=db1, dW2=dW2, db2=db2)
+
+
+def _momentum_rows(
+    W: np.ndarray, v: np.ndarray, g: np.ndarray, mu: float, lr: float, wd: float
+) -> None:
+    """v <- mu*v + (g + wd*W), then W <- W - lr*v, a cache-sized row block at a time.
+
+    Every operation is elementwise, so the bits do not depend on the block.
+    """
+    step = max(1, _UPDATE_BYTES // (W.shape[1] * W.itemsize))
+    tmp = np.empty((min(step, W.shape[0]), W.shape[1]))
+    for s in range(0, W.shape[0], step):
+        Wb, vb, gb = W[s : s + step], v[s : s + step], g[s : s + step]
+        t = tmp[: Wb.shape[0]]
+        vb *= mu
+        np.multiply(Wb, wd, out=t)
+        t += gb
+        vb += t
+        np.multiply(vb, lr, out=t)
+        Wb -= t
 
 
 def sgd_step(
@@ -273,18 +313,15 @@ def sgd_step(
     """One momentum step, in place.
 
     v <- momentum*v + grad + weight_decay*param for weights (no decay on
-    biases), then param <- param - lr*v.  Non-finite gradients abort.
+    biases), then param <- param - lr*v.  Non-finite gradients abort before
+    anything is written.
     """
     for name, g in (("dW1", grads.dW1), ("db1", grads.db1), ("dW2", grads.dW2), ("db2", grads.db2)):
         if not np.all(np.isfinite(g)):
             raise ValidationError(f"non-finite gradient in {name}")
     mu, lr, wd = config.momentum, config.learning_rate, config.weight_decay
-    state.vW1 *= mu
-    state.vW1 += grads.dW1 + wd * model.W1
-    model.W1 -= lr * state.vW1
-    state.vW2 *= mu
-    state.vW2 += grads.dW2 + wd * model.W2
-    model.W2 -= lr * state.vW2
+    _momentum_rows(model.W1, state.vW1, grads.dW1, mu, lr, wd)
+    _momentum_rows(model.W2, state.vW2, grads.dW2, mu, lr, wd)
     if config.use_bias:
         state.vb1 *= mu
         state.vb1 += grads.db1
@@ -295,7 +332,7 @@ def sgd_step(
 
 
 def train_embedding_net(
-    xs: Sequence[SparseVector],
+    xs: SparseRows | Sequence[SparseVector],
     targets: np.ndarray,
     num_features: int,
     config: TrainConfig,
@@ -304,7 +341,8 @@ def train_embedding_net(
 ) -> MlpModel:
     """Fit the network to precomputed targets; deterministic for a fixed seed."""
     config.validate()
-    n = len(xs)
+    x = _as_rows(xs)
+    n = len(x)
     if n == 0:
         raise ValidationError("no labeled training points")
     if targets.shape[0] != n:
@@ -312,6 +350,7 @@ def train_embedding_net(
     rng = np.random.default_rng(config.rng_seed)
     model = init_model(num_features, hidden_size, targets.shape[1], rng)
     state = OptimizerState.zeros_like(model)
+    dW1 = np.zeros_like(model.W1)  # one gradient buffer, zeroed after every step
     B = config.minibatch_size
     rate = config.dropout_rate
     for epoch in range(config.epochs):
@@ -320,13 +359,15 @@ def train_embedding_net(
         total = 0.0
         for start in range(0, n, B):
             sel = order[start : start + B]
-            batch = [(xs[i], targets[i]) for i in sel]
             masks = None
             if rate > 0.0:
                 keep = rng.random((sel.size, model.output_dim)) >= rate
                 masks = keep / (1.0 - rate)
-            loss, grads = loss_and_gradients(model, batch, masks, config.loss_mode)
+            loss, grads = loss_and_gradients(
+                model, (x.take(sel), targets[sel]), masks, config.loss_mode, dW1
+            )
             sgd_step(model, state, grads, config)
+            dW1.fill(0.0)
             total += loss * sel.size if config.loss_mode == "mean" else loss
         epoch_mean = total / n
         if record_losses is not None:
@@ -354,15 +395,22 @@ def train(
     Unlabeled points are skipped with a counted warning.
     """
     targets, rows, _ = project_targets(embeddings, dataset, normalize=normalize_targets)
-    xs = [dataset.points[i][0] for i in rows.tolist()]
     return train_embedding_net(
-        xs, targets, dataset.num_features, config, hidden_size, record_losses
+        dataset.features.take(rows), targets, dataset.num_features, config, hidden_size, record_losses
     )
 
 
-def embed_points(model: MlpModel, xs: Sequence[SparseVector]) -> np.ndarray:
-    """Eval-mode embeddings for a sequence of points, one row each."""
-    out = np.empty((len(xs), model.output_dim), dtype=np.float64)
-    for i, sv in enumerate(xs):
-        out[i] = forward(model, sv)
+def embed_points(model: MlpModel, xs: SparseRows | Sequence[SparseVector]) -> np.ndarray:
+    """Eval-mode embeddings, one row per point; row i is ``forward`` of point i, bit for bit."""
+    x = _as_rows(xs)
+    n = len(x)
+    if n <= _EMBED_ROWS:
+        return _forward_rows(model, x, None)[3]
+    out = np.empty((n, model.output_dim), dtype=np.float64)
+    for s in range(0, n, _EMBED_ROWS):
+        out[s : s + _EMBED_ROWS] = _forward_rows(model, x, None, s, s + _EMBED_ROWS)[3]
     return out
+
+
+def _as_rows(xs: SparseRows | Sequence[SparseVector]) -> SparseRows:
+    return xs if isinstance(xs, SparseRows) else SparseRows.pack(xs)

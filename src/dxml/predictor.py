@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .cluster import ClusterIndex, nearest_clusters
-from .data_io import LabelSet, SparseVector
+from .data_io import LabelSet, SparseRows, SparseVector
 from .errors import ValidationError
 from .net import MlpModel, embed_points
 
@@ -186,7 +186,7 @@ def predict_batch(
     clusters: ClusterIndex,
     train_embeds: np.ndarray,
     train_labels: Sequence[LabelSet],
-    xs: Sequence[SparseVector],
+    xs: SparseRows | Sequence[SparseVector],
     k: int = 10,
     weighting: str = "uniform",
 ) -> list[dict[int, float]]:

@@ -20,6 +20,8 @@ from dxml import (
     write_repo_file,
 )
 
+from dxml.data_io import SparseRows
+
 from conftest import random_dataset
 
 
@@ -468,6 +470,25 @@ class TestCsr:
         )
         assert ds == parse_repo_file(SAMPLE)
         assert np.shares_memory(ds.points[0][0].values, ds.values)
+
+    def test_sparse_rows_pack_take_and_label_sets(self):
+        ds = random_dataset(np.random.default_rng(3), allow_unlabeled=True)
+        xs = [sv for sv, _ in ds.points]
+        feats = ds.features
+        assert len(feats) == ds.num_points and feats.values is ds.values
+        packed = SparseRows.pack(xs)
+        for name in ("indptr", "indices", "values"):
+            assert getattr(packed, name).tobytes() == getattr(feats, name).tobytes()
+        one = SparseRows.pack(xs[1:2])
+        assert one.indices is xs[1].indices and one.indptr.tolist() == [0, xs[1].nnz]
+        assert len(SparseRows.pack([])) == 0
+        rows = np.array([4, 0, 4, 7])
+        taken = feats.take(rows)
+        assert [SparseVector(taken.indices[a:b], taken.values[a:b])
+                for a, b in zip(taken.indptr[:-1], taken.indptr[1:])] == [xs[i] for i in rows]
+        assert len(feats.take(np.array([], dtype=np.int64))) == 0
+        assert ds.label_sets(rows) == [ds.points[i][1] for i in rows]
+        assert all(np.shares_memory(ls.ids, ds.label_ids) for ls in ds.label_sets(rows) if len(ls))
 
     def test_empty_dataset(self):
         ds = parse_repo_file("0 3 2\n")

@@ -83,6 +83,16 @@ class TestRoundTrip:
         save_model(arts, path)
         assert all(len(ls) == 0 for ls in load_model(path).train_labels)
 
+    def test_label_sets_are_int32_views_of_one_table(self, tmp_path):
+        arts = toy_artifacts(5, n=7)
+        path = str(tmp_path / "model.dxml")
+        save_model(arts, path)
+        labels = load_model(path).train_labels
+        assert labels == arts.train_labels
+        table = labels[0].ids.base
+        assert table is not None and table.dtype == np.int32
+        assert all(ls.ids.base is table and ls.ids.dtype == np.int32 for ls in labels)
+
     def test_single_cluster_single_point(self, tmp_path):
         arts = toy_artifacts(4, n=1, m=1)
         path = str(tmp_path / "model.dxml")

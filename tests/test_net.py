@@ -1,7 +1,11 @@
 """Embedding network: forward pass, loss, gradients, optimizer, training."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dxml import (
     MlpModel,
@@ -16,6 +20,8 @@ from dxml import (
     sgd_step,
     smooth_l1,
 )
+from dxml import net
+from dxml.data_io import SparseRows
 from dxml.graph_embed import EmbeddingMatrix
 from dxml.net import Gradients, embed_points, train, train_embedding_net
 
@@ -32,6 +38,229 @@ def random_sparse(rng, d):
     vals = rng.standard_normal(nnz)
     vals[vals == 0.0] = 0.5
     return SparseVector(idx.astype(np.int32), vals)
+
+
+# ── The per-point network, kept as the bitwise reference ────────────────────
+# Each point's forward pass on its own, the W1 gradient scattered one point at
+# a time into a new array, and the momentum step on whole arrays.  The batched
+# network must reproduce its bits.
+
+
+def reference_forward(model, x, dropout_mask=None):
+    if x.nnz and (x.indices[-1] >= model.input_dim or x.indices[0] < 0):
+        raise ValidationError(f"feature index outside [0, {model.input_dim})")
+    h = model.b1.copy()
+    if x.nnz:
+        h += x.values @ model.W1[x.indices]
+    np.maximum(h, 0.0, out=h)
+    z = h @ model.W2 + model.b2
+    if dropout_mask is not None:
+        z = z * dropout_mask
+    return z / (np.linalg.norm(z) + 1e-12)
+
+
+def reference_forward_batch(model, xs, masks):
+    B = len(xs)
+    Hpre = np.empty((B, model.hidden_size))
+    Zd = np.empty((B, model.output_dim))
+    F = np.empty((B, model.output_dim))
+    norms = np.empty(B)
+    for i, sv in enumerate(xs):
+        h = model.b1.copy()
+        if sv.nnz:
+            h += sv.values @ model.W1[sv.indices]
+        Hpre[i] = h
+        np.maximum(h, 0.0, out=h)
+        z = h @ model.W2 + model.b2
+        if masks is not None:
+            z = z * masks[i]
+        Zd[i] = z
+        norms[i] = np.linalg.norm(z)
+        F[i] = z / (norms[i] + 1e-12)
+    return Hpre, np.maximum(Hpre, 0.0), Zd, F, norms, norms + 1e-12
+
+
+def reference_loss_and_gradients(model, batch, masks=None, loss_mode="mean"):
+    xs = [x for x, _ in batch]
+    T = np.stack([t for _, t in batch]).astype(np.float64)
+    B = len(xs)
+    Hpre, A, Zd, F, norms, guarded = reference_forward_batch(model, xs, masks)
+    scale = 1.0 / B if loss_mode == "mean" else 1.0
+    loss = float(smooth_l1(F, T).sum(axis=1).sum() * scale)
+    dF = np.clip(F - T, -1.0, 1.0) * scale
+    dot = np.einsum("ij,ij->i", Zd, dF)
+    safe = np.where(norms > 0.0, norms, 1.0)
+    dZd = dF / guarded[:, None] - Zd * (dot / (guarded * guarded * safe))[:, None]
+    dZ = dZd * masks if masks is not None else dZd
+    dH = (dZ @ model.W2.T) * (Hpre > 0.0)
+    dW1 = np.zeros_like(model.W1)
+    for i, sv in enumerate(xs):
+        if sv.nnz:
+            dW1[sv.indices] += sv.values[:, None] * dH[i]
+    return loss, Gradients(dW1=dW1, db1=dH.sum(axis=0), dW2=A.T @ dZ, db2=dZ.sum(axis=0))
+
+
+def reference_sgd_step(model, state, grads, config):
+    for g in (grads.dW1, grads.db1, grads.dW2, grads.db2):
+        if not np.all(np.isfinite(g)):
+            raise ValidationError("non-finite gradient")
+    mu, lr, wd = config.momentum, config.learning_rate, config.weight_decay
+    state.vW1 *= mu
+    state.vW1 += grads.dW1 + wd * model.W1
+    model.W1 -= lr * state.vW1
+    state.vW2 *= mu
+    state.vW2 += grads.dW2 + wd * model.W2
+    model.W2 -= lr * state.vW2
+    if config.use_bias:
+        state.vb1 *= mu
+        state.vb1 += grads.db1
+        model.b1 -= lr * state.vb1
+        state.vb2 *= mu
+        state.vb2 += grads.db2
+        model.b2 -= lr * state.vb2
+
+
+def reference_train(xs, targets, num_features, config, hidden_size):
+    rng = np.random.default_rng(config.rng_seed)
+    model = init_model(num_features, hidden_size, targets.shape[1], rng)
+    state = OptimizerState.zeros_like(model)
+    losses = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(xs))
+        total = 0.0
+        for start in range(0, len(xs), config.minibatch_size):
+            sel = order[start : start + config.minibatch_size]
+            masks = None
+            if config.dropout_rate > 0.0:
+                keep = rng.random((sel.size, model.output_dim)) >= config.dropout_rate
+                masks = keep / (1.0 - config.dropout_rate)
+            batch = [(xs[i], targets[i]) for i in sel]
+            loss, grads = reference_loss_and_gradients(model, batch, masks, config.loss_mode)
+            reference_sgd_step(model, state, grads, config)
+            total += loss * sel.size if config.loss_mode == "mean" else loss
+        losses.append(total / len(xs))
+    return model, losses
+
+
+def reference_embed_points(model, xs):
+    out = np.empty((len(xs), model.output_dim))
+    for i, x in enumerate(xs):
+        out[i] = reference_forward(model, x)
+    return out
+
+
+def net_problem(seed, n, d, hidden, out, empty_share):
+    """Random points (some with no features), unit targets and a trained-looking model."""
+    rng = np.random.default_rng(seed)
+    xs = []
+    for _ in range(n):
+        if rng.random() < empty_share:
+            xs.append(SparseVector(np.empty(0, dtype=np.int32), np.empty(0)))
+        else:
+            xs.append(random_sparse(rng, d))
+    targets = rng.standard_normal((n, out))
+    targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+    model = init_model(d, hidden, out, rng)
+    model.b1[:] = 0.1 * rng.standard_normal(hidden)
+    model.b2[:] = 0.1 * rng.standard_normal(out)
+    return xs, targets, model
+
+
+net_problems = st.builds(
+    net_problem,
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 20),
+    d=st.integers(1, 40),
+    hidden=st.integers(1, 24),
+    out=st.integers(1, 12),
+    empty_share=st.sampled_from([0.0, 0.3, 1.0]),
+)
+
+
+def assert_same_model(got, want):
+    for a, b in ((got.W1, want.W1), (got.b1, want.b1), (got.W2, want.W2), (got.b2, want.b2)):
+        assert a.tobytes() == b.tobytes()
+
+
+class TestMatchesPerPointReference:
+    @given(
+        net_problems,
+        st.sampled_from(["one", "three", "n", "more"]),
+        st.sampled_from([0.0, 0.5]),
+        st.booleans(),
+        st.sampled_from(["mean", "sum"]),
+        st.integers(0, 2),
+        st.sampled_from([None, 1, 3]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_train_embedding_net(self, problem, batch, dropout, use_bias, mode, epochs, block):
+        xs, targets, model = problem
+        n, d = len(xs), model.input_dim
+        size = {"one": 1, "three": 3, "n": n, "more": n + 5}[batch]
+        cfg = TrainConfig(
+            learning_rate=0.05, dropout_rate=dropout, epochs=epochs, minibatch_size=size,
+            loss_mode=mode, use_bias=use_bias, rng_seed=d + n,
+        )
+        want, want_losses = reference_train(xs, targets, d, cfg, model.hidden_size)
+        # block=None keeps the default row block; 1 and 3 rows (d need not be a
+        # multiple) split even these small matrices.
+        update_bytes = net._UPDATE_BYTES if block is None else block * model.hidden_size * 8
+        losses = []
+        with mock.patch.object(net, "_UPDATE_BYTES", update_bytes):
+            got = train_embedding_net(xs, targets, d, cfg, model.hidden_size, losses)
+        assert_same_model(got, want)
+        assert losses == want_losses
+
+    @given(net_problems, st.booleans(), st.sampled_from(["mean", "sum"]))
+    @settings(max_examples=100, deadline=None)
+    def test_loss_and_gradients(self, problem, dropout, mode):
+        xs, targets, model = problem
+        rng = np.random.default_rng(len(xs))
+        masks = (rng.random(targets.shape) >= 0.5) / 0.5 if dropout else None
+        batch = list(zip(xs, targets))
+        want_loss, want = reference_loss_and_gradients(model, batch, masks, mode)
+        for given_batch in (batch, (SparseRows.pack(xs), targets)):
+            loss, got = loss_and_gradients(model, given_batch, masks, mode)
+            assert loss == want_loss
+            for a, b in ((got.dW1, want.dW1), (got.db1, want.db1), (got.dW2, want.dW2),
+                         (got.db2, want.db2)):
+                assert a.tobytes() == b.tobytes()
+
+    @given(net_problems, st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 2, 5]))
+    @settings(max_examples=200, deadline=None)
+    def test_embed_points_rows_do_not_depend_on_the_batch(self, problem, seed, block):
+        xs, _, model = problem
+        want = reference_embed_points(model, xs)
+        rows = net._EMBED_ROWS if block is None else block
+        with mock.patch.object(net, "_EMBED_ROWS", rows):
+            full = embed_points(model, xs)
+            assert full.tobytes() == want.tobytes()
+            assert embed_points(model, SparseRows.pack(xs)).tobytes() == want.tobytes()
+            rng = np.random.default_rng(seed)
+            perm = rng.permutation(len(xs))
+            assert embed_points(model, [xs[i] for i in perm]).tobytes() == want[perm].tobytes()
+            a, b = sorted(rng.integers(0, len(xs) + 1, size=2).tolist())
+            assert embed_points(model, xs[a:b]).tobytes() == want[a:b].tobytes()
+        for x, row in zip(xs, want):
+            assert forward(model, x).tobytes() == row.tobytes()
+
+    @given(net_problems)
+    @settings(max_examples=50, deadline=None)
+    def test_forward_with_dropout_mask(self, problem):
+        xs, targets, model = problem
+        mask = (np.random.default_rng(len(xs)).random(model.output_dim) >= 0.5) / 0.5
+        for x in xs:
+            got = forward(model, x, dropout_mask=mask)
+            assert got.tobytes() == reference_forward(model, x, mask).tobytes()
+
+    def test_wide_enough_for_several_default_blocks(self):
+        # 700 rows of 64 floats: the default block holds 256 rows, so three
+        # blocks, the last one short.
+        xs, targets, model = net_problem(5, n=40, d=700, hidden=64, out=9, empty_share=0.1)
+        assert net._UPDATE_BYTES // (64 * 8) == 256
+        cfg = TrainConfig(epochs=2, minibatch_size=16, rng_seed=4)
+        want, _ = reference_train(xs, targets, 700, cfg, 64)
+        assert_same_model(train_embedding_net(xs, targets, 700, cfg, 64), want)
 
 
 class TestSmoothL1:
@@ -270,6 +499,26 @@ class TestSgdStep:
         g.dW2[0, 0] = np.nan
         with pytest.raises(ValidationError):
             sgd_step(model, state, g, TrainConfig())
+
+    @pytest.mark.parametrize("where", ["dW1 first row", "dW1 last row", "db2"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_writes_nothing(self, where, bad):
+        rng = np.random.default_rng(9)
+        model = init_model(7, 5, 3, rng)
+        state = OptimizerState(*(rng.standard_normal(a.shape) for a in
+                                 (model.W1, model.b1, model.W2, model.b2)))
+        g = Gradients(*(rng.standard_normal(a.shape) for a in
+                        (model.W1, model.b1, model.W2, model.b2)))
+        {"dW1 first row": g.dW1[0], "dW1 last row": g.dW1[-1], "db2": g.db2}[where][1] = bad
+        before = [a.copy() for a in (model.W1, model.b1, model.W2, model.b2,
+                                     state.vW1, state.vb1, state.vW2, state.vb2)]
+        # Blocks of one row: a check made block by block would already have
+        # written the rows before a bad last row.
+        with mock.patch.object(net, "_UPDATE_BYTES", 8), pytest.raises(ValidationError):
+            sgd_step(model, state, g, TrainConfig())
+        after = (model.W1, model.b1, model.W2, model.b2, state.vW1, state.vb1, state.vW2, state.vb2)
+        for a, b in zip(after, before):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestTraining:
