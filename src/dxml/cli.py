@@ -330,8 +330,9 @@ def _load_test_for_model(artifacts: ModelArtifacts, path: str) -> data_io.Datase
 
 def _write_predictions(preds: Sequence[dict[int, float]], stream: IO[str]) -> None:
     for scores in preds:
-        ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-        stream.write("\t".join(f"{label}:{score!r}" for label, score in ranked) + "\n")
+        labels, values = predictor.rank_scores(scores)
+        pairs = zip(labels.tolist(), values.tolist())
+        stream.write("\t".join(f"{label}:{score!r}" for label, score in pairs) + "\n")
 
 
 def cmd_predict(args: argparse.Namespace) -> int:

@@ -3,6 +3,17 @@
 Lloyd iterations over k-means++ seeds.  Clusters route test points to a
 small candidate pool for the k-NN stage, so the index keeps both the center
 matrix and the per-cluster member lists.
+
+Assignment, in k-means and in routing, is screened and then re-checked.  A
+matrix product per block of points gives ``|c|^2 - 2 p.c`` for every center
+c.  A point whose smallest screened value is below every other by more than
+twice the screen's floating-point error bound provably has that center as
+its unique exact nearest, and takes it.  Every other point (near-ties, exact
+ties, non-finite rows, data whose norms dwarf its spread) is assigned by the
+exact per-center row sums, and so is every point of a call with fewer
+points than centers, such as a single query.  The screen only decides which
+path a point takes, never which center it gets, so the assignment is the
+exact one bit for bit, whatever the block size or the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -20,6 +31,20 @@ __all__ = ["ClusterIndex", "kmeans", "nearest_cluster", "nearest_clusters"]
 log = logging.getLogger(__name__)
 
 _CHUNK = 8192
+_SCREEN_ROWS = 64  # points per screening product; some unblocked shapes stall BLAS
+# c in the error bound c * dim * eps * (|v|^2 + |q|^2) between a GEMM distance
+# and the exact row sum; the rounding error of the two together stays below
+# (2 + 3 / dim) * dim * eps * (|v|^2 + |q|^2), so 16 leaves a wide margin.
+_GEMM_SLACK = 16.0
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def gemm_error_bound(dim: int, max_row_sq: float, query_sq: np.ndarray) -> np.ndarray:
+    """Per query, a bound on |GEMM distance - exact distance| to rows of squared norm <= ``max_row_sq``.
+
+    The GEMM distance is ``|v|^2 - 2 q.v + |q|^2``; ``query_sq`` holds ``|q|^2``.
+    """
+    return _GEMM_SLACK * dim * _EPS * (max_row_sq + query_sq)
 
 
 @dataclass(eq=False)
@@ -67,8 +92,8 @@ def _sq_dists_to(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     return ((points - center) ** 2).sum(axis=1)
 
 
-def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Index of the nearest center per point; ties go to the lowest index.
+def _exact_assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of the nearest center per point by exact row sums; ties go to the lowest index.
 
     One center (or, for fewer points than centers, one point) at a time, so
     temporaries stay at chunk x dim plus a chunk x m distance table.  Either
@@ -90,11 +115,53 @@ def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
+def _assign(
+    points: np.ndarray, centers: np.ndarray, sq_norms: np.ndarray | None = None
+) -> np.ndarray:
+    """``_exact_assign(points, centers)``, with most points decided by a GEMM screen.
+
+    ``sq_norms``, if given, holds each point's squared norm.  A point takes
+    the center of its smallest screened value when every other value is
+    larger by more than twice ``gemm_error_bound``; the others, and every
+    point of a call with fewer points than centers, go through
+    ``_exact_assign``.
+    """
+    n, m = points.shape[0], centers.shape[0]
+    if m == 1:
+        return np.zeros(n, dtype=np.int64)
+    if n < m:  # e.g. one query: its exact sums cost fewer numpy calls than the screen
+        return _exact_assign(points, centers)
+    if sq_norms is None:
+        sq_norms = np.einsum("ij,ij->i", points, points)
+    c_sq = np.einsum("ij,ij->i", centers, centers)
+    screen = np.empty((n, m), dtype=np.float64)
+    for s in range(0, n, _SCREEN_ROWS):
+        np.matmul(points[s : s + _SCREEN_ROWS], centers.T, out=screen[s : s + _SCREEN_ROWS])
+    screen *= -2.0
+    screen += c_sq
+    rows = np.arange(n)
+    out = screen.argmin(axis=1)
+    best = screen[rows, out]
+    screen[rows, out] = np.inf
+    gap = screen.min(axis=1) - best
+    decided = gap > 2.0 * gemm_error_bound(points.shape[1], c_sq.max(), sq_norms)
+    if not decided.all():  # NaN compares False, so it is re-checked
+        undecided = np.flatnonzero(~decided)
+        out[undecided] = _exact_assign(points[undecided], centers)
+    return out
+
+
 def _wcss(points: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> float:
     total = 0.0
+    buf = np.empty((min(points.shape[0], _CHUNK), points.shape[1]), dtype=np.float64)
     for s in range(0, points.shape[0], _CHUNK):
         block = points[s : s + _CHUNK]
-        total += float(((block - centers[assign[s : s + _CHUNK]]) ** 2).sum())
+        diff = buf[: block.shape[0]]
+        # Ids come from argmin, so "clip" never clips; it spares take's buffered copy.
+        np.take(centers, assign[s : s + _CHUNK], axis=0, out=diff, mode="clip")
+        np.subtract(block, diff, out=diff)
+        np.multiply(diff, diff, out=diff)
+        total += float(diff.sum())
     return total
 
 
@@ -141,7 +208,8 @@ def kmeans(
         raise ValidationError("max_iters must be >= 1")
     rng = np.random.default_rng(rng_seed)
     centers = _seed_centers(pts, num_clusters, rng)
-    assign = _assign(pts, centers)
+    sq_norms = np.einsum("ij,ij->i", pts, pts)
+    assign = _assign(pts, centers, sq_norms)
     history = [_wcss(pts, centers, assign)]
     for _ in range(max_iters):
         centers = centers.copy()
@@ -159,7 +227,7 @@ def kmeans(
                 centers[c] = pts[far]
                 d_own[far] = -1.0  # one donor per empty cluster
             log.debug("reseeded %d empty clusters", len(empties))
-        new_assign = _assign(pts, centers)
+        new_assign = _assign(pts, centers, sq_norms)
         history.append(_wcss(pts, centers, new_assign))
         if np.array_equal(new_assign, assign):
             break

@@ -363,11 +363,12 @@ def train_embedding_net(
             if rate > 0.0:
                 keep = rng.random((sel.size, model.output_dim)) >= rate
                 masks = keep / (1.0 - rate)
+            batch = x.take(sel)
             loss, grads = loss_and_gradients(
-                model, (x.take(sel), targets[sel]), masks, config.loss_mode, dW1
+                model, (batch, targets[sel]), masks, config.loss_mode, dW1
             )
             sgd_step(model, state, grads, config)
-            dW1.fill(0.0)
+            dW1[batch.indices] = 0.0  # only the rows of the batch's features were written
             total += loss * sel.size if config.loss_mode == "mean" else loss
         epoch_mean = total / n
         if record_losses is not None:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cluster import ClusterIndex, nearest_clusters
+from .cluster import ClusterIndex, gemm_error_bound, nearest_clusters
 from .data_io import LabelSet, SparseRows, SparseVector
 from .errors import ValidationError
 from .net import MlpModel, embed_points
@@ -34,10 +34,6 @@ log = logging.getLogger(__name__)
 _INV_DIST_EPS = 1e-8
 _SCAN_CHUNK = 16384
 _BLOCK = 64  # queries per distance GEMM; temporaries stay at _BLOCK x cluster rows
-# c in the error bound c * dim * eps * (|v|^2 + |q|^2) between a GEMM distance
-# and the exact scan's; the rounding error of the two together stays below
-# (2 + 3 / dim) * dim * eps * (|v|^2 + |q|^2), so 16 leaves a wide margin.
-_GEMM_SLACK = 16.0
 
 
 @dataclass(eq=True)
@@ -113,13 +109,19 @@ def aggregate_labels(
     return scores
 
 
+def rank_scores(scores: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and their scores by descending score, ties broken by ascending label index."""
+    labels = np.fromiter(scores.keys(), dtype=np.int64, count=len(scores))
+    values = np.fromiter(scores.values(), dtype=np.float64, count=len(scores))
+    order = np.lexsort((labels, -values))
+    return labels[order], values[order]
+
+
 def top_p(scores: Mapping[int, float], p: int) -> list[int]:
     """The p highest-scoring labels, ties broken by ascending label index."""
     if p < 1:
         raise ValidationError("p must be >= 1")
-    labels = np.fromiter(scores.keys(), dtype=np.int64, count=len(scores))
-    values = np.fromiter(scores.values(), dtype=np.float64, count=len(scores))
-    return labels[np.lexsort((labels, -values))[:p]].tolist()
+    return rank_scores(scores)[0][:p].tolist()
 
 
 def _block_neighbors(
@@ -134,9 +136,7 @@ def _block_neighbors(
     approx *= -2.0
     approx += sq_norms
     kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
-    bound = _GEMM_SLACK * dim * np.finfo(np.float64).eps * (
-        sq_norms.max() + np.einsum("ij,ij->i", queries, queries)
-    )
+    bound = gemm_error_bound(dim, sq_norms.max(), np.einsum("ij,ij->i", queries, queries))
     # A row farther than kth + 2 * bound is provably behind k others; NaN stays in.
     keep = ~(approx > (kth + 2.0 * bound)[:, None])
     out = []

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, files, determinism."""
 
+import io
 import json
 import re
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from dxml import load_repo_file
-from dxml.cli import main
+from dxml.cli import _write_predictions, main
 
 
 TINY_FLAGS = [
@@ -176,6 +177,26 @@ class TestPredict:
         _, test = data_files
         assert main(["predict", trained_model, test, "-p", "1",
                      "--out", str(tmp_path / "p.txt")]) == 1
+
+    def test_written_order_matches_sorted_form(self):
+        def sorted_form(preds):  # the per-map Python sort the writer used before lexsort
+            lines = []
+            for scores in preds:
+                ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+                lines.append("\t".join(f"{label}:{score!r}" for label, score in ranked) + "\n")
+            return "".join(lines)
+
+        rng = np.random.default_rng(11)
+        preds = [{}, {7: 0.5}, {3: 0.0, 1: -0.0, 2: 0.0}]  # -0.0 ties +0.0
+        for _ in range(200):
+            size = int(rng.integers(1, 40))
+            labels = rng.choice(1000, size=size, replace=False).tolist()
+            # few distinct values, so most labels share their score with another
+            values = (rng.integers(1, 5, size=size) / int(rng.integers(1, 8))).tolist()
+            preds.append(dict(zip(labels, values)))
+        stream = io.StringIO()
+        _write_predictions(preds, stream)
+        assert stream.getvalue() == sorted_form(preds)
 
 
 class TestEvaluate:

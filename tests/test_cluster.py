@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dxml import ClusterIndex, ValidationError, kmeans, nearest_cluster, nearest_clusters
-from dxml.cluster import _assign, _sq_dists_to
+from dxml.cluster import _assign, _exact_assign, _seed_centers, _sq_dists_to
 
 
 def blobs(rng, centers, per_blob, spread=0.05):
@@ -168,6 +168,7 @@ class TestAssign:
         for i in range(n):  # the per-point row, as used for fewer points than centers
             assert np.array_equal(_sq_dists_to(centers, points[i]), want[i])
         assert np.array_equal(_assign(points, centers), np.argmin(want, axis=1))
+        assert np.array_equal(_exact_assign(points, centers), np.argmin(want, axis=1))
 
     def test_chunk_boundaries(self, monkeypatch):
         import dxml.cluster
@@ -179,6 +180,152 @@ class TestAssign:
             centers = rng.standard_normal((m, 4))
             want = np.argmin(broadcast_sq_dists(points, centers), axis=1)
             assert np.array_equal(_assign(points, centers), want)
+            assert np.array_equal(_exact_assign(points, centers), want)
+
+    def test_screen_leaves_gaps_within_twice_the_bound_to_the_exact_path(self, monkeypatch):
+        # Centers 0 and 2 on a line, points 1 + j * eps: every screened value
+        # (4 - 4p for center 2, 0 for center 0) is exact, so the screened gap
+        # is 4|j| eps, against 2 * 16 * dim * eps * (max|c|^2 + |p|^2), about
+        # 160 eps.  Steps with |j| < 40 must be re-checked, the others not.
+        import dxml.cluster
+
+        seen = []
+
+        def spy(points, centers):
+            seen.extend(points[:, 0].tolist())
+            return _exact_assign(points, centers)
+
+        monkeypatch.setattr(dxml.cluster, "_exact_assign", spy)
+        eps = np.finfo(np.float64).eps
+        steps = np.array([0, 1, -1, 3, -3, 7, 12, -19, 30, 36, -37, 44, -45, 60, 200, -1000])
+        points = (1.0 + steps * eps)[:, None]
+        centers = np.array([[0.0], [2.0]])
+        assert np.array_equal(_assign(points, centers), (steps > 0).astype(np.int64))
+        assert sorted(seen) == sorted(points[np.abs(steps) < 40, 0].tolist())
+
+
+def reference_assign(points, centers):
+    """k-means assignment as it was before the GEMM screen: exact row sums only."""
+    n, m = points.shape[0], centers.shape[0]
+    out = np.empty(n, dtype=np.int64)
+    d = np.empty((min(n, 8192), m), dtype=np.float64)
+    for s in range(0, n, 8192):
+        block = points[s : s + 8192]
+        dist = d[: block.shape[0]]
+        if block.shape[0] < m:
+            for i, point in enumerate(block):
+                dist[i] = ((centers - point) ** 2).sum(axis=1)
+        else:
+            for c, center in enumerate(centers):
+                dist[:, c] = ((block - center) ** 2).sum(axis=1)
+        out[s : s + 8192] = dist.argmin(axis=1)
+    return out
+
+
+def reference_wcss(points, centers, assign):
+    total = 0.0
+    for s in range(0, points.shape[0], 8192):
+        block = points[s : s + 8192]
+        total += float(((block - centers[assign[s : s + 8192]]) ** 2).sum())
+    return total
+
+
+def reference_kmeans(pts, num_clusters, max_iters=100, rng_seed=0):
+    """``kmeans`` as it was before the GEMM screen; returns centers, assignments, history."""
+    rng = np.random.default_rng(rng_seed)
+    centers = _seed_centers(pts, num_clusters, rng)
+    assign = reference_assign(pts, centers)
+    history = [reference_wcss(pts, centers, assign)]
+    for _ in range(max_iters):
+        centers = centers.copy()
+        empties = []
+        for c in range(num_clusters):
+            mask = assign == c
+            if mask.any():
+                centers[c] = pts[mask].mean(axis=0)
+            else:
+                empties.append(c)
+        if empties:
+            d_own = ((pts - centers[assign]) ** 2).sum(axis=1)
+            for c in empties:
+                far = int(np.argmax(d_own))
+                centers[c] = pts[far]
+                d_own[far] = -1.0
+        new_assign = reference_assign(pts, centers)
+        history.append(reference_wcss(pts, centers, new_assign))
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    return centers, assign, history
+
+
+def oracle_cases():
+    rng = np.random.default_rng(21)
+    blob_centers = 3.0 * rng.standard_normal((8, 40))
+    yield "blobs", blob_centers[rng.integers(0, 8, 333)] + rng.standard_normal((333, 40)), 8
+    yield "gaussian-m16", rng.standard_normal((250, 12)), 16
+    yield "gaussian-m1", rng.standard_normal((130, 7)), 1
+    yield "grid-ties", rng.integers(-2, 3, size=(200, 3)).astype(np.float64), 12
+    yield "offset-1e6", 1e6 + 1e-3 * rng.standard_normal((150, 6)), 5
+    yield "n-equals-m", rng.standard_normal((9, 4)), 9
+    yield "duplicates", np.repeat(rng.standard_normal((20, 5)), 4, axis=0), 10
+
+
+class TestKmeansOracle:
+    """``kmeans`` and routing equal the exact-only reference bit for bit."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 7])
+    @pytest.mark.parametrize("case", list(oracle_cases()), ids=lambda c: c[0])
+    def test_kmeans_matches_reference(self, case, rows, monkeypatch):
+        import dxml.cluster
+
+        if rows is not None:
+            monkeypatch.setattr(dxml.cluster, "_SCREEN_ROWS", rows)
+        _, pts, m = case
+        for seed in range(2):
+            want_centers, want_assign, want_history = reference_kmeans(pts, m, rng_seed=seed)
+            index = kmeans(pts, m, rng_seed=seed)
+            assert index.centers.tobytes() == want_centers.tobytes()
+            assert np.array_equal(index.assignments, want_assign)
+            for c, ids in enumerate(index.members):
+                assert np.array_equal(ids, np.flatnonzero(want_assign == c))
+            assert np.array(index.wcss_history).tobytes() == np.array(want_history).tobytes()
+            queries = np.concatenate([pts[::3], pts[:5] + 1e-9, pts.mean(axis=0, keepdims=True)])
+            assert np.array_equal(nearest_clusters(index, queries), reference_assign(queries, index.centers))
+
+    @pytest.mark.parametrize("rows", [None, 1, 7])
+    def test_routing_matches_reference(self, rows, monkeypatch):
+        import dxml.cluster
+
+        if rows is not None:
+            monkeypatch.setattr(dxml.cluster, "_SCREEN_ROWS", rows)
+        rng = np.random.default_rng(22)
+        base = rng.standard_normal((6, 5))
+        center_sets = {
+            "duplicate": np.concatenate([base, base[[4, 1]], base[[1]]]),  # exact ties
+            "grid": rng.integers(-2, 3, size=(10, 5)).astype(np.float64),
+            "offset-1e6": 1e6 + 1e-3 * rng.standard_normal((7, 5)),
+            "one": base[:1],
+        }
+        for name, centers in center_sets.items():
+            index = ClusterIndex(
+                centers=centers,
+                assignments=np.arange(len(centers)),
+                members=[np.array([c]) for c in range(len(centers))],
+            )
+            queries = np.concatenate([
+                centers,
+                centers[:3] + 1e-12,
+                rng.integers(-2, 3, size=(131, 5)).astype(np.float64),
+                centers.mean(axis=0) + 1e-3 * rng.standard_normal((40, 5)),
+                [[np.nan] * 5, [0.0, np.inf, 0.0, 0.0, 0.0], [-np.inf] * 5, [1e300] * 5],
+            ])
+            # a batch of queries not a multiple of the block, fewer queries than centers, one query
+            for qs in (queries, queries[:3], queries[-4:], queries[:1]):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    want = reference_assign(qs, centers)
+                    assert np.array_equal(nearest_clusters(index, qs), want), name
+                    assert [nearest_cluster(index, q) for q in qs] == want.tolist(), name
 
 
 class TestValidate:
