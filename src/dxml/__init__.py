@@ -58,6 +58,7 @@ from .predictor import (
     knn_search,
     predict,
     predict_batch,
+    score_neighbors,
     top_p,
 )
 
@@ -80,6 +81,6 @@ __all__ = [
     "embed_distance", "forward", "init_model", "loss_and_gradients",
     "sgd_step", "smooth_l1", "train",
     "Prediction", "aggregate_labels", "knn_batch", "knn_search", "predict",
-    "predict_batch", "top_p",
+    "predict_batch", "score_neighbors", "top_p",
     "__version__",
 ]

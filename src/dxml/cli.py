@@ -26,7 +26,6 @@ from .cluster import kmeans
 from .errors import DataFormatError, DxmlError, ModelFileError, ValidationError
 from .metrics import evaluate
 from .model_io import ModelArtifacts, load_model, save_model
-from .predictor import aggregate_labels
 
 __all__ = ["main", "cmd_train", "cmd_predict", "cmd_evaluate", "cmd_sweep_k", "cmd_embed_labels"]
 
@@ -431,16 +430,10 @@ def cmd_sweep_k(args: argparse.Namespace) -> int:
 
     reports: dict[int, Any] = {}
     for k in grid:
-        maps = []
-        for ids, dists in per_point:
-            take = min(k, ids.size)
-            maps.append(
-                aggregate_labels(
-                    [artifacts.train_labels[i] for i in ids[:take].tolist()],
-                    weighting,
-                    dists[:take],
-                )
-            )
+        maps = predictor.score_neighbors(
+            artifacts.clusters, artifacts.train_labels,
+            [(ids[:k], dists[:k]) for ids, dists in per_point], weighting,
+        )
         reports[k] = evaluate(maps, test, ks=ks, skip_unlabeled=args.skip_unlabeled)
 
     header = f"{'k':>6}" + "".join(f"  {'P@' + str(x):>8}" for x in ks)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -49,12 +49,18 @@ def gemm_error_bound(dim: int, max_row_sq: float, query_sq: np.ndarray) -> np.nd
 
 @dataclass(eq=False)
 class ClusterIndex:
-    """Centers (one row each), per-point assignments, per-cluster members."""
+    """Centers (one row each), per-point assignments, per-cluster members.
+
+    ``search_cache`` holds the routed search's per-model data, built and
+    owned by ``predictor``; ``__eq__`` and ``validate`` ignore it.  It is
+    derived from ``members``, which must not change after the first search.
+    """
 
     centers: np.ndarray
     assignments: np.ndarray
     members: list[np.ndarray]
     wcss_history: list[float] = field(default_factory=list)
+    search_cache: Any = field(default=None, init=False, repr=False)
 
     @property
     def num_clusters(self) -> int:

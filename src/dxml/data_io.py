@@ -127,7 +127,7 @@ class SparseRows:
         return SparseRows(indptr, self.indices[pos], self.values[pos])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)  # no __dict__: a model holds one per training point
 class LabelSet:
     """Sorted set of 0-based label indices; may be empty."""
 

@@ -145,7 +145,12 @@ def save_model(artifacts: ModelArtifacts, path: str) -> None:
 
 
 def load_model(path: str) -> ModelArtifacts:
-    """Read and verify a model file; raises ModelFileError on any corruption."""
+    """Read and verify a model file; raises ModelFileError on any corruption.
+
+    The file is read once and parsed through a view of it.  ``train_embeds``
+    comes back read-only: the predictor caches data derived from it (see
+    ``predictor``), so an in-place write would make the two disagree.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 4 + 4 + 8 + _HASH_BYTES:
@@ -164,21 +169,22 @@ def load_model(path: str) -> ModelArtifacts:
             f"model file truncated: checksum over {payload_len} payload bytes "
             f"cannot be verified ({len(blob)} of {expected_total} bytes present)"
         )
-    payload = blob[16 : 16 + payload_len]
+    payload = memoryview(blob)[16 : 16 + payload_len]  # a view: no second copy of the file
     digest = blob[16 + payload_len :]
     if hashlib.sha256(payload).digest() != digest:
         raise ModelFileError("checksum mismatch: model file is corrupt")
     return _parse_payload(payload)
 
 
-def _parse_payload(payload: bytes) -> ModelArtifacts:
+def _parse_payload(payload: memoryview) -> ModelArtifacts:
+    """Artifacts from a verified payload; every returned array is a copy, none a view of it."""
     if len(payload) < 4:
         raise ModelFileError("payload too short for header")
     (header_len,) = struct.unpack_from("<I", payload, 0)
     if 4 + header_len > len(payload):
         raise ModelFileError("declared header overruns payload")
     try:
-        header = json.loads(payload[4 : 4 + header_len].decode("utf-8"))
+        header = json.loads(bytes(payload[4 : 4 + header_len]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFileError(f"malformed header: {exc}") from None
     dims = header.get("dims")
@@ -215,6 +221,8 @@ def _parse_payload(payload: bytes) -> ModelArtifacts:
     members = [np.flatnonzero(assignments == c) for c in range(m)]
     meta = {key: value for key, value in header.items() if key != "dims"}
     meta["dims"] = dims
+    train_embeds = raw["train_embeds"].astype(np.float64)
+    train_embeds.flags.writeable = False
     return ModelArtifacts(
         label_embeddings=EmbeddingMatrix(values=raw["label_embeddings"].astype(np.float64)),
         mlp=MlpModel(
@@ -228,7 +236,7 @@ def _parse_payload(payload: bytes) -> ModelArtifacts:
             assignments=assignments,
             members=members,
         ),
-        train_embeds=raw["train_embeds"].astype(np.float64),
+        train_embeds=train_embeds,
         train_labels=labels,
         meta=meta,
     )

@@ -9,13 +9,23 @@ the k-th value, and every member within a floating-point error bound of it
 joins a shortlist that provably holds the exact k nearest.  The shortlist is
 re-ranked by ``knn_search``, the exact scan, so neighbors, distances and
 scores equal those of a full exact scan bit for bit.
+
+What depends only on the model is built once, on the first search, and kept
+on the ``ClusterIndex`` (its ``search_cache``): each cluster's rows as one
+contiguous array (for a cluster that holds every training point,
+``train_embeds`` itself, not a copy), their squared norms by the same
+``einsum`` over the same array as a per-call computation would use, the
+largest of those norms, and each training point's label ids as a Python
+list.  The cache keeps the ``train_embeds`` and ``train_labels`` objects it
+was built from and is rebuilt whenever a call passes any other object, so
+those arrays and lists must not be changed in place after the first search.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,8 +35,8 @@ from .errors import ValidationError
 from .net import MlpModel, embed_points
 
 __all__ = [
-    "Prediction", "knn_search", "knn_batch", "aggregate_labels", "top_p", "predict",
-    "predict_batch",
+    "Prediction", "knn_search", "knn_batch", "aggregate_labels", "score_neighbors", "top_p",
+    "predict", "predict_batch",
 ]
 
 log = logging.getLogger(__name__)
@@ -80,6 +90,30 @@ def knn_search(
     return ids[order], np.sqrt(d2[order])
 
 
+def _weights(n: int, weighting: str, distances: np.ndarray | None) -> list[float]:
+    """Vote weight of each of ``n`` neighbors; see ``aggregate_labels``."""
+    if n == 0:
+        raise ValidationError("need at least one neighbor")
+    if weighting == "uniform":
+        return [1.0 / n] * n
+    if weighting == "inverse_distance":
+        if distances is None or len(distances) != n:
+            raise ValidationError("inverse_distance weighting needs aligned distances")
+        raw = 1.0 / (np.asarray(distances, dtype=np.float64) + _INV_DIST_EPS)
+        return (raw / raw.sum()).tolist()
+    raise ValidationError(f"unknown weighting {weighting!r}")
+
+
+def _vote(neighbor_ids: Iterable[list[int]], weights: list[float]) -> dict[int, float]:
+    """Add each neighbor's weight to each of its labels, neighbors and labels in order."""
+    scores: dict[int, float] = {}
+    get = scores.get
+    for labels, w in zip(neighbor_ids, weights):
+        for label in labels:
+            scores[label] = get(label, 0.0) + w
+    return scores
+
+
 def aggregate_labels(
     neighbor_labels: Sequence[LabelSet],
     weighting: str = "uniform",
@@ -91,22 +125,8 @@ def aggregate_labels(
     by every neighbor scores exactly 1.  'inverse_distance' weights neighbor
     i by 1/(distance_i + 1e-8), normalized to sum to 1.
     """
-    if not neighbor_labels:
-        raise ValidationError("need at least one neighbor")
-    if weighting == "uniform":
-        weights = np.full(len(neighbor_labels), 1.0 / len(neighbor_labels))
-    elif weighting == "inverse_distance":
-        if distances is None or len(distances) != len(neighbor_labels):
-            raise ValidationError("inverse_distance weighting needs aligned distances")
-        raw = 1.0 / (np.asarray(distances, dtype=np.float64) + _INV_DIST_EPS)
-        weights = raw / raw.sum()
-    else:
-        raise ValidationError(f"unknown weighting {weighting!r}")
-    scores: dict[int, float] = {}
-    for labels, w in zip(neighbor_labels, weights.tolist()):
-        for label in labels.ids.tolist():
-            scores[label] = scores.get(label, 0.0) + w
-    return scores
+    weights = _weights(len(neighbor_labels), weighting, distances)
+    return _vote((labels.ids.tolist() for labels in neighbor_labels), weights)
 
 
 def rank_scores(scores: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
@@ -124,19 +144,88 @@ def top_p(scores: Mapping[int, float], p: int) -> list[int]:
     return rank_scores(scores)[0][:p].tolist()
 
 
+@dataclass(frozen=True)
+class _ClusterRows:
+    """One cluster's rows, their training ids (None: row positions) and squared norms."""
+
+    rows: np.ndarray
+    ids: np.ndarray | None
+    sq_norms: np.ndarray
+    max_sq: float
+
+
+class _SearchCache:
+    """The per-model search data, each part with the caller's object it was built from.
+
+    A part is replaced as a whole (one attribute store), so a reader never
+    pairs one object with data built from another.
+    """
+
+    def __init__(self) -> None:
+        self.rows: tuple[object, list[_ClusterRows]] | None = None
+        self.labels: tuple[object, list[list[int]]] | None = None
+
+
+def _search_cache(clusters: ClusterIndex) -> _SearchCache:
+    if clusters.search_cache is None:
+        clusters.search_cache = _SearchCache()
+    return clusters.search_cache
+
+
+def _cluster_rows(clusters: ClusterIndex, train_embeds: np.ndarray) -> list[_ClusterRows]:
+    """Each cluster's rows and norms, built once per ``train_embeds`` object.
+
+    Keyed on the caller's object, not on its float64 form, so a float32 or
+    list input that ``np.asarray`` copies still hits the cache.
+    """
+    cache = _search_cache(clusters)
+    cached = cache.rows
+    if cached is None or cached[0] is not train_embeds:
+        embeds = np.asarray(train_embeds, dtype=np.float64)
+        built = []
+        for members in clusters.members:
+            if members.size == embeds.shape[0]:
+                rows, ids = embeds, None  # no copy
+            else:
+                rows, ids = embeds[members], members
+            sq_norms = np.einsum("ij,ij->i", rows, rows)
+            max_sq = sq_norms.max() if sq_norms.size else 0.0  # knn_search rejects an empty one
+            built.append(_ClusterRows(rows, ids, sq_norms, max_sq))
+        cached = (train_embeds, built)
+        cache.rows = cached
+    return cached[1]
+
+
+def _label_lists(clusters: ClusterIndex, train_labels: Sequence[LabelSet]) -> list[list[int]]:
+    """Each training point's label ids as a list, built once per ``train_labels`` object."""
+    cache = _search_cache(clusters)
+    cached = cache.labels
+    if cached is None or cached[0] is not train_labels:
+        cached = (train_labels, [labels.ids.tolist() for labels in train_labels])
+        cache.labels = cached
+    return cached[1]
+
+
 def _block_neighbors(
-    rows: np.ndarray, ids: np.ndarray | None, queries: np.ndarray, k: int
+    rows: np.ndarray,
+    ids: np.ndarray | None,
+    sq_norms: np.ndarray,
+    max_sq: float,
+    queries: np.ndarray,
+    k: int,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``knn_search(rows, q, k, ids)`` for each query row, through a GEMM shortlist."""
+    """``knn_search(rows, q, k, ids)`` for each query row, through a GEMM shortlist.
+
+    ``sq_norms`` holds each row's squared norm and ``max_sq`` their max.
+    """
     n, dim = rows.shape
     if k >= n:  # every row is a neighbor
         return [knn_search(rows, q, k, ids=ids) for q in queries]
-    sq_norms = np.einsum("ij,ij->i", rows, rows)
     approx = queries @ rows.T
     approx *= -2.0
     approx += sq_norms
     kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
-    bound = gemm_error_bound(dim, sq_norms.max(), np.einsum("ij,ij->i", queries, queries))
+    bound = gemm_error_bound(dim, max_sq, np.einsum("ij,ij->i", queries, queries))
     # A row farther than kth + 2 * bound is provably behind k others; NaN stays in.
     keep = ~(approx > (kth + 2.0 * bound)[:, None])
     out = []
@@ -157,28 +246,45 @@ def knn_batch(
     Entry i equals ``knn_search(train_embeds[members], queries[i], k,
     ids=members)`` for the members of the cluster nearest to ``queries[i]``.
     Queries are searched in blocks of at most _BLOCK that share a cluster.
+    The cluster rows and norms are cached on ``clusters`` for this
+    ``train_embeds`` object, which must not be changed in place afterwards.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
-    train_embeds = np.asarray(train_embeds, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
     by_cluster: dict[int, list[int]] = {}
     for q, c in enumerate(nearest_clusters(clusters, queries).tolist()):
         by_cluster.setdefault(c, []).append(q)
     out: list = [None] * len(queries)
+    cluster_rows = _cluster_rows(clusters, train_embeds)
     for c, qs in sorted(by_cluster.items()):
-        members = clusters.members[c]
-        if members.size < k:
-            log.debug("cluster %d has %d members, fewer than k=%d", c, members.size, k)
-        if members.size == train_embeds.shape[0]:
-            rows, ids = train_embeds, None  # no copy
-        else:
-            rows, ids = train_embeds[members], members
+        cr = cluster_rows[c]
+        if cr.rows.shape[0] < k:
+            log.debug("cluster %d has %d members, fewer than k=%d", c, cr.rows.shape[0], k)
         for s in range(0, len(qs), _BLOCK):
             block = qs[s : s + _BLOCK]
-            for q, nbrs in zip(block, _block_neighbors(rows, ids, queries[block], k)):
+            found = _block_neighbors(cr.rows, cr.ids, cr.sq_norms, cr.max_sq, queries[block], k)
+            for q, nbrs in zip(block, found):
                 out[q] = nbrs
     return out
+
+
+def score_neighbors(
+    clusters: ClusterIndex,
+    train_labels: Sequence[LabelSet],
+    neighbors: Sequence[tuple[np.ndarray, np.ndarray]],
+    weighting: str = "uniform",
+) -> list[dict[int, float]]:
+    """One score map per (ids, distances) entry of ``neighbors``, as ``aggregate_labels`` gives.
+
+    The neighbors' label ids are read from lists cached on ``clusters`` for
+    this ``train_labels`` object, which must not be changed in place afterwards.
+    """
+    label_ids = _label_lists(clusters, train_labels)
+    return [
+        _vote([label_ids[i] for i in ids.tolist()], _weights(ids.size, weighting, dists))
+        for ids, dists in neighbors
+    ]
 
 
 def predict_batch(
@@ -193,13 +299,12 @@ def predict_batch(
     """Embed every point, find its neighbors with ``knn_batch``, score labels.
 
     Returns one sparse score map per point.  Each point uses min(k, cluster
-    size) neighbors; a shortfall is logged.
+    size) neighbors; a shortfall is logged.  The search data built from
+    ``train_embeds`` and ``train_labels`` is cached on ``clusters`` (see the
+    module docstring), so neither may be changed in place afterwards.
     """
     neighbors = knn_batch(clusters, train_embeds, embed_points(mlp, xs), k)
-    return [
-        aggregate_labels([train_labels[i] for i in ids.tolist()], weighting, dists)
-        for ids, dists in neighbors
-    ]
+    return score_neighbors(clusters, train_labels, neighbors, weighting)
 
 
 def predict(

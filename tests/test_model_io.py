@@ -1,6 +1,9 @@
 """Binary model file round-trips and corruption handling."""
 
+import hashlib
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +96,39 @@ class TestRoundTrip:
         assert table is not None and table.dtype == np.int32
         assert all(ls.ids.base is table and ls.ids.dtype == np.int32 for ls in labels)
 
+    def test_load_holds_one_copy_of_the_file(self, tmp_path):
+        arts = toy_artifacts(6, n=40)
+        rng = np.random.default_rng(6)
+        arts.mlp.W1 = rng.standard_normal((6000, 4)).astype(np.float32).astype(np.float64)
+        path = str(tmp_path / "model.dxml")
+        save_model(arts, path)
+        size = os.path.getsize(path)
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = [
+            loaded.label_embeddings.values, loaded.mlp.W1, loaded.mlp.b1, loaded.mlp.W2,
+            loaded.mlp.b2, loaded.clusters.centers, loaded.clusters.assignments,
+            *loaded.clusters.members, loaded.train_embeds, loaded.train_labels[0].ids.base,
+        ]
+        # A second copy of the payload would add the whole file again.
+        assert peak < size + sum(a.nbytes for a in arrays) + size // 4
+        for a in arrays + [ls.ids for ls in loaded.train_labels]:
+            while a.base is not None:
+                a = a.base
+            assert isinstance(a, np.ndarray), "an array is a view of the file buffer"
+
+    def test_train_embeds_load_read_only(self, tmp_path):
+        path = str(tmp_path / "model.dxml")
+        save_model(toy_artifacts(7), path)
+        loaded = load_model(path)
+        with pytest.raises(ValueError):
+            loaded.train_embeds[0, 0] = 1.0
+        assert loaded.mlp.W1.flags.writeable
+
     def test_single_cluster_single_point(self, tmp_path):
         arts = toy_artifacts(4, n=1, m=1)
         path = str(tmp_path / "model.dxml")
@@ -137,6 +173,15 @@ class TestCorruption:
         with open(path, "wb") as fh:
             fh.write(blob)
         with pytest.raises(ModelFileError, match="checksum mismatch"):
+            load_model(path)
+
+    def test_malformed_header_with_valid_checksum(self, tmp_path):
+        path, blob = self.saved(tmp_path)
+        blob[20] = 0xFF  # first header byte: not UTF-8
+        blob[-32:] = hashlib.sha256(blob[16:-32]).digest()
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(ModelFileError, match="malformed header"):
             load_model(path)
 
     def test_future_version_rejected(self, tmp_path):

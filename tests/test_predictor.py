@@ -24,10 +24,12 @@ from dxml import (
     predict_batch,
     top_p,
 )
-from dxml import predictor
+from dxml import cli, load_model, nearest_clusters, predictor, save_repo_file
+from dxml.cluster import gemm_error_bound
 from dxml.net import embed_points, train_embedding_net
+from dxml.predictor import score_neighbors
 
-from conftest import random_dataset
+from conftest import planted_dataset, random_dataset
 
 
 def labels(*ids):
@@ -447,3 +449,182 @@ class TestPredictBatch:
     def test_empty_batch(self):
         mlp, clusters, embeds, label_sets, _ = trained_toy_artifacts(seed=14)
         assert predict_batch(mlp, clusters, embeds, label_sets, []) == []
+
+
+# ── the per-model search cache against the per-call reference ────────────────
+
+
+def reference_block_neighbors(rows, ids, queries, k):
+    """The search with every row norm computed again on each call, as before the cache."""
+    n, dim = rows.shape
+    if k >= n:
+        return [knn_search(rows, q, k, ids=ids) for q in queries]
+    sq_norms = np.einsum("ij,ij->i", rows, rows)
+    approx = queries @ rows.T
+    approx *= -2.0
+    approx += sq_norms
+    kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+    bound = gemm_error_bound(dim, sq_norms.max(), np.einsum("ij,ij->i", queries, queries))
+    keep = ~(approx > (kth + 2.0 * bound)[:, None])
+    out = []
+    for q, row_keep in zip(queries, keep):
+        sel = np.flatnonzero(row_keep)
+        out.append(knn_search(rows[sel], q, k, ids=sel if ids is None else ids[sel]))
+    return out
+
+
+def reference_knn_batch(index, train_embeds, queries, k):
+    """One query at a time, copying the routed cluster's rows for each."""
+    train_embeds = np.asarray(train_embeds, dtype=np.float64)
+    queries = np.asarray(queries, dtype=np.float64)
+    out = []
+    for q, c in zip(queries, nearest_clusters(index, queries).tolist()):
+        members = index.members[c]
+        if members.size == train_embeds.shape[0]:
+            rows, ids = train_embeds, None
+        else:
+            rows, ids = train_embeds[members], members
+        out.append(reference_block_neighbors(rows, ids, q[None, :], k)[0])
+    return out
+
+
+def reference_vote(neighbor_labels, weighting, distances):
+    """The dict vote over LabelSets, one ``ids.tolist()`` per neighbor."""
+    if weighting == "uniform":
+        weights = np.full(len(neighbor_labels), 1.0 / len(neighbor_labels))
+    else:
+        raw = 1.0 / (np.asarray(distances, dtype=np.float64) + 1e-8)
+        weights = raw / raw.sum()
+    scores: dict[int, float] = {}
+    for labels, w in zip(neighbor_labels, weights.tolist()):
+        for label in labels.ids.tolist():
+            scores[label] = scores.get(label, 0.0) + w
+    return scores
+
+
+def reference_scores(index, train_embeds, label_sets, queries, k, weighting):
+    return [
+        reference_vote([label_sets[i] for i in ids.tolist()], weighting, dists)
+        for ids, dists in reference_knn_batch(index, train_embeds, queries, k)
+    ]
+
+
+def same_bits(got, want):
+    """Score maps equal in keys, values and insertion (accumulation) order."""
+    assert [list(m.items()) for m in got] == [list(m.items()) for m in want]
+
+
+def label_sets_for(rng, n, L=9):
+    """Random label sets, about a fifth of them empty."""
+    return [
+        LabelSet.from_iterable(rng.choice(L, size=int(rng.integers(0, 4)), replace=False))
+        if rng.random() > 0.2 else LabelSet.empty()
+        for _ in range(n)
+    ]
+
+
+class TestSearchCache:
+    @given(engine_cases, st.one_of(st.integers(1, 8), st.integers(1, 100)),
+           st.sampled_from(["uniform", "inverse_distance"]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_search_and_vote_match_reference(self, case, k, weighting, seed):
+        # train_rows queries sit at distance 0 from a training row; k up to 100
+        # reaches past every cluster's size.
+        rows, index, queries = case
+        label_sets = label_sets_for(np.random.default_rng(seed), rows.shape[0])
+        want = reference_scores(index, rows, label_sets, queries, k, weighting)
+        for _ in range(2):  # the second call reads the cache the first one built
+            got = score_neighbors(index, label_sets, knn_batch(index, rows, queries, k), weighting)
+            same_bits(got, want)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("weighting", ["uniform", "inverse_distance"])
+    def test_predict_and_predict_batch_match_reference(self, m, weighting):
+        mlp, clusters, embeds, _, xs = trained_toy_artifacts(seed=21, n=60, m=m)
+        label_sets = label_sets_for(np.random.default_rng(22), len(xs))
+        queries = xs[:20]
+        fx = embed_points(mlp, queries)
+        for k in (1, 4, 25, 100):
+            want = reference_scores(clusters, embeds, label_sets, fx, k, weighting)
+            got = predict_batch(mlp, clusters, embeds, label_sets, queries, k, weighting)
+            same_bits(got, want)
+            for x, scores in zip(queries, want):
+                one = predict(mlp, clusters, embeds, label_sets, x, k, 3, weighting)
+                same_bits([one.scores], [scores])
+                assert one.top_labels == sorted(scores, key=lambda l: (-scores[l], l))[:3]
+
+    def test_two_models_used_alternately(self):
+        models = [trained_toy_artifacts(seed=23, n=50, m=1),
+                  trained_toy_artifacts(seed=24, n=50, m=3)]
+        rng = np.random.default_rng(25)
+        queries = [
+            SparseVector.from_pairs((i, float(v)) for i, v in enumerate(rng.standard_normal(8)))
+            for _ in range(6)
+        ]
+        for _ in range(3):
+            for mlp, clusters, embeds, label_sets, _ in models:
+                fx = embed_points(mlp, queries)
+                want = reference_scores(clusters, embeds, label_sets, fx, 5, "inverse_distance")
+                got = predict_batch(
+                    mlp, clusters, embeds, label_sets, queries, 5, "inverse_distance"
+                )
+                same_bits(got, want)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_results_follow_a_new_array_of_the_same_shape(self, m):
+        rows, index, queries = engine_case(26, 60, 4, m, "gaussian", "random", 10)
+        rng = np.random.default_rng(27)
+        label_sets = label_sets_for(rng, 60)
+        other_rows = rows[rng.permutation(60)]
+        other_labels = label_sets_for(rng, 60)
+        first = score_neighbors(index, label_sets, knn_batch(index, rows, queries, 3))
+        for embeds, sets in [(other_rows, label_sets), (rows, other_labels), (rows, label_sets)]:
+            got = score_neighbors(index, sets, knn_batch(index, embeds, queries, 3))
+            same_bits(got, reference_scores(index, embeds, sets, queries, 3, "uniform"))
+            assert (got == first) == (embeds is rows and sets is label_sets)
+
+    def test_cache_is_keyed_on_the_callers_object(self):
+        rows, index, queries = engine_case(28, 40, 3, 2, "gaussian", "random", 4)
+        as_f32 = rows.astype(np.float32)
+        knn_batch(index, as_f32, queries, 3)
+        built = index.search_cache.rows[1]
+        knn_batch(index, as_f32, queries, 3)
+        assert index.search_cache.rows[1] is built, "a float32 input must not rebuild"
+        knn_batch(index, as_f32.copy(), queries, 3)
+        assert index.search_cache.rows[1] is not built, "another object must rebuild"
+
+    def test_cache_is_ignored_by_equality_and_validate(self):
+        rows, index, queries = engine_case(29, 30, 3, 2, "gaussian", "random", 3)
+        twin = ClusterIndex(
+            centers=index.centers, assignments=index.assignments, members=index.members
+        )
+        knn_batch(index, rows, queries, 3)
+        assert index.search_cache is not None and twin.search_cache is None
+        assert index == twin
+        index.validate()
+
+    @pytest.mark.parametrize("weighting", ["uniform", "inverse_distance"])
+    def test_sweep_k_matches_reference(self, tmp_path, weighting):
+        train = planted_dataset(80, 6, seed=30)
+        test = planted_dataset(25, 6, seed=31)
+        train_path, test_path = str(tmp_path / "train.txt"), str(tmp_path / "test.txt")
+        save_repo_file(train, train_path)
+        save_repo_file(test, test_path)
+        model = str(tmp_path / "model.dxml")
+        assert cli.main(["-q", "train", train_path, "--model-out", model, "--embed-dim", "4",
+                         "--walks-per-node", "2", "--walk-length", "6", "--window", "2",
+                         "--embed-epochs", "1", "--hidden", "8", "--epochs", "2",
+                         "--clusters", "3"]) == 0
+        grid = (1, 4, 9, 100)
+        with mock.patch.object(cli, "evaluate", wraps=cli.evaluate) as spy:
+            assert cli.main(["-q", "sweep-k", model, test_path, "--k-grid",
+                             ",".join(map(str, grid)), "--weighting", weighting]) == 0
+        art = load_model(model)
+        fx = embed_points(art.mlp, cli._load_test_for_model(art, test_path).features)
+        neighbors = reference_knn_batch(art.clusters, art.train_embeds, fx, max(grid))
+        for k, call in zip(grid, spy.call_args_list):
+            want = [
+                reference_vote([art.train_labels[i] for i in ids[:k].tolist()], weighting, d[:k])
+                for ids, d in neighbors
+            ]
+            same_bits(call.args[0], want)
