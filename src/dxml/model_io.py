@@ -4,19 +4,26 @@ Layout: the magic bytes ``DXML``, a little-endian u32 format version, a u64
 payload length, the payload, and a trailing sha256 of the payload.  The
 payload is a canonical JSON header (dims, configs, seeds, thread count)
 followed by raw little-endian arrays in a fixed order.  Floats are stored as
-32-bit, which keeps desk-scale models at a few megabytes; loading upcasts to
-float64, so save -> load -> save reproduces the file byte for byte.
+32-bit, which keeps desk-scale models at a few megabytes.
+
+Loading streams the file into one buffer per array, so its peak memory is
+the returned arrays plus one read chunk.  ``W1``, the label embeddings and
+``train_embeds``, which grow with d, L and n, stay float32 as stored; the
+code that reads them widens the rows it uses, which is exact.  The small
+``b1``, ``W2``, ``b2`` and ``centers`` are widened to float64 on load.  Save
+-> load -> save reproduces the file byte for byte.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, BinaryIO
 
 import numpy as np
 
@@ -31,6 +38,7 @@ __all__ = ["ModelArtifacts", "save_model", "load_model", "MAGIC", "FORMAT_VERSIO
 MAGIC = b"DXML"
 FORMAT_VERSION = 1
 _HASH_BYTES = 32
+_READ_CHUNK = 1 << 16  # bytes per read while the rest of a malformed payload is hashed
 
 
 @dataclass(eq=False)
@@ -147,72 +155,133 @@ def save_model(artifacts: ModelArtifacts, path: str) -> None:
 def load_model(path: str) -> ModelArtifacts:
     """Read and verify a model file; raises ModelFileError on any corruption.
 
-    The file is read once and parsed through a view of it.  ``train_embeds``
-    comes back read-only: the predictor caches data derived from it (see
-    ``predictor``), so an in-place write would make the two disagree.
+    The file is streamed: each stored array is read straight into its own
+    buffer and hashed on the way, so no copy of the file is ever held.
+    ``W1``, the label embeddings and ``train_embeds`` stay float32, as stored;
+    the small ``b1``, ``W2``, ``b2`` and ``centers`` are widened to float64.
+    ``train_embeds`` comes back read-only: the predictor caches data derived
+    from it (see ``predictor``), so an in-place write would make the two
+    disagree.  A payload that does not parse is hashed to its end before the
+    error is chosen, so a corrupt file reports a checksum mismatch, and only a
+    file whose checksum holds reports what is structurally wrong with it.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4 + 4 + 8 + _HASH_BYTES:
-        raise ModelFileError("model file truncated: checksum cannot be verified")
-    if blob[:4] != MAGIC:
-        raise ModelFileError(f"bad magic bytes {blob[:4]!r}, not a model file")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != FORMAT_VERSION:
-        raise ModelFileError(
-            f"unsupported model format version {version}, this build reads {FORMAT_VERSION}"
-        )
-    (payload_len,) = struct.unpack_from("<Q", blob, 8)
-    expected_total = 16 + payload_len + _HASH_BYTES
-    if len(blob) != expected_total:
-        raise ModelFileError(
-            f"model file truncated: checksum over {payload_len} payload bytes "
-            f"cannot be verified ({len(blob)} of {expected_total} bytes present)"
-        )
-    payload = memoryview(blob)[16 : 16 + payload_len]  # a view: no second copy of the file
-    digest = blob[16 + payload_len :]
-    if hashlib.sha256(payload).digest() != digest:
-        raise ModelFileError("checksum mismatch: model file is corrupt")
-    return _parse_payload(payload)
+        size = os.fstat(fh.fileno()).st_size
+        if size < 16 + _HASH_BYTES:
+            raise ModelFileError("model file truncated: checksum cannot be verified")
+        prefix = fh.read(16)
+        if prefix[:4] != MAGIC:
+            raise ModelFileError(f"bad magic bytes {prefix[:4]!r}, not a model file")
+        version, payload_len = struct.unpack_from("<IQ", prefix, 4)
+        if version != FORMAT_VERSION:
+            raise ModelFileError(
+                f"unsupported model format version {version}, this build reads {FORMAT_VERSION}"
+            )
+        expected_total = 16 + payload_len + _HASH_BYTES
+        if size < expected_total:
+            raise ModelFileError(
+                f"model file truncated: checksum over {payload_len} payload bytes "
+                f"cannot be verified ({size} of {expected_total} bytes present)"
+            )
+        if size > expected_total:
+            raise ModelFileError(
+                f"model file has {size - expected_total} trailing bytes after its checksum "
+                f"({size} bytes, expected {expected_total})"
+            )
+        reader = _PayloadReader(fh, payload_len)
+        try:
+            parsed = _read_payload(reader)
+        except ModelFileError:
+            reader.skip_rest()
+            reader.verify()  # a corrupt file reports the checksum, not the symptom
+            raise
+        reader.verify()
+    return _artifacts(*parsed)
 
 
-def _parse_payload(payload: memoryview) -> ModelArtifacts:
-    """Artifacts from a verified payload; every returned array is a copy, none a view of it."""
-    if len(payload) < 4:
-        raise ModelFileError("payload too short for header")
-    (header_len,) = struct.unpack_from("<I", payload, 0)
-    if 4 + header_len > len(payload):
-        raise ModelFileError("declared header overruns payload")
+class _PayloadReader:
+    """Reads a payload of known length from ``fh``, hashing every byte it reads."""
+
+    def __init__(self, fh: BinaryIO, length: int) -> None:
+        self.fh = fh
+        self.left = length
+        self.digest = hashlib.sha256()
+
+    def _fill(self, buf: memoryview | bytearray | np.ndarray) -> None:
+        """Read ``len(buf)`` payload bytes into ``buf`` and hash them."""
+        view = memoryview(buf).cast("B")
+        got = 0
+        while got < len(view):
+            n = self.fh.readinto(view[got:])
+            if not n:
+                raise ModelFileError("model file truncated while it was read")
+            got += n
+        self.digest.update(view)
+        self.left -= len(view)
+
+    def read_bytes(self, nbytes: int, overrun: str) -> bytearray:
+        """The next ``nbytes`` of the payload; ``overrun`` is the error if fewer are left."""
+        if nbytes > self.left:
+            raise ModelFileError(overrun)
+        buf = bytearray(nbytes)
+        self._fill(buf)
+        return buf
+
+    def read_array(self, dtype: str, shape: tuple[int, ...], overrun: str) -> np.ndarray:
+        """The next array of the payload, in a buffer of its own."""
+        if math.prod(shape) * np.dtype(dtype).itemsize > self.left:
+            raise ModelFileError(overrun)
+        arr = np.empty(shape, dtype=dtype)
+        self._fill(arr.reshape(-1).view(np.uint8))
+        return arr
+
+    def skip_rest(self) -> None:
+        """Hash what is left of the payload, a bounded chunk at a time."""
+        chunk = bytearray(min(_READ_CHUNK, self.left))
+        while self.left:
+            self._fill(memoryview(chunk)[: min(len(chunk), self.left)])
+
+    def verify(self) -> None:
+        """Compare the stored checksum with the hash of the whole payload."""
+        if self.fh.read(_HASH_BYTES) != self.digest.digest():
+            raise ModelFileError("checksum mismatch: model file is corrupt")
+
+
+def _read_payload(reader: _PayloadReader) -> tuple[dict, dict[str, np.ndarray], np.ndarray]:
+    """The header, the fixed-order arrays and the label table, as stored."""
+    (header_len,) = struct.unpack("<I", reader.read_bytes(4, "payload too short for header"))
+    header_bytes = reader.read_bytes(header_len, "declared header overruns payload")
     try:
-        header = json.loads(bytes(payload[4 : 4 + header_len]).decode("utf-8"))
+        header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFileError(f"malformed header: {exc}") from None
-    dims = header.get("dims")
+    dims = header.get("dims") if isinstance(header, dict) else None
     required = ("num_features", "hidden", "embed_dim", "num_labels", "num_clusters", "num_train")
     if not isinstance(dims, dict) or any(
         not isinstance(dims.get(key), int) or dims.get(key) < 0 for key in required
     ):
         raise ModelFileError("header is missing integer dims")
 
-    pos = 4 + header_len
-    raw: dict[str, np.ndarray] = {}
-    for name, dtype, shape in _array_specs(dims):
-        count = int(np.prod(shape, dtype=np.int64))
-        nbytes = count * np.dtype(dtype).itemsize
-        if pos + nbytes > len(payload):
-            raise ModelFileError(f"payload ends inside array {name}")
-        raw[name] = np.frombuffer(payload, dtype=dtype, count=count, offset=pos).reshape(shape)
-        pos += nbytes
+    raw = {
+        name: reader.read_array(dtype, shape, f"payload ends inside array {name}")
+        for name, dtype, shape in _array_specs(dims)
+    }
     offsets = raw["label_offsets"].astype(np.int64)
-    if offsets.size and (offsets[0] != 0 or np.any(np.diff(offsets) < 0)):
+    if offsets[0] != 0 or np.any(np.diff(offsets) < 0):
         raise ModelFileError("label offsets are not monotone from zero")
-    total_labels = int(offsets[-1]) if offsets.size else 0
-    nbytes = total_labels * 4
-    if pos + nbytes != len(payload):
+    total_labels = int(offsets[-1])
+    if total_labels * 4 != reader.left:
         raise ModelFileError("payload size disagrees with label table")
-    flat = np.frombuffer(payload, dtype="<u4", count=total_labels, offset=pos).astype(np.int32)
+    # Stored as u4 and read as int32: the values ``.astype(np.int32)`` of the u4 ids would give.
+    flat = reader.read_array("<i4", (total_labels,), "payload size disagrees with label table")
+    raw["label_offsets"] = offsets
+    return header, raw, flat
 
-    offs = offsets.tolist()
+
+def _artifacts(header: dict, raw: dict[str, np.ndarray], flat: np.ndarray) -> ModelArtifacts:
+    """Artifacts from a verified payload, built on the arrays as read."""
+    dims = header["dims"]
+    offs = raw["label_offsets"].tolist()
     labels = [LabelSet(flat[a:b]) for a, b in zip(offs, offs[1:])]
     assignments = raw["assignments"].astype(np.int64)
     m = dims["num_clusters"]
@@ -221,12 +290,12 @@ def _parse_payload(payload: memoryview) -> ModelArtifacts:
     members = [np.flatnonzero(assignments == c) for c in range(m)]
     meta = {key: value for key, value in header.items() if key != "dims"}
     meta["dims"] = dims
-    train_embeds = raw["train_embeds"].astype(np.float64)
+    train_embeds = raw["train_embeds"]
     train_embeds.flags.writeable = False
     return ModelArtifacts(
-        label_embeddings=EmbeddingMatrix(values=raw["label_embeddings"].astype(np.float64)),
+        label_embeddings=EmbeddingMatrix(values=raw["label_embeddings"]),
         mlp=MlpModel(
-            W1=raw["W1"].astype(np.float64),
+            W1=raw["W1"],
             b1=raw["b1"].astype(np.float64),
             W2=raw["W2"].astype(np.float64),
             b2=raw["b2"].astype(np.float64),

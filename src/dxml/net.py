@@ -15,6 +15,11 @@ batch size and the row's place in it, so a point's bits would depend on its
 batch.  Each row's norm is its own dot product, as in ``np.linalg.norm``.  A
 point thus embeds to the same bits alone or in any batch.
 
+W1 may be float32, as ``load_model`` returns it.  ``np.matmul`` then widens
+the gathered rows to float64 before the product; widening is exact, so every
+activation has the same bits as with a float64 W1, and no float64 copy of
+the whole matrix is made.
+
 ``sgd_step`` applies the exact dense momentum and decay update in row blocks
 of about 128 KB per array, so each block stays in cache through all of its
 operations; they are elementwise, so the bits do not depend on the block
@@ -62,7 +67,12 @@ _EMBED_ROWS = 256  # points embedded together; bounds embed_points' temporaries
 
 @dataclass(eq=False)
 class MlpModel:
-    """Two fully connected layers; shapes (d,H), (H,), (H,l), (l,)."""
+    """Two fully connected layers; shapes (d,H), (H,), (H,l), (l,).
+
+    Training builds float64 weights.  A loaded model keeps W1 in float32, as
+    stored; the forward pass widens the rows it gathers, exactly, so its
+    outputs equal those of the float64 model bit for bit.
+    """
 
     W1: np.ndarray
     b1: np.ndarray

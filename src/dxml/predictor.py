@@ -7,18 +7,22 @@ The search is batched.  For each block of queries routed to one cluster, a
 single GEMM gives ``|v|^2 - 2 q.v`` for every member v; a partial sort picks
 the k-th value, and every member within a floating-point error bound of it
 joins a shortlist that provably holds the exact k nearest.  The shortlist is
-re-ranked by ``knn_search``, the exact scan, so neighbors, distances and
-scores equal those of a full exact scan bit for bit.
+re-ranked by the exact scan behind ``knn_search``, so neighbors, distances
+and scores equal those of a full exact scan bit for bit.
 
 What depends only on the model is built once, on the first search, and kept
 on the ``ClusterIndex`` (its ``search_cache``): each cluster's rows as one
-contiguous array (for a cluster that holds every training point,
-``train_embeds`` itself, not a copy), their squared norms by the same
+contiguous float64 array, their squared norms by the same
 ``einsum`` over the same array as a per-call computation would use, the
 largest of those norms, and each training point's label ids as a Python
-list.  The cache keeps the ``train_embeds`` and ``train_labels`` objects it
-was built from and is rebuilt whenever a call passes any other object, so
-those arrays and lists must not be changed in place after the first search.
+list.  A cluster's rows are gathered from ``train_embeds`` first and widened
+after, which is exact, so the float32 ``train_embeds`` that ``load_model``
+returns is never widened whole: the cache holds one float64 copy of it in
+all.  A cluster that holds every training point uses a float64
+``train_embeds`` itself, not a copy.  The cache keeps the ``train_embeds``
+and ``train_labels`` objects it was built from and is rebuilt whenever a
+call passes any other object, so those arrays and lists must not be changed
+in place after the first search.
 """
 
 from __future__ import annotations
@@ -76,13 +80,20 @@ def knn_search(
         raise ValidationError(
             f"query shape {query.shape} does not match vector dim {vectors.shape[1]}"
         )
+    if ids is not None:
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.shape != (vectors.shape[0],):
+            raise ValidationError("ids must align with vector rows")
+    return _exact_knn(vectors, query, k, ids)
+
+
+def _exact_knn(
+    vectors: np.ndarray, query: np.ndarray, k: int, ids: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``knn_search`` on arguments it has already checked: float64 rows and query, aligned ids."""
     n = vectors.shape[0]
     if ids is None:
         ids = np.arange(n, dtype=np.int64)
-    else:
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.shape != (n,):
-            raise ValidationError("ids must align with vector rows")
     d2 = np.empty(n, dtype=np.float64)
     for s in range(0, n, _SCAN_CHUNK):
         d2[s : s + _SCAN_CHUNK] = ((vectors[s : s + _SCAN_CHUNK] - query) ** 2).sum(axis=1)
@@ -175,21 +186,24 @@ def _search_cache(clusters: ClusterIndex) -> _SearchCache:
 def _cluster_rows(clusters: ClusterIndex, train_embeds: np.ndarray) -> list[_ClusterRows]:
     """Each cluster's rows and norms, built once per ``train_embeds`` object.
 
-    Keyed on the caller's object, not on its float64 form, so a float32 or
-    list input that ``np.asarray`` copies still hits the cache.
+    Rows are gathered from the caller's array and then widened to float64,
+    so no whole-array float64 temporary is built.  Keyed on the caller's
+    object, not on its float64 form, so a float32 or list input still hits
+    the cache.
     """
     cache = _search_cache(clusters)
     cached = cache.rows
     if cached is None or cached[0] is not train_embeds:
-        embeds = np.asarray(train_embeds, dtype=np.float64)
+        embeds = np.asarray(train_embeds)
         built = []
         for members in clusters.members:
             if members.size == embeds.shape[0]:
-                rows, ids = embeds, None  # no copy
+                rows, ids = embeds, None
             else:
                 rows, ids = embeds[members], members
+            rows = rows.astype(np.float64, copy=False)  # exact; a float64 whole array is not copied
             sq_norms = np.einsum("ij,ij->i", rows, rows)
-            max_sq = sq_norms.max() if sq_norms.size else 0.0  # knn_search rejects an empty one
+            max_sq = sq_norms.max() if sq_norms.size else 0.0  # knn_batch rejects an empty one
             built.append(_ClusterRows(rows, ids, sq_norms, max_sq))
         cached = (train_embeds, built)
         cache.rows = cached
@@ -213,25 +227,35 @@ def _block_neighbors(
     max_sq: float,
     queries: np.ndarray,
     k: int,
+    scratch: np.ndarray,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """``knn_search(rows, q, k, ids)`` for each query row, through a GEMM shortlist.
 
     ``sq_norms`` holds each row's squared norm and ``max_sq`` their max.
+    ``scratch`` is a float64 buffer of at least 2 * len(queries) * len(rows)
+    values for the distance table and its partitioned copy; the caller
+    reuses it across blocks, so their pages are touched once per call
+    rather than mapped afresh for every block.
     """
     n, dim = rows.shape
     if k >= n:  # every row is a neighbor
-        return [knn_search(rows, q, k, ids=ids) for q in queries]
-    approx = queries @ rows.T
+        return [_exact_knn(rows, q, k, ids) for q in queries]
+    size = queries.shape[0] * n
+    approx = scratch[:size].reshape(-1, n)
+    np.matmul(queries, rows.T, out=approx)
     approx *= -2.0
     approx += sq_norms
-    kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+    part = scratch[size : 2 * size].reshape(-1, n)
+    np.copyto(part, approx)
+    part.partition(k - 1, axis=1)
+    kth = part[:, k - 1]
     bound = gemm_error_bound(dim, max_sq, np.einsum("ij,ij->i", queries, queries))
     # A row farther than kth + 2 * bound is provably behind k others; NaN stays in.
     keep = ~(approx > (kth + 2.0 * bound)[:, None])
     out = []
     for q, row_keep in zip(queries, keep):
         sel = np.flatnonzero(row_keep)
-        out.append(knn_search(rows[sel], q, k, ids=sel if ids is None else ids[sel]))
+        out.append(_exact_knn(rows[sel], q, k, sel if ids is None else ids[sel]))
     return out
 
 
@@ -257,13 +281,19 @@ def knn_batch(
         by_cluster.setdefault(c, []).append(q)
     out: list = [None] * len(queries)
     cluster_rows = _cluster_rows(clusters, train_embeds)
+    most_rows = max((cluster_rows[c].rows.shape[0] for c in by_cluster), default=0)
+    scratch = np.empty(2 * min(_BLOCK, len(queries)) * most_rows)
     for c, qs in sorted(by_cluster.items()):
         cr = cluster_rows[c]
+        if cr.rows.shape[0] == 0:
+            raise ValidationError(f"queries routed to cluster {c}, which has no members")
         if cr.rows.shape[0] < k:
             log.debug("cluster %d has %d members, fewer than k=%d", c, cr.rows.shape[0], k)
         for s in range(0, len(qs), _BLOCK):
             block = qs[s : s + _BLOCK]
-            found = _block_neighbors(cr.rows, cr.ids, cr.sq_norms, cr.max_sq, queries[block], k)
+            found = _block_neighbors(
+                cr.rows, cr.ids, cr.sq_norms, cr.max_sq, queries[block], k, scratch
+            )
             for q, nbrs in zip(block, found):
                 out[q] = nbrs
     return out

@@ -1,7 +1,6 @@
 """Binary model file round-trips and corruption handling."""
 
 import hashlib
-import os
 import struct
 import tracemalloc
 
@@ -18,7 +17,7 @@ from dxml import (
     save_model,
 )
 from dxml.graph_embed import EmbeddingMatrix
-from dxml.model_io import FORMAT_VERSION, MAGIC
+from dxml.model_io import _READ_CHUNK, FORMAT_VERSION, MAGIC
 
 
 def toy_artifacts(seed=0, n=6, m=2):
@@ -75,9 +74,9 @@ class TestRoundTrip:
         path = str(tmp_path / "model.dxml")
         save_model(arts, path)
         loaded = load_model(path)
-        assert loaded.mlp.W1[0, 0] == float(np.float32(0.1))
-        assert loaded.mlp.W1[0, 0] != 0.1
-        assert loaded.mlp.W1.dtype == np.float64
+        assert float(loaded.mlp.W1[0, 0]) == float(np.float32(0.1))
+        assert float(loaded.mlp.W1[0, 0]) != 0.1
+        assert loaded.mlp.W1.dtype == np.float32
 
     def test_unlabeled_training_points_round_trip(self, tmp_path):
         arts = toy_artifacts(3)
@@ -96,13 +95,12 @@ class TestRoundTrip:
         assert table is not None and table.dtype == np.int32
         assert all(ls.ids.base is table and ls.ids.dtype == np.int32 for ls in labels)
 
-    def test_load_holds_one_copy_of_the_file(self, tmp_path):
+    def test_load_holds_no_copy_of_the_file(self, tmp_path):
         arts = toy_artifacts(6, n=40)
         rng = np.random.default_rng(6)
-        arts.mlp.W1 = rng.standard_normal((6000, 4)).astype(np.float32).astype(np.float64)
+        arts.mlp.W1 = rng.standard_normal((20000, 4)).astype(np.float32).astype(np.float64)
         path = str(tmp_path / "model.dxml")
         save_model(arts, path)
-        size = os.path.getsize(path)
         tracemalloc.start()
         try:
             loaded = load_model(path)
@@ -114,12 +112,23 @@ class TestRoundTrip:
             loaded.mlp.b2, loaded.clusters.centers, loaded.clusters.assignments,
             *loaded.clusters.members, loaded.train_embeds, loaded.train_labels[0].ids.base,
         ]
-        # A second copy of the payload would add the whole file again.
-        assert peak < size + sum(a.nbytes for a in arrays) + size // 4
+        # A file buffer or a float64 copy of W1 would add at least 320 KB.
+        assert peak < sum(a.nbytes for a in arrays) + _READ_CHUNK
         for a in arrays + [ls.ids for ls in loaded.train_labels]:
             while a.base is not None:
                 a = a.base
-            assert isinstance(a, np.ndarray), "an array is a view of the file buffer"
+            assert isinstance(a, np.ndarray), "an array is a view of a file buffer"
+
+    def test_large_arrays_stay_float32(self, tmp_path):
+        path = str(tmp_path / "model.dxml")
+        save_model(toy_artifacts(8), path)
+        loaded = load_model(path)
+        assert loaded.mlp.W1.dtype == np.float32 and loaded.mlp.W1.flags.writeable
+        assert loaded.label_embeddings.values.dtype == np.float32
+        assert loaded.train_embeds.dtype == np.float32
+        assert not loaded.train_embeds.flags.writeable
+        for small in (loaded.mlp.b1, loaded.mlp.W2, loaded.mlp.b2, loaded.clusters.centers):
+            assert small.dtype == np.float64
 
     def test_train_embeds_load_read_only(self, tmp_path):
         path = str(tmp_path / "model.dxml")
@@ -138,12 +147,26 @@ class TestRoundTrip:
         assert loaded.train_embeds.shape == (1, 3)
 
 
+def write_payload(path, payload, digest=None):
+    """A model file around ``payload``, with its true checksum unless ``digest`` is given."""
+    digest = hashlib.sha256(payload).digest() if digest is None else digest
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(payload)) + bytes(payload) + digest)
+
+
 class TestCorruption:
     def saved(self, tmp_path):
         path = str(tmp_path / "model.dxml")
         save_model(toy_artifacts(5), path)
         with open(path, "rb") as fh:
             return path, bytearray(fh.read())
+
+    def payload(self, tmp_path):
+        path, blob = self.saved(tmp_path)
+        return path, blob[16:-32]
+
+    def header_end(self, payload):
+        return 4 + struct.unpack_from("<I", payload, 0)[0]
 
     def test_truncated_file(self, tmp_path):
         path, blob = self.saved(tmp_path)
@@ -196,8 +219,60 @@ class TestCorruption:
         path, blob = self.saved(tmp_path)
         with open(path, "wb") as fh:
             fh.write(bytes(blob) + b"extra")
-        with pytest.raises(ModelFileError):
+        with pytest.raises(ModelFileError, match="5 trailing bytes"):
             load_model(path)
+
+    @pytest.mark.parametrize("where", ["W1", "label table"])
+    def test_flipped_array_byte_is_a_checksum_mismatch(self, tmp_path, where):
+        path, payload = self.payload(tmp_path)
+        digest = hashlib.sha256(payload).digest()
+        pos = self.header_end(payload) + 3 * 9 * 4 + 5 if where == "W1" else len(payload) - 1
+        payload[pos] ^= 0x01  # the payload still parses
+        write_payload(path, payload, digest)
+        with pytest.raises(ModelFileError, match="checksum mismatch"):
+            load_model(path)
+
+    def test_header_that_is_not_an_object(self, tmp_path):
+        path, payload = self.payload(tmp_path)
+        header = b"[1, 2]"
+        rest = payload[self.header_end(payload) :]
+        write_payload(path, struct.pack("<I", len(header)) + header + rest)
+        with pytest.raises(ModelFileError, match="missing integer dims"):
+            load_model(path)
+
+    @pytest.mark.parametrize("valid_checksum", [True, False])
+    def test_payload_cut_inside_an_array(self, tmp_path, valid_checksum):
+        path, payload = self.payload(tmp_path)
+        # The 3 x 9 float32 label embeddings, then part of W1.
+        cut = payload[: self.header_end(payload) + 3 * 9 * 4 + 6]
+        write_payload(path, cut, None if valid_checksum else b"\0" * 32)
+        match = "payload ends inside array W1" if valid_checksum else "checksum mismatch"
+        with pytest.raises(ModelFileError, match=match):
+            load_model(path)
+
+    def test_label_table_disagreeing_with_payload(self, tmp_path):
+        path, payload = self.payload(tmp_path)
+        write_payload(path, payload + b"\0\0\0\0")
+        with pytest.raises(ModelFileError, match="disagrees with label table"):
+            load_model(path)
+
+    def test_malformed_payload_is_hashed_in_bounded_chunks(self, tmp_path):
+        arts = toy_artifacts(10)
+        arts.mlp.W1 = np.zeros((20000, 4))
+        path = str(tmp_path / "model.dxml")
+        save_model(arts, path)
+        with open(path, "rb") as fh:
+            blob = bytearray(fh.read())
+        blob[20] = 0xFF  # first header byte: not UTF-8
+        write_payload(path, blob[16:-32])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFileError, match="malformed header"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * _READ_CHUNK  # the payload is 320 KB
 
     def test_magic_constant(self):
         assert MAGIC == b"DXML" and FORMAT_VERSION == 1

@@ -1,5 +1,6 @@
 """Clustered k-NN prediction: search, aggregation, ranking, full path."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from dxml import (
     ClusterIndex,
     LabelSet,
+    MlpModel,
     Prediction,
     SparseVector,
     TrainConfig,
@@ -401,6 +403,14 @@ class TestKnnBatch:
         rows, index, _ = engine_case(8, 10, 2, 2, "gaussian", "random", 1)
         assert knn_batch(index, rows, np.empty((0, 2)), 3) == []
 
+    def test_query_routed_to_an_empty_cluster(self):
+        rows = np.zeros((4, 2))
+        index = ClusterIndex(centers=np.array([[0.0, 0.0], [5.0, 5.0]]),
+                             assignments=np.zeros(4, dtype=np.int64),
+                             members=[np.arange(4), np.empty(0, dtype=np.int64)])
+        with pytest.raises(ValidationError, match="no members"):
+            knn_batch(index, rows, np.array([[5.0, 5.0]]), 2)
+
     def test_bad_inputs(self):
         rows, index, queries = engine_case(9, 10, 2, 1, "gaussian", "random", 2)
         with pytest.raises(ValidationError):
@@ -628,3 +638,111 @@ class TestSearchCache:
                 for ids, d in neighbors
             ]
             same_bits(call.args[0], want)
+
+
+# ── a loaded model's float32 arrays against the same model widened ─────────
+
+
+def float32_and_widened(seed, m, n=50, d=9, H=7, el=4):
+    """(float32 side, float64 side): a model with float32 W1 and train_embeds, and its widening.
+
+    Each side is (mlp, clusters, train_embeds); the clusters are twins, so
+    neither side reads a search cache the other built.
+    """
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, n=n, d=d, L=9)  # about one point in seven has no features
+    model = init_model(d, H, el, rng)
+    W1 = model.W1.astype(np.float32)
+    mlp32 = MlpModel(W1=W1, b1=rng.standard_normal(H), W2=model.W2, b2=rng.standard_normal(el))
+    mlp64 = MlpModel(W1=W1.astype(np.float64), b1=mlp32.b1, W2=mlp32.W2, b2=mlp32.b2)
+    embeds = embed_points(mlp64, [sv for sv, _ in ds.points]).astype(np.float32)
+    index = kmeans(embeds.astype(np.float64), m, rng_seed=seed)
+    twin = ClusterIndex(centers=index.centers, assignments=index.assignments, members=index.members)
+    return (mlp32, index, embeds), (mlp64, twin, embeds.astype(np.float64))
+
+
+def sparse_queries(rng, num, d=9):
+    """Random sparse points, every third one with no features."""
+    out = []
+    for i in range(num):
+        nnz = 0 if i % 3 == 0 else int(rng.integers(1, d + 1))
+        idx = np.sort(rng.choice(d, size=nnz, replace=False))
+        out.append(SparseVector(idx.astype(np.int32), rng.standard_normal(nnz)))
+    return out
+
+
+class TestFloat32Model:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3]),
+           st.sampled_from(["uniform", "inverse_distance"]), st.integers(1, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_same_bits_as_the_widened_model(self, seed, m, weighting, k):
+        f32, f64 = float32_and_widened(seed, m)
+        label_sets = label_sets_for(np.random.default_rng(seed + 1), 50)
+        xs = sparse_queries(np.random.default_rng(seed + 2), 12)
+        for x in xs:
+            assert forward(f32[0], x).tobytes() == forward(f64[0], x).tobytes()
+        assert embed_points(f32[0], xs).tobytes() == embed_points(f64[0], xs).tobytes()
+        want = predict_batch(*f64, label_sets, xs, k, weighting)
+        same_bits(predict_batch(*f32, label_sets, xs, k, weighting), want)
+        for x, scores in zip(xs[:4], want):
+            one = predict(*f32, label_sets, x, k, 3, weighting)
+            same_bits([one.scores], [scores])
+            assert one == predict(*f64, label_sets, x, k, 3, weighting)
+
+    def test_float32_train_embeds_are_never_widened_whole(self):
+        n, dim = 30000, 8
+        embeds = np.random.default_rng(42).standard_normal((n, dim)).astype(np.float32)
+        assignments = np.arange(n) % 3
+        index = ClusterIndex(centers=np.eye(3, dim), assignments=assignments,
+                             members=[np.flatnonzero(assignments == c) for c in range(3)])
+        queries = np.ones((2, dim))
+        tracemalloc.start()
+        try:
+            knn_batch(index, embeds, queries, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The cache's float64 rows, 8 * n * dim bytes, plus one cluster's float32 gather.
+        assert peak < 1.5 * 8 * n * dim
+        rows = [cr.rows for cr in index.search_cache.rows[1]]
+        assert all(r.dtype == np.float64 for r in rows)
+        assert sum(r.shape[0] for r in rows) == n
+
+    @pytest.mark.parametrize("clusters", ["1", "3"])
+    @pytest.mark.parametrize("weighting", ["uniform", "inverse_distance"])
+    def test_sweep_k_same_as_with_the_widened_model(self, tmp_path, capsys, clusters, weighting):
+        train = planted_dataset(80, 6, seed=42)
+        test = planted_dataset(25, 6, seed=43)
+        test.points[3] = (SparseVector(np.empty(0, dtype=np.int32), np.empty(0)), test.points[3][1])
+        train_path, test_path = str(tmp_path / "train.txt"), str(tmp_path / "test.txt")
+        save_repo_file(train, train_path)
+        save_repo_file(test, test_path)
+        model = str(tmp_path / "model.dxml")
+        assert cli.main(["-q", "train", train_path, "--model-out", model, "--embed-dim", "4",
+                         "--walks-per-node", "2", "--walk-length", "6", "--window", "2",
+                         "--embed-epochs", "1", "--hidden", "8", "--epochs", "2",
+                         "--clusters", clusters]) == 0
+        assert load_model(model).mlp.W1.dtype == np.float32
+
+        def widened(path):
+            art = load_model(path)
+            art.mlp.W1 = art.mlp.W1.astype(np.float64)
+            art.label_embeddings.values = art.label_embeddings.values.astype(np.float64)
+            art.train_embeds = art.train_embeds.astype(np.float64)
+            return art
+
+        outputs, maps = [], []
+        for loader in (load_model, widened):
+            out = str(tmp_path / f"best-{len(outputs)}.txt")
+            capsys.readouterr()
+            with mock.patch.object(cli, "load_model", loader), \
+                    mock.patch.object(cli, "evaluate", wraps=cli.evaluate) as spy:
+                assert cli.main(["-q", "sweep-k", model, test_path, "--k-grid", "1,4,9,100",
+                                 "--weighting", weighting, "--out", out]) == 0
+            with open(out) as fh:
+                outputs.append((capsys.readouterr().out, fh.read()))
+            maps.append([call.args[0] for call in spy.call_args_list])
+        assert outputs[0] == outputs[1]
+        assert len(maps[0]) == 4
+        for got, want in zip(*maps):
+            same_bits(got, want)
