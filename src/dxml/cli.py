@@ -4,8 +4,9 @@ Subcommands: train, predict, evaluate, sweep-k, embed-labels.  Logs go to
 stderr; data goes to stdout or the --out path.  Exit codes: 0 success,
 1 usage error, 2 data or validation error, 3 internal error.
 
-Every option can also come from a ``key = value`` config file passed with
---config; explicit flags win over the file, the file wins over defaults.
+Every flag of a subcommand can also come from a ``key = value`` config file
+passed with --config; explicit flags win over the file, the file wins over
+defaults.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import data_io, graph_embed, label_graph, label_projection, net, predictor
 from .cluster import kmeans
-from .errors import DataFormatError, DxmlError, ModelFileError, ValidationError
+from .errors import DataFormatError, DxmlError, ValidationError
 from .metrics import evaluate
 from .model_io import ModelArtifacts, load_model, save_model
 
@@ -35,12 +36,22 @@ SCALE_DEFAULTS = {
     "small": {"embed_dim": 100, "hidden": 256, "clusters": 1},
     "large": {"embed_dim": 300, "hidden": 512, "clusters": 8},
 }
-DEFAULT_K = 10
 DEFAULT_KS = (1, 3, 5)
+_SWITCH_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 class _UsageError(Exception):
     pass
+
+
+def _config_path(args: Sequence[str]) -> str | None:
+    """The --config value among a subcommand's arguments, found as argparse finds it."""
+    probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    probe.add_argument("--config")
+    try:
+        return probe.parse_known_args(args)[0].config
+    except argparse.ArgumentError:
+        return None  # a malformed --config is reported by the subcommand's own parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,75 +60,82 @@ class _Parser(argparse.ArgumentParser):
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # A subcommand's --config file is read as its own flags, placed before
+        # the command line's so that an explicit flag wins.
+        if "--config" in self._option_string_actions:
+            path = _config_path(args)
+            if path is not None:
+                args = self._config_argv(path) + list(args)
+        return super().parse_known_args(args, namespace)
 
-# ── option resolution ────────────────────────────────────────────────────────
-
-
-def _load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, sep, value = line.partition("=")
-                if not sep:
-                    raise _UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-                values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
-        raise _UsageError(f"cannot read config file: {exc}") from None
-    return values
-
-
-class _Options:
-    """Merge CLI flags over config-file values over built-in defaults."""
-
-    def __init__(self, args: argparse.Namespace, known: set[str]):
-        self.args = args
-        self.file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-        unknown = set(self.file_values) - known
-        if unknown:
-            raise _UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-    def _cast(self, name: str, text: str, kind):
+    def _config_argv(self, path: str) -> list[str]:
+        """Turn ``key = value`` lines into flags; a key is a flag's name, dashes or underscores."""
+        actions = {
+            opt.lstrip("-").replace("-", "_"): action
+            for action in self._actions if action.dest not in ("help", "config")
+            for opt in action.option_strings
+        }
         try:
-            if kind is bool:
-                lowered = text.lower()
-                if lowered in ("true", "1", "yes"):
-                    return True
-                if lowered in ("false", "0", "no"):
-                    return False
-                raise ValueError(text)
-            return kind(text)
-        except ValueError:
-            raise _UsageError(f"config key {name!r}: cannot parse {text!r} as {kind.__name__}") from None
-
-    def get(self, name: str, default, kind=None):
-        flag = getattr(self.args, name, None)
-        if flag is not None:
-            return flag
-        if name in self.file_values:
-            return self._cast(name, self.file_values[name], kind or type(default))
-        return default
-
-    def choice(self, name: str, default: str, choices: Sequence[str]) -> str:
-        value = self.get(name, default, str)
-        if value not in choices:
-            raise _UsageError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
-        return value
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            self.error(f"cannot read config file {path}: {exc}")
+        given: dict[argparse.Action, list[str]] = {}  # the last line for a flag wins
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, value = (part.strip() for part in line.partition("="))
+            where = f"{path}:{lineno}"
+            if not sep:
+                self.error(f"{where}: expected 'key = value', got {raw.strip()!r}")
+            action = actions.get(key.replace("-", "_"))
+            if action is None:
+                self.error(f"{where}: unknown config key {key!r}")
+            flag = action.option_strings[-1]
+            if action.nargs == 0:  # a switch is given or not
+                if value.lower() not in _SWITCH_VALUES:
+                    self.error(f"{where}: config key {key!r}: expected true/1/yes or false/0/no, "
+                               f"got {value!r}")
+                given[action] = [flag] if _SWITCH_VALUES[value.lower()] else []
+                continue
+            try:
+                self._get_values(action, [value])  # the flag's own type and choices
+            except argparse.ArgumentError as exc:
+                self.error(f"{where}: config key {key!r}: {exc.message}")
+            given[action] = [f"{flag}={value}"]
+        return [arg for argv in given.values() for arg in argv]
 
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:
-        raise _UsageError(f"expected a comma-separated integer list, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated integer list, got {text!r}"
+        ) from None
     if not values or any(v < 1 for v in values):
-        raise _UsageError(f"list must contain positive integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"list must contain positive integers, got {text!r}")
     if len(set(values)) != len(values):
-        raise _UsageError(f"list contains duplicates: {text!r}")
+        raise argparse.ArgumentTypeError(f"list contains duplicates: {text!r}")
     return values
+
+
+def _fields(args: argparse.Namespace, prefix: str) -> dict[str, Any]:
+    """The config fields given by flags whose dest is ``prefix.field``; the rest keep their defaults."""
+    return {
+        dest[len(prefix) + 1:]: value for dest, value in vars(args).items()
+        if dest.startswith(prefix + ".") and value is not None
+    }
+
+
+def _validated(config):
+    try:
+        config.validate()
+    except ValidationError as exc:
+        raise _UsageError(str(exc)) from None
+    return config
 
 
 def _derived_seeds(master: int) -> dict[str, int]:
@@ -143,46 +161,22 @@ def _open_out(path: str | None):
 
 # ── train ────────────────────────────────────────────────────────────────────
 
-_DEEPWALK_KEYS = {
-    "scale", "seed", "embed_dim", "walks_per_node", "walk_length", "window", "negatives",
-    "embed_epochs", "embed_lr", "embed_min_lr", "weighted_walks",
-}
-_TRAIN_KEYS = _DEEPWALK_KEYS | {
-    "normalize", "no_target_norm", "hidden", "clusters", "epochs", "lr", "momentum",
-    "weight_decay", "dropout", "batch_size", "loss_mode", "no_bias",
-}
 
-
-def _resolve_deepwalk(
-    opts: _Options,
-) -> tuple[str, int, dict[str, int], graph_embed.DeepWalkConfig]:
-    """(scale, master seed, derived seeds, validated DeepWalk config) from the options."""
-    scale = opts.choice("scale", "small", ("small", "large"))
-    seed = opts.get("seed", 0, int)
-    seeds = _derived_seeds(seed)
-    deepwalk = graph_embed.DeepWalkConfig(
-        dim=opts.get("embed_dim", SCALE_DEFAULTS[scale]["embed_dim"], int),
-        walks_per_node=opts.get("walks_per_node", 10, int),
-        walk_length=opts.get("walk_length", 40, int),
-        window=opts.get("window", 5, int),
-        negative_samples=opts.get("negatives", 5, int),
-        epochs=opts.get("embed_epochs", 5, int),
-        initial_learning_rate=opts.get("embed_lr", 0.025, float),
-        min_learning_rate=opts.get("embed_min_lr", 1e-4, float),
-        weighted_walks=bool(opts.get("weighted_walks", False, bool)),
-        rng_seed=seeds["deepwalk"],
-    )
-    try:
-        deepwalk.validate()
-    except ValidationError as exc:
-        raise _UsageError(str(exc)) from None
-    return scale, seed, seeds, deepwalk
+def _resolve_deepwalk(args: argparse.Namespace) -> tuple[dict[str, int], graph_embed.DeepWalkConfig]:
+    """(derived seeds, validated DeepWalk config); --scale fills the dim a flag did not set."""
+    seeds = _derived_seeds(args.seed)
+    deepwalk = graph_embed.DeepWalkConfig(**{
+        "dim": SCALE_DEFAULTS[args.scale]["embed_dim"],
+        **_fields(args, "deepwalk"),
+        "rng_seed": seeds["deepwalk"],
+    })
+    return seeds, _validated(deepwalk)
 
 
 def _label_graph(args: argparse.Namespace, dataset: data_io.Dataset) -> label_graph.LabelGraph:
     """Read the graph from --graph-file or build it; write it to --export-graph if given."""
     if args.graph_file:
-        with open(args.graph_file, "r", encoding="utf-8") as fh:
+        with data_io.open_text(args.graph_file) as fh:
             graph = label_graph.read_adjacency(fh, dataset.num_labels)
     else:
         graph = label_graph.build_label_graph(dataset)
@@ -193,33 +187,18 @@ def _label_graph(args: argparse.Namespace, dataset: data_io.Dataset) -> label_gr
 
 
 def _resolve_train(args: argparse.Namespace):
-    opts = _Options(args, _TRAIN_KEYS)
-    scale, seed, seeds, deepwalk = _resolve_deepwalk(opts)
-    sd = SCALE_DEFAULTS[scale]
-    train_cfg = net.TrainConfig(
-        learning_rate=opts.get("lr", 0.015, float),
-        momentum=opts.get("momentum", 0.9, float),
-        weight_decay=opts.get("weight_decay", 0.0005, float),
-        dropout_rate=opts.get("dropout", 0.5, float),
-        epochs=opts.get("epochs", 100, int),
-        minibatch_size=opts.get("batch_size", 64, int),
-        loss_mode=opts.choice("loss_mode", "mean", ("mean", "sum")),
-        use_bias=not bool(opts.get("no_bias", False, bool)),
-        rng_seed=seeds["net"],
-    )
+    seeds, deepwalk = _resolve_deepwalk(args)
+    train_cfg = _validated(net.TrainConfig(**_fields(args, "net"), rng_seed=seeds["net"]))
+    preset = SCALE_DEFAULTS[args.scale]
     resolved = {
-        "scale": scale,
-        "seed": seed,
+        "scale": args.scale,
+        "seed": args.seed,
         "seeds": seeds,
-        "normalize_features": opts.choice("normalize", "unit_l2", ("none", "unit_l2")),
-        "normalize_targets": not bool(opts.get("no_target_norm", False, bool)),
-        "hidden": opts.get("hidden", sd["hidden"], int),
-        "clusters": opts.get("clusters", sd["clusters"], int),
+        "normalize_features": args.normalize,
+        "normalize_targets": args.normalize_targets,
+        "hidden": preset["hidden"] if args.hidden is None else args.hidden,
+        "clusters": preset["clusters"] if args.clusters is None else args.clusters,
     }
-    try:
-        train_cfg.validate()
-    except ValidationError as exc:
-        raise _UsageError(str(exc)) from None
     if resolved["hidden"] < 1 or resolved["clusters"] < 1:
         raise _UsageError("hidden and clusters must be >= 1")
     return resolved, deepwalk, train_cfg
@@ -335,18 +314,14 @@ def _write_predictions(preds: Sequence[dict[int, float]], stream: IO[str]) -> No
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    opts = _Options(args, {"k", "weighting", "threads"})
-    k = opts.get("k", DEFAULT_K, int)
-    weighting = opts.choice("weighting", "uniform", ("uniform", "inverse_distance"))
-    threads = opts.get("threads", 1, int)  # checked, then unused: the search is one thread
-    if k < 1 or threads < 1:
+    if args.k < 1 or args.threads < 1:  # threads is checked, then unused: the search is one thread
         raise _UsageError("k and threads must be >= 1")
     artifacts = load_model(args.model)
     test = _load_test_for_model(artifacts, args.test_file)
     t0 = time.perf_counter()
     preds = predictor.predict_batch(
         artifacts.mlp, artifacts.clusters, artifacts.train_embeds, artifacts.train_labels,
-        test.features, k=k, weighting=weighting,
+        test.features, k=args.k, weighting=args.weighting,
     )
     log.info("predicted %d points in %.2fs", len(preds), time.perf_counter() - t0)
     stream, owned = _open_out(args.out)
@@ -363,7 +338,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def _read_predictions(path: str, num_points: int, num_labels: int) -> list[dict[int, float]]:
     maps: list[dict[int, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with data_io.open_text(path) as fh:
         lineno = 0
         for raw in fh:
             lineno += 1
@@ -400,10 +375,9 @@ def _read_predictions(path: str, num_points: int, num_labels: int) -> list[dict[
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    ks = _int_list(args.ks) if args.ks else DEFAULT_KS
     test = data_io.load_repo_file(args.test_file)
     maps = _read_predictions(args.predictions, test.num_points, test.num_labels)
-    report = evaluate(maps, test, ks=ks, skip_unlabeled=args.skip_unlabeled)
+    report = evaluate(maps, test, ks=args.ks, skip_unlabeled=args.skip_unlabeled)
     print(report.format_table())
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -415,12 +389,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_k(args: argparse.Namespace) -> int:
-    opts = _Options(args, {"weighting"})
-    weighting = opts.choice("weighting", "uniform", ("uniform", "inverse_distance"))
-    grid = _int_list(args.k_grid)
+    grid, ks = args.k_grid, args.ks
     artifacts = load_model(args.model)
     test = _load_test_for_model(artifacts, args.validation_file)
-    ks = _int_list(args.ks) if args.ks else DEFAULT_KS
 
     # One search at max k; each smaller k reads a prefix of the neighbors.
     per_point = predictor.knn_batch(
@@ -432,7 +403,7 @@ def cmd_sweep_k(args: argparse.Namespace) -> int:
     for k in grid:
         maps = predictor.score_neighbors(
             artifacts.clusters, artifacts.train_labels,
-            [(ids[:k], dists[:k]) for ids, dists in per_point], weighting,
+            [(ids[:k], dists[:k]) for ids, dists in per_point], args.weighting,
         )
         reports[k] = evaluate(maps, test, ks=ks, skip_unlabeled=args.skip_unlabeled)
 
@@ -462,7 +433,7 @@ def cmd_sweep_k(args: argparse.Namespace) -> int:
 
 
 def cmd_embed_labels(args: argparse.Namespace) -> int:
-    *_, cfg = _resolve_deepwalk(_Options(args, _DEEPWALK_KEYS))
+    _, cfg = _resolve_deepwalk(args)
     dataset = data_io.load_repo_file(args.train_file)
     embeddings = graph_embed.embed_labels(_label_graph(args, dataset), cfg)
     stream, owned = _open_out(args.out)
@@ -478,20 +449,33 @@ def cmd_embed_labels(args: argparse.Namespace) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="FILE", help="key = value file; flags win")
+    sub.add_argument("--config", metavar="FILE", help="key = value file of these flags; flags win")
 
 
-def _add_deepwalk_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--embed-dim", type=int, help="label embedding dimension")
-    sub.add_argument("--walks-per-node", type=int, help="random walks started per label")
-    sub.add_argument("--walk-length", type=int, help="steps per walk")
-    sub.add_argument("--window", type=int, help="skip-gram context window")
-    sub.add_argument("--negatives", type=int, help="negative samples per pair")
-    sub.add_argument("--embed-epochs", type=int, help="skip-gram epochs over the corpus")
-    sub.add_argument("--embed-lr", type=float, help="initial skip-gram learning rate")
-    sub.add_argument("--embed-min-lr", type=float, help="floor of the decayed rate")
-    sub.add_argument("--weighted-walks", action="store_true", default=None,
-                     help="step proportionally to co-occurrence counts")
+# A flag whose dest is "deepwalk.<field>" or "net.<field>" sets that field of
+# DeepWalkConfig or TrainConfig; a flag left unset keeps the dataclass default.
+def _add_label_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--scale", choices=("small", "large"), default="small",
+                     help="size preset: embedding dim, hidden width, cluster count")
+    sub.add_argument("--seed", type=int, default=0, help="master seed; stage seeds derive from it")
+    sub.add_argument("--embed-dim", type=int, dest="deepwalk.dim", metavar="N",
+                     help="label embedding dimension")
+    sub.add_argument("--walks-per-node", type=int, dest="deepwalk.walks_per_node", metavar="N",
+                     help="random walks started per label")
+    sub.add_argument("--walk-length", type=int, dest="deepwalk.walk_length", metavar="N",
+                     help="steps per walk")
+    sub.add_argument("--window", type=int, dest="deepwalk.window", metavar="N",
+                     help="skip-gram context window")
+    sub.add_argument("--negatives", type=int, dest="deepwalk.negative_samples", metavar="N",
+                     help="negative samples per pair")
+    sub.add_argument("--embed-epochs", type=int, dest="deepwalk.epochs", metavar="N",
+                     help="skip-gram epochs over the corpus")
+    sub.add_argument("--embed-lr", type=float, dest="deepwalk.initial_learning_rate", metavar="X",
+                     help="initial skip-gram learning rate")
+    sub.add_argument("--embed-min-lr", type=float, dest="deepwalk.min_learning_rate", metavar="X",
+                     help="floor of the decayed rate")
+    sub.add_argument("--weighted-walks", action="store_true", dest="deepwalk.weighted_walks",
+                     default=None, help="step proportionally to co-occurrence counts")
     sub.add_argument("--graph-file", metavar="FILE",
                      help="read the label graph from an edge list instead of building it")
     sub.add_argument("--export-graph", metavar="FILE", help="also write the edge list here")
@@ -507,32 +491,37 @@ def _build_parser() -> argparse.ArgumentParser:
     tr = subs.add_parser("train", help="fit a model from a labeled training file")
     tr.add_argument("train_file")
     tr.add_argument("--model-out", required=True, metavar="FILE")
-    tr.add_argument("--scale", choices=("small", "large"))
-    tr.add_argument("--seed", type=int, help="master seed; stage seeds derive from it")
-    tr.add_argument("--normalize", choices=("none", "unit_l2"), help="per-point feature scaling")
-    tr.add_argument("--no-target-norm", action="store_true", default=None,
+    tr.add_argument("--normalize", choices=("none", "unit_l2"), default="unit_l2",
+                    help="per-point feature scaling")
+    tr.add_argument("--no-target-norm", action="store_false", dest="normalize_targets",
                     help="skip unit-norm scaling of label targets")
     tr.add_argument("--hidden", type=int, help="hidden layer width")
     tr.add_argument("--clusters", type=int, help="k-means cluster count")
-    tr.add_argument("--epochs", type=int, help="network training epochs")
-    tr.add_argument("--lr", type=float, help="SGD learning rate")
-    tr.add_argument("--momentum", type=float)
-    tr.add_argument("--weight-decay", type=float)
-    tr.add_argument("--dropout", type=float, help="dropout rate on the output layer")
-    tr.add_argument("--batch-size", type=int)
-    tr.add_argument("--loss-mode", choices=("mean", "sum"), help="batch loss reduction")
-    tr.add_argument("--no-bias", action="store_true", default=None, help="freeze biases at zero")
+    tr.add_argument("--epochs", type=int, dest="net.epochs", metavar="N",
+                    help="network training epochs")
+    tr.add_argument("--lr", type=float, dest="net.learning_rate", metavar="X",
+                    help="SGD learning rate")
+    tr.add_argument("--momentum", type=float, dest="net.momentum", metavar="X")
+    tr.add_argument("--weight-decay", type=float, dest="net.weight_decay", metavar="X")
+    tr.add_argument("--dropout", type=float, dest="net.dropout_rate", metavar="X",
+                    help="dropout rate on the output layer")
+    tr.add_argument("--batch-size", type=int, dest="net.minibatch_size", metavar="N")
+    tr.add_argument("--loss-mode", choices=("mean", "sum"), dest="net.loss_mode",
+                    help="batch loss reduction")
+    tr.add_argument("--no-bias", action="store_false", dest="net.use_bias", default=None,
+                    help="freeze biases at zero")
     tr.add_argument("--dry-run", action="store_true", help="print the plan and stop")
-    _add_deepwalk_flags(tr)
+    _add_label_flags(tr)
     _add_common(tr)
     tr.set_defaults(func=cmd_train)
 
     pr = subs.add_parser("predict", help="write ranked label scores for a test file")
     pr.add_argument("model")
     pr.add_argument("test_file")
-    pr.add_argument("-k", type=int, help="neighbors consulted per point")
-    pr.add_argument("--weighting", choices=("uniform", "inverse_distance"))
-    pr.add_argument("--threads", type=int, help="accepted and unused; the search runs in one thread")
+    pr.add_argument("-k", type=int, default=10, help="neighbors consulted per point")
+    pr.add_argument("--weighting", choices=("uniform", "inverse_distance"), default="uniform")
+    pr.add_argument("--threads", type=int, default=1,
+                    help="accepted and unused; the search runs in one thread")
     pr.add_argument("--out", metavar="FILE", help="predictions path, default stdout")
     _add_common(pr)
     pr.set_defaults(func=cmd_predict)
@@ -540,7 +529,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ev = subs.add_parser("evaluate", help="score a predictions file against labels")
     ev.add_argument("predictions")
     ev.add_argument("test_file")
-    ev.add_argument("--ks", help="comma-separated ranks, default 1,3,5")
+    ev.add_argument("--ks", type=_int_list, default=DEFAULT_KS,
+                    help="comma-separated ranks, default 1,3,5")
     ev.add_argument("--skip-unlabeled", action="store_true",
                     help="drop unlabeled test points instead of counting zeros")
     ev.add_argument("--out", metavar="FILE", help="also write key=value metrics here")
@@ -550,9 +540,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sw = subs.add_parser("sweep-k", help="evaluate a grid of neighbor counts")
     sw.add_argument("model")
     sw.add_argument("validation_file")
-    sw.add_argument("--k-grid", required=True, help="comma-separated candidate k values")
-    sw.add_argument("--ks", help="ranks to report, default 1,3,5")
-    sw.add_argument("--weighting", choices=("uniform", "inverse_distance"))
+    sw.add_argument("--k-grid", type=_int_list, required=True,
+                    help="comma-separated candidate k values")
+    sw.add_argument("--ks", type=_int_list, default=DEFAULT_KS,
+                    help="ranks to report, default 1,3,5")
+    sw.add_argument("--weighting", choices=("uniform", "inverse_distance"), default="uniform")
     sw.add_argument("--skip-unlabeled", action="store_true")
     sw.add_argument("--out", metavar="FILE", help="write best_k lines here")
     _add_common(sw)
@@ -561,9 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
     em = subs.add_parser("embed-labels", help="run only the label-embedding stages")
     em.add_argument("train_file")
     em.add_argument("--out", metavar="FILE", help="embedding text path, default stdout")
-    em.add_argument("--scale", choices=("small", "large"))
-    em.add_argument("--seed", type=int)
-    _add_deepwalk_flags(em)
+    _add_label_flags(em)
     _add_common(em)
     em.set_defaults(func=cmd_embed_labels)
     return parser
@@ -589,13 +579,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         log.error("usage error: %s", exc)
         return 1
-    except (DataFormatError, ModelFileError, ValidationError) as exc:
-        log.error("error: %s", exc)
-        return 2
-    except OSError as exc:
-        log.error("error: %s", exc)
-        return 2
-    except DxmlError as exc:
+    except (DxmlError, OSError) as exc:  # data, validation and model-file errors
         log.error("error: %s", exc)
         return 2
     except Exception:

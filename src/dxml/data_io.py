@@ -19,10 +19,11 @@ every check is one array operation over the block.
 from __future__ import annotations
 
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice, repeat
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -498,8 +499,18 @@ def write_repo_file(dataset: Dataset, stream: IO[str] | None = None) -> str:
     return out.getvalue() if stream is None else ""
 
 
-def load_repo_file(path: str) -> Dataset:
+@contextmanager
+def open_text(path: str) -> Iterator[IO[str]]:
+    """Open a UTF-8 text input; bytes that do not decode raise DataFormatError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def load_repo_file(path: str) -> Dataset:
+    with open_text(path) as fh:
         return parse_repo_file(fh)
 
 

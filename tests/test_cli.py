@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: exit codes, files, determinism."""
 
+import argparse
+import dataclasses
 import io
 import json
 import re
@@ -9,8 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from dxml import load_repo_file
-from dxml.cli import _write_predictions, main
+from dxml import DeepWalkConfig, TrainConfig, load_repo_file
+from dxml.cli import _build_parser, _int_list, _write_predictions, main
 
 
 TINY_FLAGS = [
@@ -73,6 +75,18 @@ class TestTrain:
         assert plan["stages"][0].startswith("parse")
         import os
         assert not os.path.exists(model)
+
+    def test_defaults_are_the_config_dataclasses(self, data_files, tmp_path, capsys):
+        train, _ = data_files
+        assert main(["train", train, "--model-out", str(tmp_path / "m.dxml"), "--dry-run"]) == 0
+        settings = json.loads(capsys.readouterr().out)["settings"]
+        want_net = dataclasses.asdict(TrainConfig())
+        want_deepwalk = dataclasses.asdict(DeepWalkConfig())
+        for fields in (settings["net"], settings["deepwalk"], want_net, want_deepwalk):
+            del fields["rng_seed"]  # derived from --seed
+        del settings["deepwalk"]["dim"], want_deepwalk["dim"]  # set by --scale
+        assert settings["net"] == want_net
+        assert settings["deepwalk"] == want_deepwalk
 
     def test_config_file_merging(self, data_files, tmp_path, capsys):
         train, _ = data_files
@@ -261,6 +275,17 @@ class TestEvaluate:
         table = capsys.readouterr().out
         assert re.search(r"^\s*2\s+100\.00\s+100\.00$", table, re.M)
 
+    def test_config_ks_sets_the_table(self, tmp_path, capsys):
+        preds, test = self.perfect_fixture(tmp_path)
+        assert main(["evaluate", preds, test]) == 0
+        default = capsys.readouterr().out
+        assert main(["evaluate", preds, test, "--ks", "1,2"]) == 0
+        flagged = capsys.readouterr().out
+        cfg = tmp_path / "ev.cfg"
+        cfg.write_text("ks = 1,2\n")
+        assert main(["evaluate", preds, test, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == flagged != default
+
     def test_bad_ks_usage_error(self, tmp_path):
         preds, test = self.perfect_fixture(tmp_path)
         assert main(["evaluate", preds, test, "--ks", "0,3"]) == 1
@@ -284,6 +309,16 @@ class TestSweepK:
         _, test = data_files
         assert main(["sweep-k", trained_model, test, "--k-grid", "7"]) == 0
         assert "best_k_P@1=7" in capsys.readouterr().out
+
+    def test_config_ks_and_grid(self, trained_model, data_files, tmp_path, capsys):
+        _, test = data_files
+        assert main(["sweep-k", trained_model, test, "--k-grid", "1,5", "--ks", "1"]) == 0
+        flagged = capsys.readouterr().out
+        cfg = tmp_path / "sw.cfg"
+        cfg.write_text("ks = 1\nk_grid = 1,5\n")
+        assert main(["sweep-k", trained_model, test, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == flagged
+        assert "P@3" not in flagged
 
     def test_empty_grid_is_usage_error(self, trained_model, data_files):
         _, test = data_files
@@ -320,6 +355,154 @@ class TestEmbedLabels:
         assert main(["embed-labels", train, "--out", b, "--config", str(cfg),
                      *flags[4:]]) == 0
         assert read_bytes(a) == read_bytes(b)
+
+
+SUBCOMMANDS = next(
+    action.choices for action in _build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+)
+# Every optional flag of every subcommand except --help and --config.
+CONFIG_FLAGS = [
+    (command, action.option_strings[-1])
+    for command, sub in SUBCOMMANDS.items()
+    for action in sub._actions
+    if action.option_strings and action.dest not in ("help", "config")
+]
+
+
+def flag_values(action):
+    """Two distinct values the flag accepts."""
+    if action.choices:
+        return action.choices[0], action.choices[-1]
+    return {int: ("7", "3"), float: ("0.25", "0.5"), _int_list: ("2,4", "1"),
+            None: ("a.txt", "b.txt")}[action.type]
+
+
+def base_argv(command, skip=None):
+    """The command with placeholder positionals and its required flags, bar ``skip``."""
+    argv = [command]
+    for action in SUBCOMMANDS[command]._actions:
+        if not action.option_strings:
+            argv.append("x.txt")
+        elif action.required and action.option_strings[-1] != skip:
+            argv += [action.option_strings[-1], flag_values(action)[0]]
+    return argv
+
+
+def parse(argv):
+    parsed = vars(_build_parser().parse_args(argv))
+    del parsed["config"]
+    return parsed
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("command,flag", CONFIG_FLAGS, ids=[" ".join(c) for c in CONFIG_FLAGS])
+    def test_key_parses_as_its_flag(self, command, flag, tmp_path):
+        action = SUBCOMMANDS[command]._option_string_actions[flag]
+        base = base_argv(command, skip=flag)
+        cfg = tmp_path / "run.cfg"
+        name = flag.lstrip("-")
+        for key in (name, name.replace("-", "_")):
+            if action.nargs == 0:
+                cfg.write_text(f"{key} = true\n")
+                assert parse(base + ["--config", str(cfg)]) == parse(base + [flag])
+            else:
+                file_value, flag_value = flag_values(action)
+                cfg.write_text(f"{key} = {file_value}\n")
+                assert parse(base + ["--config", str(cfg)]) == parse(base + [flag, file_value])
+                # a flag on the command line beats the file, before or after --config
+                want = parse(base + [flag, flag_value])
+                assert parse(base + ["--config", str(cfg), flag, flag_value]) == want
+                assert parse(base + [flag, flag_value, "--config", str(cfg)]) == want
+
+    @pytest.mark.parametrize("spelling", ["true", "1", "yes", "True", "YES",
+                                          "false", "0", "no", "False", "NO"])
+    def test_switch_spellings(self, spelling, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"no_bias = {spelling}\nweighted-walks = {spelling}\n")
+        given = spelling.lower() in ("true", "1", "yes")
+        switches = ["--no-bias", "--weighted-walks"] if given else []
+        base = base_argv("train")
+        assert parse(base + ["--config", str(cfg)]) == parse(base + switches)
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_unknown_key_exits_1_naming_it(self, command, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bogus = 3\n")
+        assert main(base_argv(command) + ["--config", str(cfg)]) == 1
+        assert "'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,key", [
+        ("epochs = many", "epochs"),
+        ("weight_decay = -", "weight_decay"),
+        ("loss-mode = max", "loss-mode"),
+        ("no_bias = maybe", "no_bias"),
+        ("train_file = a.txt", "train_file"),
+        ("help = true", "help"),
+        ("config = other.cfg", "config"),
+    ])
+    def test_bad_key_or_value_exits_1_naming_it(self, line, key, data_files, tmp_path, capsys):
+        train, _ = data_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"hidden = 8\n{line}\n")
+        assert main(["train", train, "--model-out", str(tmp_path / "m.dxml"), "--dry-run",
+                     "--config", str(cfg)]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+
+    def test_required_flag_from_file_trains_same_model(self, data_files, tmp_path):
+        train, _ = data_files
+        a, b = str(tmp_path / "a.dxml"), str(tmp_path / "b.dxml")
+        assert main(["train", train, "--model-out", a, *TINY_FLAGS]) == 0
+        cfg = tmp_path / "run.cfg"  # an underscore key, then the dashed flag names
+        cfg.write_text(f"model_out = {b}\n" + "".join(
+            f"{flag[2:]} = {value}\n" for flag, value in zip(TINY_FLAGS[::2], TINY_FLAGS[1::2])
+        ))
+        assert main(["train", train, "--config", str(cfg)]) == 0
+        assert read_bytes(a) == read_bytes(b)
+
+
+def with_byte_ff(src, dst):
+    """Write a copy of ``src`` with byte 0xff, which is never UTF-8, in its middle."""
+    blob = read_bytes(src)
+    with open(dst, "wb") as fh:
+        fh.write(blob[: len(blob) // 2] + b"\xff" + blob[len(blob) // 2:])
+    return str(dst)
+
+
+class TestNonUtf8Input:
+    def test_train_file(self, data_files, tmp_path, capsys):
+        bad = with_byte_ff(data_files[0], tmp_path / "train.txt")
+        assert main(["train", bad, "--model-out", str(tmp_path / "m.dxml"), *TINY_FLAGS]) == 2
+        assert f"{bad}: not UTF-8" in capsys.readouterr().err
+
+    def test_test_file(self, trained_model, data_files, tmp_path, capsys):
+        bad = with_byte_ff(data_files[1], tmp_path / "test.txt")
+        assert main(["predict", trained_model, bad, "--out", str(tmp_path / "p.txt")]) == 2
+        assert f"{bad}: not UTF-8" in capsys.readouterr().err
+
+    def test_predictions_file(self, trained_model, data_files, tmp_path, capsys):
+        _, test = data_files
+        preds = str(tmp_path / "preds.txt")
+        assert main(["predict", trained_model, test, "--out", preds]) == 0
+        bad = with_byte_ff(preds, tmp_path / "bad.txt")
+        assert main(["evaluate", bad, test]) == 2
+        assert f"{bad}: not UTF-8" in capsys.readouterr().err
+
+    def test_graph_file(self, data_files, tmp_path, capsys):
+        train, _ = data_files
+        graph = tmp_path / "graph.txt"
+        graph.write_bytes(b"6\n0 1 \xff\n")
+        assert main(["train", train, "--model-out", str(tmp_path / "m.dxml"),
+                     "--graph-file", str(graph), *TINY_FLAGS]) == 2
+        assert f"{graph}: not UTF-8" in capsys.readouterr().err
+
+    def test_config_file_is_usage_error(self, data_files, tmp_path, capsys):
+        train, _ = data_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"epochs = 3\n\xff\n")
+        assert main(["train", train, "--model-out", str(tmp_path / "m.dxml"), "--dry-run",
+                     "--config", str(cfg)]) == 1
+        assert str(cfg) in capsys.readouterr().err
 
 
 class TestUsage:
