@@ -122,6 +122,17 @@ def _int_list(text: str) -> tuple[int, ...]:
     return values
 
 
+def _seed(text: str) -> int:
+    """A master seed: numpy's SeedSequence takes non-negative integers only."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _fields(args: argparse.Namespace, prefix: str) -> dict[str, Any]:
     """The config fields given by flags whose dest is ``prefix.field``; the rest keep their defaults."""
     return {
@@ -251,6 +262,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
     if rows.size == 0:
         raise ValidationError("training file has no labeled points")
+    # The float64 label vectors have served their purpose: keep them as the
+    # float32 the model file stores (the same bytes), at half the memory.
+    embeddings = graph_embed.EmbeddingMatrix(embeddings.values.astype(np.float32))
 
     xs = dataset.features.take(rows)
     with _stage("network training", timings):
@@ -457,7 +471,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def _add_label_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--scale", choices=("small", "large"), default="small",
                      help="size preset: embedding dim, hidden width, cluster count")
-    sub.add_argument("--seed", type=int, default=0, help="master seed; stage seeds derive from it")
+    sub.add_argument("--seed", type=_seed, default=0, help="master seed, >= 0; stage seeds derive from it")
     sub.add_argument("--embed-dim", type=int, dest="deepwalk.dim", metavar="N",
                      help="label embedding dimension")
     sub.add_argument("--walks-per-node", type=int, dest="deepwalk.walks_per_node", metavar="N",

@@ -20,11 +20,18 @@ the gathered rows to float64 before the product; widening is exact, so every
 activation has the same bits as with a float64 W1, and no float64 copy of
 the whole matrix is made.
 
+The W1 gradient is compact: ``loss_and_gradients`` accumulates it only for
+the batch's sorted distinct feature ids, one row each, in the same per-point
+order as a dense scatter would, so every sum has the same bits.  No d x H
+gradient exists; the trainer reuses one scratch buffer of at most as many
+rows as a batch can name, and each batch zeroes only the rows it uses.
+
 ``sgd_step`` applies the exact dense momentum and decay update in row blocks
 of about 128 KB per array, so each block stays in cache through all of its
 operations; they are elementwise, so the bits do not depend on the block
-size.  The trainer reuses one W1 gradient buffer and zeroes it after every
-step.
+size.  Each block's dense W1 gradient is rebuilt in a block scratch from the
+compact rows that fall in it, zeros elsewhere, so adding it gives the bits of
+the dense update, the sign of every zero included.
 """
 
 from __future__ import annotations
@@ -138,10 +145,17 @@ class TrainConfig:
 
 @dataclass
 class Gradients:
+    """Gradients of the four tensors; the W1 gradient is compact.
+
+    ``dW1[j]`` is the gradient of ``W1[rows[j]]``.  ``rows`` holds sorted,
+    distinct feature ids; every other row of the W1 gradient is zero.
+    """
+
     dW1: np.ndarray
     db1: np.ndarray
     dW2: np.ndarray
     db2: np.ndarray
+    rows: np.ndarray
 
 
 @dataclass
@@ -256,8 +270,11 @@ def loss_and_gradients(
     ``batch`` is a sequence of (point, target) pairs, or one pair of CSR
     rows and a (B, l) target array.  ``dropout_masks`` is a (B, l) array of
     pre-scaled mask rows or None; gradients are for the mean per-point
-    distance ('mean') or the plain sum ('sum').  ``dW1``, if given, must be
-    zero; it receives the W1 gradient in place of a new array.
+    distance ('mean') or the plain sum ('sum').  The W1 gradient is compact,
+    one row per distinct feature id of the batch (``Gradients.rows``).
+    ``dW1``, if given, is a float64 scratch array of H columns and at least
+    that many rows; its leading rows are zeroed and hold the gradient, which
+    is then a view of it, in place of a new array.
     """
     if loss_mode not in ("mean", "sum"):
         raise ValidationError("loss_mode must be 'mean' or 'sum'")
@@ -287,28 +304,60 @@ def loss_and_gradients(
     db2 = dZ.sum(axis=0)
     dA = dZ @ model.W2.T
     dH = dA * (Hpre > 0.0)
+    # The batch's distinct ids, sorted, and each id's row in the compact
+    # gradient; the forward pass has checked that every id lies in [0, d).
+    named = np.bincount(x.indices, minlength=model.input_dim) > 0
+    rows = np.flatnonzero(named)
+    local = (np.cumsum(named) - 1)[x.indices]
     if dW1 is None:
-        dW1 = np.zeros_like(model.W1)
-    idx, val, ip = x.indices, x.values, x.indptr.tolist()
+        dW1 = np.zeros((rows.size, model.hidden_size))
+    elif dW1.shape[0] < rows.size or dW1.shape[1] != model.hidden_size:
+        raise ValidationError(f"W1 gradient buffer {dW1.shape} cannot hold the batch's "
+                              f"({rows.size}, {model.hidden_size})")
+    else:
+        dW1 = dW1[: rows.size]
+        dW1.fill(0.0)
+    val, ip = x.values, x.indptr.tolist()
     for i, (a, b) in enumerate(zip(ip, ip[1:])):
         if a < b:
-            dW1[idx[a:b]] += val[a:b, None] * dH[i]
+            dW1[local[a:b]] += val[a:b, None] * dH[i]
     db1 = dH.sum(axis=0)
-    return loss, Gradients(dW1=dW1, db1=db1, dW2=dW2, db2=db2)
+    return loss, Gradients(dW1=dW1, db1=db1, dW2=dW2, db2=db2, rows=rows)
 
 
 def _momentum_rows(
-    W: np.ndarray, v: np.ndarray, g: np.ndarray, mu: float, lr: float, wd: float
+    W: np.ndarray,
+    v: np.ndarray,
+    g: np.ndarray,
+    mu: float,
+    lr: float,
+    wd: float,
+    rows: np.ndarray | None = None,
 ) -> None:
     """v <- mu*v + (g + wd*W), then W <- W - lr*v, a cache-sized row block at a time.
 
-    Every operation is elementwise, so the bits do not depend on the block.
+    ``g`` is the dense gradient, or with ``rows`` the compact one: ``g[j]``
+    is row ``rows[j]`` (sorted, distinct) and every other row is zero.  Each
+    block's dense rows are then rebuilt in a block scratch, zeros included,
+    and added as a dense block would be: ``t += 0.0`` turns a -0.0 into
+    +0.0, so skipping the zero rows would change bits.  Every operation is
+    elementwise, so the bits do not depend on the block.
     """
-    step = max(1, _UPDATE_BYTES // (W.shape[1] * W.itemsize))
-    tmp = np.empty((min(step, W.shape[0]), W.shape[1]))
-    for s in range(0, W.shape[0], step):
-        Wb, vb, gb = W[s : s + step], v[s : s + step], g[s : s + step]
+    n, h = W.shape
+    step = max(1, _UPDATE_BYTES // (h * W.itemsize))
+    tmp = np.empty((min(step, n), h))
+    if rows is not None:
+        dense = np.empty_like(tmp)
+        cuts = np.searchsorted(rows, range(0, n + step, step)).tolist()
+    for k, s in enumerate(range(0, n, step)):
+        Wb, vb = W[s : s + step], v[s : s + step]
         t = tmp[: Wb.shape[0]]
+        if rows is None:
+            gb = g[s : s + step]
+        else:
+            gb = dense[: Wb.shape[0]]
+            gb.fill(0.0)
+            gb[rows[cuts[k] : cuts[k + 1]] - s] = g[cuts[k] : cuts[k + 1]]
         vb *= mu
         np.multiply(Wb, wd, out=t)
         t += gb
@@ -324,13 +373,14 @@ def sgd_step(
 
     v <- momentum*v + grad + weight_decay*param for weights (no decay on
     biases), then param <- param - lr*v.  Non-finite gradients abort before
-    anything is written.
+    anything is written.  The W1 gradient is compact (``Gradients.rows``);
+    the update covers every row of W1, named or not.
     """
     for name, g in (("dW1", grads.dW1), ("db1", grads.db1), ("dW2", grads.dW2), ("db2", grads.db2)):
         if not np.all(np.isfinite(g)):
             raise ValidationError(f"non-finite gradient in {name}")
     mu, lr, wd = config.momentum, config.learning_rate, config.weight_decay
-    _momentum_rows(model.W1, state.vW1, grads.dW1, mu, lr, wd)
+    _momentum_rows(model.W1, state.vW1, grads.dW1, mu, lr, wd, grads.rows)
     _momentum_rows(model.W2, state.vW2, grads.dW2, mu, lr, wd)
     if config.use_bias:
         state.vb1 *= mu
@@ -360,8 +410,13 @@ def train_embedding_net(
     rng = np.random.default_rng(config.rng_seed)
     model = init_model(num_features, hidden_size, targets.shape[1], rng)
     state = OptimizerState.zeros_like(model)
-    dW1 = np.zeros_like(model.W1)  # one gradient buffer, zeroed after every step
     B = config.minibatch_size
+    # One compact W1 gradient buffer for the whole training.  A batch names
+    # at most as many distinct rows as the B longest points hold ids; each
+    # batch zeroes and uses only the leading rows it needs, so the rest of
+    # the buffer is never touched.
+    most = int(np.sort(np.diff(x.indptr))[-B:].sum())
+    dW1 = np.empty((min(num_features, most), hidden_size))
     rate = config.dropout_rate
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
@@ -378,7 +433,6 @@ def train_embedding_net(
                 model, (batch, targets[sel]), masks, config.loss_mode, dW1
             )
             sgd_step(model, state, grads, config)
-            dW1[batch.indices] = 0.0  # only the rows of the batch's features were written
             total += loss * sel.size if config.loss_mode == "mean" else loss
         epoch_mean = total / n
         if record_losses is not None:

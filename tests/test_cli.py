@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dxml import DeepWalkConfig, TrainConfig, load_repo_file
-from dxml.cli import _build_parser, _int_list, _write_predictions, main
+from dxml.cli import _build_parser, _derived_seeds, _int_list, _seed, _write_predictions, main
 
 
 TINY_FLAGS = [
@@ -51,6 +51,34 @@ class TestTrain:
         assert main(["train", train, "--model-out", a, *TINY_FLAGS]) == 0
         assert main(["train", train, "--model-out", b, "--seed", "5", *TINY_FLAGS]) == 0
         assert read_bytes(a) != read_bytes(b)
+
+    @pytest.mark.parametrize("command", ["train", "embed-labels"])
+    @pytest.mark.parametrize("source", ["flag", "flag=", "config"])
+    @pytest.mark.parametrize("value", ["-1", "-3", "seven"])
+    def test_bad_seed_is_usage_error(self, command, source, value, data_files, tmp_path, capsys):
+        train, _ = data_files
+        argv = [command, train, "--out" if command == "embed-labels" else "--model-out",
+                str(tmp_path / "out")]
+        if source == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"seed = {value}\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--seed", value] if source == "flag" else [f"--seed={value}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err and "internal error" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", ["0", "5", "007", str(2**64 + 3)])
+    def test_valid_seed_derives_stage_seeds(self, seed, data_files, tmp_path, capsys):
+        train, _ = data_files
+        assert main(["train", train, "--model-out", str(tmp_path / "m.dxml"), "--dry-run",
+                     "--seed", seed]) == 0
+        settings = json.loads(capsys.readouterr().out)["settings"]
+        assert settings["seed"] == int(seed)
+        assert settings["seeds"] == _derived_seeds(int(seed))
+        assert settings["net"]["rng_seed"] == settings["seeds"]["net"]
 
     def test_all_unlabeled_input_fails(self, tmp_path, capsys):
         path = str(tmp_path / "empty_labels.txt")
@@ -374,7 +402,7 @@ def flag_values(action):
     """Two distinct values the flag accepts."""
     if action.choices:
         return action.choices[0], action.choices[-1]
-    return {int: ("7", "3"), float: ("0.25", "0.5"), _int_list: ("2,4", "1"),
+    return {int: ("7", "3"), float: ("0.25", "0.5"), _int_list: ("2,4", "1"), _seed: ("7", "3"),
             None: ("a.txt", "b.txt")}[action.type]
 
 

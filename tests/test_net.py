@@ -1,5 +1,6 @@
 """Embedding network: forward pass, loss, gradients, optimizer, training."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -97,7 +98,15 @@ def reference_loss_and_gradients(model, batch, masks=None, loss_mode="mean"):
     for i, sv in enumerate(xs):
         if sv.nnz:
             dW1[sv.indices] += sv.values[:, None] * dH[i]
-    return loss, Gradients(dW1=dW1, db1=dH.sum(axis=0), dW2=A.T @ dZ, db2=dZ.sum(axis=0))
+    return loss, Gradients(dW1=dW1, db1=dH.sum(axis=0), dW2=A.T @ dZ, db2=dZ.sum(axis=0),
+                           rows=np.arange(model.input_dim))
+
+
+def dense_dW1(grads, d):
+    """The compact W1 gradient as the dense (d, H) array it stands for."""
+    out = np.zeros((d, grads.dW1.shape[1]))
+    out[grads.rows] = grads.dW1
+    return out
 
 
 def reference_sgd_step(model, state, grads, config):
@@ -219,11 +228,14 @@ class TestMatchesPerPointReference:
         masks = (rng.random(targets.shape) >= 0.5) / 0.5 if dropout else None
         batch = list(zip(xs, targets))
         want_loss, want = reference_loss_and_gradients(model, batch, masks, mode)
+        named = np.unique(np.concatenate([x.indices for x in xs]).astype(np.int64))
         for given_batch in (batch, (SparseRows.pack(xs), targets)):
             loss, got = loss_and_gradients(model, given_batch, masks, mode)
             assert loss == want_loss
-            for a, b in ((got.dW1, want.dW1), (got.db1, want.db1), (got.dW2, want.dW2),
-                         (got.db2, want.db2)):
+            assert got.rows.tolist() == named.tolist()  # the batch's distinct ids, sorted
+            assert got.dW1.shape == (named.size, model.hidden_size)
+            for a, b in ((dense_dW1(got, model.input_dim), want.dW1), (got.db1, want.db1),
+                         (got.dW2, want.dW2), (got.db2, want.db2)):
                 assert a.tobytes() == b.tobytes()
 
     @given(net_problems, st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 2, 5]))
@@ -253,6 +265,107 @@ class TestMatchesPerPointReference:
             got = forward(model, x, dropout_mask=mask)
             assert got.tobytes() == reference_forward(model, x, mask).tobytes()
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.integers(1, 6),
+        st.sampled_from([None, 1, 3]),
+        st.sampled_from([0.0, 0.0005]),
+        st.sampled_from([0.0, 0.9]),
+        st.sampled_from(["none", "first", "last", "block edges", "some", "all"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sgd_step(self, seed, d, hidden, block, wd, mu, named):
+        # W1 and vW1 hold -0.0 and negative entries: with weight_decay 0 the
+        # decay term of a negative weight is -0.0, and the dense update turns
+        # it into +0.0 by adding the +0.0 gradient of a row the batch did not
+        # name.  The momentum buffers are compared too, where that shows.
+        rng = np.random.default_rng(seed)
+        model = init_model(d, hidden, 3, rng)
+        state = OptimizerState(*(rng.standard_normal(a.shape) for a in
+                                 (model.W1, model.b1, model.W2, model.b2)))
+        model.W1[rng.random(model.W1.shape) < 0.2] = -0.0
+        state.vW1[rng.random(model.W1.shape) < 0.2] = -0.0
+        step = net._UPDATE_BYTES // (hidden * 8) if block is None else block
+        rows = np.array({
+            "none": [],
+            "first": [0],
+            "last": [d - 1],
+            "block edges": sorted({e for s in range(0, d, step) for e in (s, min(s + step, d) - 1)}),
+            "some": sorted(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False).tolist()),
+            "all": range(d),
+        }[named], dtype=np.int64)
+        grads = Gradients(*(rng.standard_normal(shape) for shape in
+                            ((rows.size, hidden), hidden, model.W2.shape, model.output_dim)),
+                          rows=rows)
+        grads.dW1[rng.random(grads.dW1.shape) < 0.2] = -0.0
+        cfg = TrainConfig(learning_rate=0.05, momentum=mu, weight_decay=wd)
+        want_model = MlpModel(*(a.copy() for a in (model.W1, model.b1, model.W2, model.b2)))
+        want_state = OptimizerState(*(a.copy() for a in
+                                      (state.vW1, state.vb1, state.vW2, state.vb2)))
+        dense = Gradients(dense_dW1(grads, d), grads.db1, grads.dW2, grads.db2, np.arange(d))
+        reference_sgd_step(want_model, want_state, dense, cfg)
+        with mock.patch.object(net, "_UPDATE_BYTES", step * hidden * 8):
+            sgd_step(model, state, grads, cfg)
+        assert_same_model(model, want_model)
+        for a, b in ((state.vW1, want_state.vW1), (state.vb1, want_state.vb1),
+                     (state.vW2, want_state.vW2), (state.vb2, want_state.vb2)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("block", [None, 1, 3])
+    def test_edge_rows_empty_rows_and_signed_zeros(self, block):
+        # d = 13 rows: with 3-row blocks the ids 0, 2, 3, 5, 6, 11 and 12 sit
+        # on block edges, and 12 is the last row; points 1 and 4 are empty.
+        # weight_decay 0 with momentum 0 makes -0.0 decay terms and momenta.
+        d, hidden = 13, 4
+        ids = [[0, 2, 3], [], [5, 6, 12], [11, 12], [], [0, 12]]
+        rng = np.random.default_rng(12)
+        xs = [SparseVector(np.array(i, dtype=np.int32), rng.uniform(0.5, 1.5, len(i)))
+              for i in ids]
+        targets = rng.standard_normal((len(xs), 3))
+        targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+        model = init_model(d, hidden, 3, rng)
+        _, want = reference_loss_and_gradients(model, list(zip(xs, targets)))
+        _, got = loss_and_gradients(model, (SparseRows.pack(xs), targets))
+        assert got.rows.tolist() == [0, 2, 3, 5, 6, 11, 12]
+        assert dense_dW1(got, d).tobytes() == want.dW1.tobytes()
+        update_bytes = net._UPDATE_BYTES if block is None else block * hidden * 8
+        for wd, mu, size in ((0.0, 0.0, 2), (0.0, 0.9, 4), (0.0005, 0.9, 3)):
+            cfg = TrainConfig(learning_rate=0.05, momentum=mu, weight_decay=wd, epochs=3,
+                              minibatch_size=size, rng_seed=size)
+            want, want_losses = reference_train(xs, targets, d, cfg, hidden)
+            losses = []
+            with mock.patch.object(net, "_UPDATE_BYTES", update_bytes):
+                got = train_embedding_net(xs, targets, d, cfg, hidden, losses)
+            assert_same_model(got, want)
+            assert losses == want_losses
+
+    def test_batch_of_empty_rows_names_no_rows(self):
+        xs, targets, model = net_problem(3, n=4, d=9, hidden=5, out=3, empty_share=1.0)
+        _, want = reference_loss_and_gradients(model, list(zip(xs, targets)))
+        _, got = loss_and_gradients(model, (SparseRows.pack(xs), targets))
+        assert got.rows.size == 0 and got.dW1.shape == (0, 5)
+        assert dense_dW1(got, 9).tobytes() == want.dW1.tobytes()
+        # The step still decays every row of W1.
+        cfg = TrainConfig(learning_rate=0.05)
+        state, want_state = OptimizerState.zeros_like(model), OptimizerState.zeros_like(model)
+        want_model = MlpModel(*(a.copy() for a in (model.W1, model.b1, model.W2, model.b2)))
+        reference_sgd_step(want_model, want_state, want, cfg)
+        sgd_step(model, state, got, cfg)
+        assert_same_model(model, want_model)
+        assert state.vW1.tobytes() == want_state.vW1.tobytes()
+
+    def test_gradient_buffer_is_reused(self):
+        xs, targets, model = net_problem(4, n=6, d=30, hidden=5, out=3, empty_share=0.3)
+        batch = (SparseRows.pack(xs), targets)
+        _, want = loss_and_gradients(model, batch)
+        buffer = np.full((30, 5), np.nan)  # leftovers of an earlier batch are zeroed
+        _, got = loss_and_gradients(model, batch, dW1=buffer)
+        assert np.shares_memory(got.dW1, buffer)
+        assert got.dW1.tobytes() == want.dW1.tobytes()
+        with pytest.raises(ValidationError):
+            loss_and_gradients(model, batch, dW1=np.zeros((want.rows.size - 1, 5)))
+
     def test_wide_enough_for_several_default_blocks(self):
         # 700 rows of 64 floats: the default block holds 256 rows, so three
         # blocks, the last one short.
@@ -261,6 +374,52 @@ class TestMatchesPerPointReference:
         cfg = TrainConfig(epochs=2, minibatch_size=16, rng_seed=4)
         want, _ = reference_train(xs, targets, 700, cfg, 64)
         assert_same_model(train_embedding_net(xs, targets, 700, cfg, 64), want)
+
+
+class TestGradientMemory:
+    """A large-d model trained on batches that name few rows allocates no d x H gradient."""
+
+    d, hidden = 20000, 64
+    dense_bytes = d * hidden * 8  # one float64 d x H array, 10.24 MB
+
+    def problem(self):
+        rng = np.random.default_rng(11)
+        ids = [[0, 17, 4096], [17, 19999], [], [5, 4096, 12000]]
+        xs = [SparseVector(np.array(i, dtype=np.int32), rng.uniform(0.5, 1.5, len(i)))
+              for i in ids]
+        targets = rng.standard_normal((len(xs), 8))
+        targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+        return SparseRows.pack(xs), targets
+
+    @staticmethod
+    def peak_bytes(fn):
+        """Peak traced memory above the start while ``fn`` runs, and its result."""
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            return tracemalloc.get_traced_memory()[1] - start, result
+        finally:
+            tracemalloc.stop()
+
+    def test_step_allocates_a_fraction_of_a_dense_gradient(self):
+        x, targets = self.problem()
+        model = init_model(self.d, self.hidden, 8, np.random.default_rng(0))
+        state = OptimizerState.zeros_like(model)
+        peak, (_, grads) = self.peak_bytes(lambda: loss_and_gradients(model, (x, targets)))
+        assert grads.rows.tolist() == [0, 5, 17, 4096, 12000, 19999]
+        assert grads.dW1.shape == (6, self.hidden)
+        assert peak < self.dense_bytes / 4
+        peak, _ = self.peak_bytes(lambda: sgd_step(model, state, grads, TrainConfig()))
+        assert peak < self.dense_bytes / 4
+
+    def test_training_holds_only_w1_and_its_momentum(self):
+        x, targets = self.problem()
+        cfg = TrainConfig(epochs=2, minibatch_size=2)
+        peak, _ = self.peak_bytes(
+            lambda: train_embedding_net(x, targets, self.d, cfg, self.hidden)
+        )
+        assert peak < 2.25 * self.dense_bytes
 
 
 class TestSmoothL1:
@@ -402,7 +561,7 @@ def finite_difference_check(seed, step=1e-5, tolerance=1e-4):
 
     passed = total = 0
     for param, grad in (
-        (model.W1, grads.dW1),
+        (model.W1, dense_dW1(grads, d)),
         (model.b1, grads.db1),
         (model.W2, grads.dW2),
         (model.b2, grads.db2),
@@ -467,6 +626,7 @@ class TestSgdStep:
             db1=np.full_like(model.b1, value),
             dW2=np.full_like(model.W2, value),
             db2=np.full_like(model.b2, value),
+            rows=np.arange(model.input_dim),
         )
 
     def test_single_step_no_momentum(self):
@@ -507,8 +667,11 @@ class TestSgdStep:
         model = init_model(7, 5, 3, rng)
         state = OptimizerState(*(rng.standard_normal(a.shape) for a in
                                  (model.W1, model.b1, model.W2, model.b2)))
+        # A compact W1 gradient for rows 1, 2 and 5 of 7; its first and last
+        # rows are W1's rows 1 and 5, in different one-row blocks.
+        rows = np.array([1, 2, 5])
         g = Gradients(*(rng.standard_normal(a.shape) for a in
-                        (model.W1, model.b1, model.W2, model.b2)))
+                        (model.W1[rows], model.b1, model.W2, model.b2)), rows=rows)
         {"dW1 first row": g.dW1[0], "dW1 last row": g.dW1[-1], "db2": g.db2}[where][1] = bad
         before = [a.copy() for a in (model.W1, model.b1, model.W2, model.b2,
                                      state.vW1, state.vb1, state.vW2, state.vb2)]
