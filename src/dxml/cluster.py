@@ -1,19 +1,19 @@
-"""K-means partitioning of the embedded training points.
+"""K-means partitioning of the embedded training points, and the nearest-row kernel.
 
 Lloyd iterations over k-means++ seeds.  Clusters route test points to a
 small candidate pool for the k-NN stage, so the index keeps both the center
 matrix and the per-cluster member lists.
 
-Assignment, in k-means and in routing, is screened and then re-checked.  A
-matrix product per block of points gives ``|c|^2 - 2 p.c`` for every center
-c.  A point whose smallest screened value is below every other by more than
-twice the screen's floating-point error bound provably has that center as
-its unique exact nearest, and takes it.  Every other point (near-ties, exact
-ties, non-finite rows, data whose norms dwarf its spread) is assigned by the
-exact per-center row sums, and so is every point of a call with fewer
-points than centers, such as a single query.  The screen only decides which
-path a point takes, never which center it gets, so the assignment is the
-exact one bit for bit, whatever the block size or the BLAS thread count.
+One kernel, ``_nearest_rows``, finds the exact k nearest rows for a batch
+of queries: k-means assignment and routing (k=1 over the centers) and the
+k-NN search in ``predictor`` (over a cluster's members) all call it.  A
+matrix product gives ``|v|^2 - 2 q.v`` for every row v; every row within
+twice its floating-point error bound of the k-th smallest value joins the
+query's shortlist, which provably holds the exact k nearest.  Exact row
+sums then rank the shortlists, all at once where a shortlist holds exactly
+k rows and one query at a time otherwise (ties, NaN, inf).  The screen only
+decides which rows the exact sums see, so results are the exact ones bit
+for bit, whatever the block size or the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ __all__ = ["ClusterIndex", "kmeans", "nearest_cluster", "nearest_clusters"]
 
 log = logging.getLogger(__name__)
 
-_CHUNK = 8192
-_SCREEN_ROWS = 64  # points per screening product; some unblocked shapes stall BLAS
+_WCSS_ROWS = 8192  # rows per partial sum of the WCSS; fixed, as the sum's bits depend on it
+_SCREEN_ROWS = 64  # queries per screening product; some unblocked shapes stall BLAS
+_CHUNK_BYTES = 1 << 17  # temporaries per screened block or per chunk of exact row sums
+_EXACT_TABLE = 1 << 15  # queries x rows x dim; an exact table this small beats the screen
 # c in the error bound c * dim * eps * (|v|^2 + |q|^2) between a GEMM distance
 # and the exact row sum; the rounding error of the two together stays below
 # (2 + 3 / dim) * dim * eps * (|v|^2 + |q|^2), so 16 leaves a wide margin.
@@ -94,77 +96,130 @@ class ClusterIndex:
         )
 
 
-def _sq_dists_to(points: np.ndarray, center: np.ndarray) -> np.ndarray:
-    return ((points - center) ** 2).sum(axis=1)
-
-
-def _exact_assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Index of the nearest center per point by exact row sums; ties go to the lowest index.
-
-    One center (or, for fewer points than centers, one point) at a time, so
-    temporaries stay at chunk x dim plus a chunk x m distance table.  Either
-    way each distance is the same row sum, so the result is the same bits.
-    """
-    n, m = points.shape[0], centers.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    d = np.empty((min(n, _CHUNK), m), dtype=np.float64)
-    for s in range(0, n, _CHUNK):
-        block = points[s : s + _CHUNK]
-        dist = d[: block.shape[0]]
-        if block.shape[0] < m:
-            for i, point in enumerate(block):
-                dist[i] = _sq_dists_to(centers, point)
-        else:
-            for c, center in enumerate(centers):
-                dist[:, c] = _sq_dists_to(block, center)
-        out[s : s + _CHUNK] = dist.argmin(axis=1)
-    return out
-
-
-def _assign(
-    points: np.ndarray, centers: np.ndarray, sq_norms: np.ndarray | None = None
+def _sq_dists(
+    points: np.ndarray, targets: np.ndarray, which: np.ndarray | None = None
 ) -> np.ndarray:
-    """``_exact_assign(points, centers)``, with most points decided by a GEMM screen.
+    """Exact squared distances ``((p - t) ** 2).sum()`` from each point p.
 
-    ``sq_norms``, if given, holds each point's squared norm.  A point takes
-    the center of its smallest screened value when every other value is
-    larger by more than twice ``gemm_error_bound``; the others, and every
-    point of a call with fewer points than centers, go through
-    ``_exact_assign``.
+    Without ``which``, t is ``targets``, one vector, and there is one
+    distance per point.  With ``which``, one row of row ids per point, point
+    i is compared with each ``targets[which[i, j]]``, giving ``which``'s
+    shape.  Points are taken a few at a time so temporaries stay near
+    _CHUNK_BYTES.  Each distance sums one contiguous row of squared
+    differences, so its bits depend on neither the chunk nor the shapes.
     """
-    n, m = points.shape[0], centers.shape[0]
-    if m == 1:
-        return np.zeros(n, dtype=np.int64)
-    if n < m:  # e.g. one query: its exact sums cost fewer numpy calls than the screen
-        return _exact_assign(points, centers)
-    if sq_norms is None:
-        sq_norms = np.einsum("ij,ij->i", points, points)
-    c_sq = np.einsum("ij,ij->i", centers, centers)
-    screen = np.empty((n, m), dtype=np.float64)
-    for s in range(0, n, _SCREEN_ROWS):
-        np.matmul(points[s : s + _SCREEN_ROWS], centers.T, out=screen[s : s + _SCREEN_ROWS])
-    screen *= -2.0
-    screen += c_sq
-    rows = np.arange(n)
-    out = screen.argmin(axis=1)
-    best = screen[rows, out]
-    screen[rows, out] = np.inf
-    gap = screen.min(axis=1) - best
-    decided = gap > 2.0 * gemm_error_bound(points.shape[1], c_sq.max(), sq_norms)
-    if not decided.all():  # NaN compares False, so it is re-checked
-        undecided = np.flatnonzero(~decided)
-        out[undecided] = _exact_assign(points[undecided], centers)
+    n, dim = points.shape
+    out = np.empty(n if which is None else which.shape, dtype=np.float64)
+    step = max(1, _CHUNK_BYTES // (8 * max(1, dim * (1 if which is None else which.shape[1]))))
+    for s in range(0, n, step):
+        if which is None:
+            diff = points[s : s + step] - targets
+        else:
+            diff = np.take(targets, which[s : s + step], axis=0)
+            diff -= points[s : s + step, None, :]
+        np.multiply(diff, diff, out=diff)
+        out[s : s + step] = diff.sum(axis=-1)
     return out
+
+
+def _nearest_rows(
+    rows: np.ndarray,
+    queries: np.ndarray,
+    k: int,
+    ids: np.ndarray | None = None,
+    row_sq: np.ndarray | None = None,
+    max_sq: float | None = None,
+    query_sq: np.ndarray | None = None,
+    argmin: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The exact k nearest rows to each query, as (ids, squared distances).
+
+    Both are len(queries) x min(k, len(rows)), each query's rows ordered by
+    (squared distance, id) with NaN last; row j's id is ``ids[j]``, by
+    default j.  ``row_sq`` (with its max ``max_sq``) and ``query_sq`` are
+    the squared norms, if the caller keeps them.  With ``argmin`` (k=1) a
+    query takes the row ``np.argmin`` over its exact distances would, a NaN
+    distance counting as nearest, and no distances are returned.  Queries
+    are screened in blocks sized to _CHUNK_BYTES; with k at least the row
+    count, or an exact table of at most _EXACT_TABLE elements, that table
+    replaces the screen.
+    """
+    q, (n, dim) = queries.shape[0], rows.shape
+    kk = min(k, n)
+    if argmin and n == 1:  # every query's one row: no distance pass
+        return np.zeros((q, 1), dtype=np.int64), None
+    nbr = np.empty((q, kk), dtype=np.int64)
+    d2 = None if argmin else np.empty((q, kk), dtype=np.float64)
+
+    def finish(done, qs: np.ndarray, pos: np.ndarray) -> None:
+        """Rank rows ``pos[i]`` exactly for query ``qs[i]``, into ``nbr[done]``, ``d2[done]``."""
+        found = pos if ids is None else ids[pos]
+        if argmin and pos.shape[1] == 1:
+            nbr[done] = found
+            return
+        dist = _sq_dists(qs, rows, pos)
+        order = dist.argmin(1)[:, None] if argmin else np.lexsort((found, dist), axis=1)[:, :kk]
+        by_query = np.arange(order.shape[0])[:, None]
+        nbr[done] = found[by_query, order]
+        if not argmin:
+            d2[done] = dist[by_query, order]
+
+    # Queries per block: whole screening products, as many as fit _CHUNK_BYTES, at least one.
+    block = max(1, _CHUNK_BYTES // (8 * max(1, n) * _SCREEN_ROWS)) * _SCREEN_ROWS
+    block = min(block, max(1, q))
+    if kk == n or q * n * dim <= _EXACT_TABLE:
+        every_row = np.arange(n)[None, :].repeat(block, axis=0)
+        for s in range(0, q, block):
+            qb = queries[s : s + block]
+            finish(slice(s, s + qb.shape[0]), qb, every_row[: qb.shape[0]])
+        return nbr, d2
+    if row_sq is None:
+        row_sq = np.einsum("ij,ij->i", rows, rows)
+    if max_sq is None:
+        max_sq = row_sq.max()
+    approx_buf = np.empty((block, n), dtype=np.float64)
+    part_buf = np.empty((block, n), dtype=np.float64) if k > 1 else None
+    for s in range(0, q, block):
+        qb = queries[s : s + block]
+        b = qb.shape[0]
+        approx = approx_buf[:b]
+        for r in range(0, b, _SCREEN_ROWS):
+            np.matmul(qb[r : r + _SCREEN_ROWS], rows.T, out=approx[r : r + _SCREEN_ROWS])
+        approx *= -2.0
+        approx += row_sq
+        if k == 1:  # argmin and a gather beat a min over short rows
+            kth = approx[np.arange(b), approx.argmin(axis=1)]
+        else:
+            part = part_buf[:b]
+            np.copyto(part, approx)
+            part.partition(k - 1, axis=1)
+            kth = part[:, k - 1]
+        qsq = np.einsum("ij,ij->i", qb, qb) if query_sq is None else query_sq[s : s + b]
+        # A row farther than kth + 2 * bound is provably behind k others; NaN stays in.
+        keep = approx > (kth + 2.0 * gemm_error_bound(dim, max_sq, qsq))[:, None]
+        np.logical_not(keep, out=keep)
+        which, cols = np.divmod(np.flatnonzero(keep), n)  # each query's shortlist, in row order
+        if cols.size == k * b:  # every shortlist holds exactly k rows, as none holds fewer
+            finish(slice(s, s + b), qb, cols.reshape(b, k))
+            continue
+        counts = np.bincount(which, minlength=b)
+        exact_k = counts == k
+        done = s + np.flatnonzero(exact_k)
+        finish(done, qb[exact_k], cols[np.repeat(exact_k, counts)].reshape(-1, k))
+        ends = np.cumsum(counts)
+        for i in np.flatnonzero(~exact_k).tolist():  # ties, NaN, inf: one at a time
+            finish(s + i, qb[i : i + 1], cols[ends[i] - counts[i] : ends[i]][None, :])
+    return nbr, d2
 
 
 def _wcss(points: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> float:
     total = 0.0
-    buf = np.empty((min(points.shape[0], _CHUNK), points.shape[1]), dtype=np.float64)
-    for s in range(0, points.shape[0], _CHUNK):
-        block = points[s : s + _CHUNK]
+    buf = np.empty((min(points.shape[0], _WCSS_ROWS), points.shape[1]), dtype=np.float64)
+    for s in range(0, points.shape[0], _WCSS_ROWS):
+        block = points[s : s + _WCSS_ROWS]
         diff = buf[: block.shape[0]]
         # Ids come from argmin, so "clip" never clips; it spares take's buffered copy.
-        np.take(centers, assign[s : s + _CHUNK], axis=0, out=diff, mode="clip")
+        np.take(centers, assign[s : s + _WCSS_ROWS], axis=0, out=diff, mode="clip")
         np.subtract(block, diff, out=diff)
         np.multiply(diff, diff, out=diff)
         total += float(diff.sum())
@@ -176,7 +231,7 @@ def _seed_centers(points: np.ndarray, m: int, rng: np.random.Generator) -> np.nd
     n = points.shape[0]
     centers = np.empty((m, points.shape[1]), dtype=np.float64)
     centers[0] = points[int(rng.integers(n))]
-    d2 = _sq_dists_to(points, centers[0])
+    d2 = _sq_dists(points, centers[0])
     for c in range(1, m):
         total = float(d2.sum())
         if total <= 0.0:
@@ -186,7 +241,7 @@ def _seed_centers(points: np.ndarray, m: int, rng: np.random.Generator) -> np.nd
             idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
             idx = min(idx, n - 1)
         centers[c] = points[idx]
-        np.minimum(d2, _sq_dists_to(points, centers[c]), out=d2)
+        np.minimum(d2, _sq_dists(points, centers[c]), out=d2)
     return centers
 
 
@@ -215,7 +270,7 @@ def kmeans(
     rng = np.random.default_rng(rng_seed)
     centers = _seed_centers(pts, num_clusters, rng)
     sq_norms = np.einsum("ij,ij->i", pts, pts)
-    assign = _assign(pts, centers, sq_norms)
+    assign = _nearest_rows(centers, pts, 1, query_sq=sq_norms, argmin=True)[0][:, 0]
     history = [_wcss(pts, centers, assign)]
     for _ in range(max_iters):
         centers = centers.copy()
@@ -227,13 +282,13 @@ def kmeans(
             else:
                 empties.append(c)
         if empties:
-            d_own = ((pts - centers[assign]) ** 2).sum(axis=1)
+            d_own = _sq_dists(pts, centers, assign[:, None])[:, 0]
             for c in empties:
                 far = int(np.argmax(d_own))
                 centers[c] = pts[far]
                 d_own[far] = -1.0  # one donor per empty cluster
             log.debug("reseeded %d empty clusters", len(empties))
-        new_assign = _assign(pts, centers, sq_norms)
+        new_assign = _nearest_rows(centers, pts, 1, query_sq=sq_norms, argmin=True)[0][:, 0]
         history.append(_wcss(pts, centers, new_assign))
         if np.array_equal(new_assign, assign):
             break
@@ -257,7 +312,7 @@ def nearest_clusters(index: ClusterIndex, queries: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"queries shape {queries.shape} does not match center dim {index.centers.shape[1]}"
         )
-    return _assign(queries, index.centers)
+    return _nearest_rows(index.centers, queries, 1, argmin=True)[0][:, 0]
 
 
 def nearest_cluster(index: ClusterIndex, query: np.ndarray) -> int:

@@ -3,12 +3,11 @@
 Test points are embedded, routed to the nearest cluster, compared against
 that cluster's members, and scored by aggregating the neighbors' label sets.
 
-The search is batched.  For each block of queries routed to one cluster, a
-single GEMM gives ``|v|^2 - 2 q.v`` for every member v; a partial sort picks
-the k-th value, and every member within a floating-point error bound of it
-joins a shortlist that provably holds the exact k nearest.  The shortlist is
-re-ranked by the exact scan behind ``knn_search``, so neighbors, distances
-and scores equal those of a full exact scan bit for bit.
+The search is batched: the queries routed to one cluster go together
+through ``cluster._nearest_rows``, the screened kernel that k-means and
+routing also use, which returns the exact k nearest members ordered by
+(distance, training id).  So neighbors, distances and scores equal those of
+a full exact scan (``knn_search``) bit for bit.
 
 What depends only on the model is built once, on the first search, and kept
 on the ``ClusterIndex`` (its ``search_cache``): each cluster's rows as one
@@ -33,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cluster import ClusterIndex, gemm_error_bound, nearest_clusters
+from .cluster import ClusterIndex, _nearest_rows, _sq_dists, nearest_clusters
 from .data_io import LabelSet, SparseRows, SparseVector
 from .errors import ValidationError
 from .net import MlpModel, embed_points
@@ -46,8 +45,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _INV_DIST_EPS = 1e-8
-_SCAN_CHUNK = 16384
-_BLOCK = 64  # queries per distance GEMM; temporaries stay at _BLOCK x cluster rows
 
 
 @dataclass(eq=True)
@@ -84,20 +81,10 @@ def knn_search(
         ids = np.asarray(ids, dtype=np.int64)
         if ids.shape != (vectors.shape[0],):
             raise ValidationError("ids must align with vector rows")
-    return _exact_knn(vectors, query, k, ids)
-
-
-def _exact_knn(
-    vectors: np.ndarray, query: np.ndarray, k: int, ids: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """``knn_search`` on arguments it has already checked: float64 rows and query, aligned ids."""
-    n = vectors.shape[0]
-    if ids is None:
-        ids = np.arange(n, dtype=np.int64)
-    d2 = np.empty(n, dtype=np.float64)
-    for s in range(0, n, _SCAN_CHUNK):
-        d2[s : s + _SCAN_CHUNK] = ((vectors[s : s + _SCAN_CHUNK] - query) ** 2).sum(axis=1)
-    order = np.lexsort((ids, d2))[: min(k, n)]
+    else:
+        ids = np.arange(vectors.shape[0], dtype=np.int64)
+    d2 = _sq_dists(vectors, query)
+    order = np.lexsort((ids, d2))[:k]
     return ids[order], np.sqrt(d2[order])
 
 
@@ -220,45 +207,6 @@ def _label_lists(clusters: ClusterIndex, train_labels: Sequence[LabelSet]) -> li
     return cached[1]
 
 
-def _block_neighbors(
-    rows: np.ndarray,
-    ids: np.ndarray | None,
-    sq_norms: np.ndarray,
-    max_sq: float,
-    queries: np.ndarray,
-    k: int,
-    scratch: np.ndarray,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``knn_search(rows, q, k, ids)`` for each query row, through a GEMM shortlist.
-
-    ``sq_norms`` holds each row's squared norm and ``max_sq`` their max.
-    ``scratch`` is a float64 buffer of at least 2 * len(queries) * len(rows)
-    values for the distance table and its partitioned copy; the caller
-    reuses it across blocks, so their pages are touched once per call
-    rather than mapped afresh for every block.
-    """
-    n, dim = rows.shape
-    if k >= n:  # every row is a neighbor
-        return [_exact_knn(rows, q, k, ids) for q in queries]
-    size = queries.shape[0] * n
-    approx = scratch[:size].reshape(-1, n)
-    np.matmul(queries, rows.T, out=approx)
-    approx *= -2.0
-    approx += sq_norms
-    part = scratch[size : 2 * size].reshape(-1, n)
-    np.copyto(part, approx)
-    part.partition(k - 1, axis=1)
-    kth = part[:, k - 1]
-    bound = gemm_error_bound(dim, max_sq, np.einsum("ij,ij->i", queries, queries))
-    # A row farther than kth + 2 * bound is provably behind k others; NaN stays in.
-    keep = ~(approx > (kth + 2.0 * bound)[:, None])
-    out = []
-    for q, row_keep in zip(queries, keep):
-        sel = np.flatnonzero(row_keep)
-        out.append(_exact_knn(rows[sel], q, k, sel if ids is None else ids[sel]))
-    return out
-
-
 def knn_batch(
     clusters: ClusterIndex,
     train_embeds: np.ndarray,
@@ -269,9 +217,9 @@ def knn_batch(
 
     Entry i equals ``knn_search(train_embeds[members], queries[i], k,
     ids=members)`` for the members of the cluster nearest to ``queries[i]``.
-    Queries are searched in blocks of at most _BLOCK that share a cluster.
-    The cluster rows and norms are cached on ``clusters`` for this
-    ``train_embeds`` object, which must not be changed in place afterwards.
+    The queries routed to one cluster are searched together.  The cluster
+    rows and norms are cached on ``clusters`` for this ``train_embeds``
+    object, which must not be changed in place afterwards.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -281,21 +229,15 @@ def knn_batch(
         by_cluster.setdefault(c, []).append(q)
     out: list = [None] * len(queries)
     cluster_rows = _cluster_rows(clusters, train_embeds)
-    most_rows = max((cluster_rows[c].rows.shape[0] for c in by_cluster), default=0)
-    scratch = np.empty(2 * min(_BLOCK, len(queries)) * most_rows)
     for c, qs in sorted(by_cluster.items()):
         cr = cluster_rows[c]
         if cr.rows.shape[0] == 0:
             raise ValidationError(f"queries routed to cluster {c}, which has no members")
         if cr.rows.shape[0] < k:
             log.debug("cluster %d has %d members, fewer than k=%d", c, cr.rows.shape[0], k)
-        for s in range(0, len(qs), _BLOCK):
-            block = qs[s : s + _BLOCK]
-            found = _block_neighbors(
-                cr.rows, cr.ids, cr.sq_norms, cr.max_sq, queries[block], k, scratch
-            )
-            for q, nbrs in zip(block, found):
-                out[q] = nbrs
+        ids, d2 = _nearest_rows(cr.rows, queries[qs], k, cr.ids, cr.sq_norms, cr.max_sq)
+        for q, q_ids, dists in zip(qs, ids, np.sqrt(d2)):
+            out[q] = (q_ids, dists)
     return out
 
 

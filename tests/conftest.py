@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +39,19 @@ def random_dataset(
             (SparseVector(idx, val), LabelSet.from_iterable(labels.tolist()))
         )
     return Dataset(num_points=n, num_features=d, num_labels=L, points=points)
+
+
+@contextlib.contextmanager
+def screen_blocks(rows: int):
+    """Send every nearest-row search through the screen, ``rows`` queries per block.
+
+    Temporaries are capped at ``rows`` float64 values, so blocks hold
+    ``rows`` queries and the exact row sums run a few points per chunk.
+    """
+    from dxml import cluster
+
+    with mock.patch.multiple(cluster, _SCREEN_ROWS=rows, _CHUNK_BYTES=8 * rows, _EXACT_TABLE=0):
+        yield
 
 
 def planted_dataset(n: int, L: int, seed: int, noise_features: int = 6) -> Dataset:

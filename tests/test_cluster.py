@@ -1,10 +1,16 @@
-"""K-means partitioning and nearest-center routing."""
+"""K-means partitioning, nearest-center routing and the nearest-row kernel."""
+
+import contextlib
+import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dxml import ClusterIndex, ValidationError, kmeans, nearest_cluster, nearest_clusters
-from dxml.cluster import _assign, _exact_assign, _seed_centers, _sq_dists_to
+from dxml.cluster import _nearest_rows, _seed_centers, _sq_dists
+
+from conftest import screen_blocks
 
 
 def blobs(rng, centers, per_blob, spread=0.05):
@@ -148,6 +154,34 @@ def broadcast_sq_dists(points, centers):
     return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
 
 
+def assign(points, centers):
+    """k-means assignment: the kernel at k=1 with ``np.argmin``'s NaN rule."""
+    return _nearest_rows(centers, points, 1, argmin=True)[0][:, 0]
+
+
+def reranked_queries(monkeypatch, k):
+    """Spy on the kernel's exact sums; returns the first coordinate of each query re-ranked alone.
+
+    Only the per-query re-rank sums over more than k rows of a query while
+    the exact table is off, which it is here, so the screen decides every
+    query.
+    """
+    import dxml.cluster
+
+    seen = []
+    real = dxml.cluster._sq_dists
+
+    def spy(points, targets, which=None):
+        if which is not None and which.shape[1] > k:
+            assert points.shape[0] == 1, "the re-rank takes one query at a time"
+            seen.append(float(points[0, 0]))
+        return real(points, targets, which)
+
+    monkeypatch.setattr(dxml.cluster, "_sq_dists", spy)
+    monkeypatch.setattr(dxml.cluster, "_EXACT_TABLE", 0)
+    return seen
+
+
 class TestAssign:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_broadcast_formula_bitwise(self, seed):
@@ -163,45 +197,121 @@ class TestAssign:
             points = scale * rng.standard_normal((n, dim))
             centers = scale * rng.standard_normal((m, dim))
         want = broadcast_sq_dists(points, centers)
-        for c in range(m):  # the per-center column, as used for many points
-            assert np.array_equal(_sq_dists_to(points, centers[c]), want[:, c])
-        for i in range(n):  # the per-point row, as used for fewer points than centers
-            assert np.array_equal(_sq_dists_to(centers, points[i]), want[i])
-        assert np.array_equal(_assign(points, centers), np.argmin(want, axis=1))
-        assert np.array_equal(_exact_assign(points, centers), np.argmin(want, axis=1))
+        for c in range(m):  # the distances to one center, as k-means++ seeding takes them
+            assert np.array_equal(_sq_dists(points, centers[c]), want[:, c])
+        for i in range(n):  # the distances from one point, as the per-query re-rank takes them
+            assert np.array_equal(_sq_dists(centers, points[i]), want[i])
+        every = np.arange(m)[None, :].repeat(n, axis=0)  # the exact table
+        assert np.array_equal(_sq_dists(points, centers, every), want)
+        picks = np.argsort(-want, axis=1, kind="stable")  # gathered rows, as a shortlist's
+        assert np.array_equal(_sq_dists(points, centers, picks), np.take_along_axis(want, picks, 1))
+        order = np.lexsort((np.broadcast_to(np.arange(m), want.shape), want), axis=1)
+        for screened in (contextlib.nullcontext(), screen_blocks(64)):
+            with screened:
+                assert np.array_equal(assign(points, centers), np.argmin(want, axis=1))
+                for k in (1, 3):
+                    ids, d2 = _nearest_rows(centers, points, k)
+                    top = order[:, : min(k, m)]
+                    assert np.array_equal(ids, top)
+                    assert d2.tobytes() == np.take_along_axis(want, top, axis=1).tobytes()
 
     def test_chunk_boundaries(self, monkeypatch):
         import dxml.cluster
 
-        monkeypatch.setattr(dxml.cluster, "_CHUNK", 7)
         rng = np.random.default_rng(3)
         points = rng.standard_normal((50, 4))
-        for m in (3, 10):  # fewer and more centers than a chunk's points
+        for m in (3, 10):  # fewer and more centers than a block's or a chunk's points
             centers = rng.standard_normal((m, 4))
             want = np.argmin(broadcast_sq_dists(points, centers), axis=1)
-            assert np.array_equal(_assign(points, centers), want)
-            assert np.array_equal(_exact_assign(points, centers), want)
+            with screen_blocks(7):  # blocks of 7 queries, a point or two per chunk of row sums
+                assert np.array_equal(assign(points, centers), want)
+            with monkeypatch.context() as patch:  # the exact table, 7 points per chunk
+                patch.setattr(dxml.cluster, "_CHUNK_BYTES", 8 * 4 * m * 7)
+                assert np.array_equal(assign(points, centers), want)
 
     def test_screen_leaves_gaps_within_twice_the_bound_to_the_exact_path(self, monkeypatch):
         # Centers 0 and 2 on a line, points 1 + j * eps: every screened value
         # (4 - 4p for center 2, 0 for center 0) is exact, so the screened gap
         # is 4|j| eps, against 2 * 16 * dim * eps * (max|c|^2 + |p|^2), about
         # 160 eps.  Steps with |j| < 40 must be re-checked, the others not.
-        import dxml.cluster
-
-        seen = []
-
-        def spy(points, centers):
-            seen.extend(points[:, 0].tolist())
-            return _exact_assign(points, centers)
-
-        monkeypatch.setattr(dxml.cluster, "_exact_assign", spy)
+        seen = reranked_queries(monkeypatch, 1)
         eps = np.finfo(np.float64).eps
         steps = np.array([0, 1, -1, 3, -3, 7, 12, -19, 30, 36, -37, 44, -45, 60, 200, -1000])
         points = (1.0 + steps * eps)[:, None]
         centers = np.array([[0.0], [2.0]])
-        assert np.array_equal(_assign(points, centers), (steps > 0).astype(np.int64))
+        assert np.array_equal(assign(points, centers), (steps > 0).astype(np.int64))
         assert sorted(seen) == sorted(points[np.abs(steps) < 40, 0].tolist())
+
+    def test_second_neighbor_gaps_within_twice_the_bound_reach_the_re_rank(self, monkeypatch):
+        # The k=2 form of the test above: a row at 1 is every point's nearest,
+        # and rows 0 and 2 compete for second place with the same exact
+        # screened values and the same 160 eps threshold.  Only the queries
+        # whose shortlist holds all three rows may be re-ranked one at a time.
+        seen = reranked_queries(monkeypatch, 2)
+        eps = np.finfo(np.float64).eps
+        steps = np.array([0, 1, -1, 3, -3, 7, 12, -19, 30, 36, -37, 44, -45, 60, 200, -1000])
+        points = (1.0 + steps * eps)[:, None]
+        rows = np.array([[1.0], [0.0], [2.0]])
+        ids, d2 = _nearest_rows(rows, points, 2)
+        assert ids[:, 0].tolist() == [0] * steps.size
+        assert ids[:, 1].tolist() == np.where(steps > 0, 2, 1).tolist()
+        want = broadcast_sq_dists(points, rows)
+        assert d2.tobytes() == np.take_along_axis(want, ids, axis=1).tobytes()
+        assert sorted(seen) == sorted(points[np.abs(steps) < 40, 0].tolist())
+
+    def test_both_sides_of_the_size_rule_give_the_same_bits(self, monkeypatch):
+        import dxml.cluster
+
+        dim = 64
+        pairs = dxml.cluster._EXACT_TABLE // dim  # query-row pairs at the rule's edge
+        tables = []
+        real = dxml.cluster._sq_dists
+
+        def spy(points, targets, which=None):
+            if which is not None and which.shape[1] == targets.shape[0]:
+                tables.append(points.shape[0])
+            return real(points, targets, which)
+
+        monkeypatch.setattr(dxml.cluster, "_sq_dists", spy)
+        rng = np.random.default_rng(31)
+        for q, n, k, exact in [(1, pairs, 3, True), (1, pairs + 1, 3, False),
+                               (8, pairs // 8, 1, True), (8, pairs // 8 + 1, 1, False)]:
+            rows = rng.integers(-2, 3, size=(n, dim)).astype(np.float64)  # ties
+            queries = np.concatenate([rows[:1], rng.standard_normal((q - 1, dim))])
+            want = broadcast_sq_dists(queries, rows)
+            order = np.lexsort((np.broadcast_to(np.arange(n), want.shape), want), axis=1)[:, :k]
+            del tables[:]
+            got = _nearest_rows(rows, queries, k)
+            assert (len(tables) > 0) == exact, (q, n)
+            assert np.array_equal(got[0], order)
+            assert got[1].tobytes() == np.take_along_axis(want, order, axis=1).tobytes()
+            got_assign = assign(queries, rows)
+            assert np.array_equal(got_assign, np.argmin(want, axis=1))
+            for other in (0, 10**9):  # the other side of the rule
+                with monkeypatch.context() as patch:
+                    patch.setattr(dxml.cluster, "_EXACT_TABLE", other)
+                    again = _nearest_rows(rows, queries, k)
+                    assert np.array_equal(again[0], got[0])
+                    assert again[1].tobytes() == got[1].tobytes()
+                    assert np.array_equal(assign(queries, rows), got_assign)
+
+    def test_assignment_memory_does_not_grow_with_the_point_count(self):
+        rng = np.random.default_rng(32)
+        centers = rng.standard_normal((64, 16))
+        index = ClusterIndex(centers=centers, assignments=np.arange(64),
+                             members=[np.array([c]) for c in range(64)])
+        beyond_output = []
+        for n in (5_000, 50_000):
+            queries = rng.standard_normal((n, 16))
+            tracemalloc.start()
+            try:
+                got = nearest_clusters(index, queries)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got.shape == (n,)
+            beyond_output.append(peak - 8 * n)
+        assert beyond_output[1] <= beyond_output[0] + 64 * 1024
 
 
 def reference_assign(points, centers):
@@ -259,16 +369,44 @@ def reference_kmeans(pts, num_clusters, max_iters=100, rng_seed=0):
     return centers, assign, history
 
 
+def reseed_case():
+    """Points whose k-means empties a cluster at seed 4154, so reseeding runs."""
+    rng = np.random.default_rng(4154)
+    n = int(rng.integers(4, 30))
+    m = int(rng.integers(2, min(n, 10) + 1))
+    dim = int(rng.integers(1, 3))
+    return rng.exponential(size=(n, dim)) ** 4, m
+
+
 def oracle_cases():
     rng = np.random.default_rng(21)
     blob_centers = 3.0 * rng.standard_normal((8, 40))
-    yield "blobs", blob_centers[rng.integers(0, 8, 333)] + rng.standard_normal((333, 40)), 8
-    yield "gaussian-m16", rng.standard_normal((250, 12)), 16
-    yield "gaussian-m1", rng.standard_normal((130, 7)), 1
-    yield "grid-ties", rng.integers(-2, 3, size=(200, 3)).astype(np.float64), 12
-    yield "offset-1e6", 1e6 + 1e-3 * rng.standard_normal((150, 6)), 5
-    yield "n-equals-m", rng.standard_normal((9, 4)), 9
-    yield "duplicates", np.repeat(rng.standard_normal((20, 5)), 4, axis=0), 10
+    yield "blobs", blob_centers[rng.integers(0, 8, 333)] + rng.standard_normal((333, 40)), 8, (0, 1)
+    yield "gaussian-m16", rng.standard_normal((250, 12)), 16, (0, 1)
+    yield "gaussian-m1", rng.standard_normal((130, 7)), 1, (0, 1)
+    yield "grid-ties", rng.integers(-2, 3, size=(200, 3)).astype(np.float64), 12, (0, 1)
+    yield "offset-1e6", 1e6 + 1e-3 * rng.standard_normal((150, 6)), 5, (0, 1)
+    yield "n-equals-m", rng.standard_normal((9, 4)), 9, (0, 1)
+    yield "duplicates", np.repeat(rng.standard_normal((20, 5)), 4, axis=0), 10, (0, 1)
+    yield ("reseed", *reseed_case(), (4154,))
+
+
+def reference_seed_centers(points, m, rng):
+    """k-means++ seeding with whole-array row sums, as before the chunked helper."""
+    n = points.shape[0]
+    centers = np.empty((m, points.shape[1]), dtype=np.float64)
+    centers[0] = points[int(rng.integers(n))]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, m):
+        total = float(d2.sum())
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            r = rng.random() * total
+            idx = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)
+        centers[c] = points[idx]
+        np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1), out=d2)
+    return centers
 
 
 class TestKmeansOracle:
@@ -276,29 +414,35 @@ class TestKmeansOracle:
 
     @pytest.mark.parametrize("rows", [None, 1, 7])
     @pytest.mark.parametrize("case", list(oracle_cases()), ids=lambda c: c[0])
-    def test_kmeans_matches_reference(self, case, rows, monkeypatch):
-        import dxml.cluster
-
-        if rows is not None:
-            monkeypatch.setattr(dxml.cluster, "_SCREEN_ROWS", rows)
-        _, pts, m = case
-        for seed in range(2):
-            want_centers, want_assign, want_history = reference_kmeans(pts, m, rng_seed=seed)
-            index = kmeans(pts, m, rng_seed=seed)
-            assert index.centers.tobytes() == want_centers.tobytes()
-            assert np.array_equal(index.assignments, want_assign)
-            for c, ids in enumerate(index.members):
-                assert np.array_equal(ids, np.flatnonzero(want_assign == c))
-            assert np.array(index.wcss_history).tobytes() == np.array(want_history).tobytes()
-            queries = np.concatenate([pts[::3], pts[:5] + 1e-9, pts.mean(axis=0, keepdims=True)])
-            assert np.array_equal(nearest_clusters(index, queries), reference_assign(queries, index.centers))
+    def test_kmeans_matches_reference(self, case, rows, caplog):
+        _, pts, m, seeds = case
+        with screen_blocks(rows) if rows is not None else contextlib.nullcontext():
+            for seed in seeds:
+                want_centers, want_assign, want_history = reference_kmeans(pts, m, rng_seed=seed)
+                with caplog.at_level(logging.DEBUG, logger="dxml.cluster"):
+                    index = kmeans(pts, m, rng_seed=seed)
+                assert index.centers.tobytes() == want_centers.tobytes()
+                assert np.array_equal(index.assignments, want_assign)
+                for c, ids in enumerate(index.members):
+                    assert np.array_equal(ids, np.flatnonzero(want_assign == c))
+                assert np.array(index.wcss_history).tobytes() == np.array(want_history).tobytes()
+                queries = np.concatenate([pts[::3], pts[:5] + 1e-9, pts.mean(axis=0, keepdims=True)])
+                assert np.array_equal(nearest_clusters(index, queries), reference_assign(queries, index.centers))
+        if case[0] == "reseed":
+            assert "reseeded 1 empty clusters" in caplog.text
 
     @pytest.mark.parametrize("rows", [None, 1, 7])
-    def test_routing_matches_reference(self, rows, monkeypatch):
-        import dxml.cluster
+    @pytest.mark.parametrize("case", list(oracle_cases()), ids=lambda c: c[0])
+    def test_seeding_matches_reference(self, case, rows):
+        _, pts, m, seeds = case
+        with screen_blocks(rows) if rows is not None else contextlib.nullcontext():
+            for seed in seeds:
+                got = _seed_centers(pts, m, np.random.default_rng(seed))
+                want = reference_seed_centers(pts, m, np.random.default_rng(seed))
+                assert got.tobytes() == want.tobytes()
 
-        if rows is not None:
-            monkeypatch.setattr(dxml.cluster, "_SCREEN_ROWS", rows)
+    @pytest.mark.parametrize("rows", [None, 1, 7])
+    def test_routing_matches_reference(self, rows):
         rng = np.random.default_rng(22)
         base = rng.standard_normal((6, 5))
         center_sets = {
@@ -324,8 +468,25 @@ class TestKmeansOracle:
             for qs in (queries, queries[:3], queries[-4:], queries[:1]):
                 with np.errstate(invalid="ignore", over="ignore"):
                     want = reference_assign(qs, centers)
-                    assert np.array_equal(nearest_clusters(index, qs), want), name
-                    assert [nearest_cluster(index, q) for q in qs] == want.tolist(), name
+                    with screen_blocks(rows) if rows is not None else contextlib.nullcontext():
+                        assert np.array_equal(nearest_clusters(index, qs), want), name
+                        assert [nearest_cluster(index, q) for q in qs] == want.tolist(), name
+
+    def test_nan_center_takes_the_query_as_argmin_does(self):
+        # A NaN distance counts as nearest in k-means assignment and routing,
+        # as np.argmin has it, while the k-NN order puts it last.
+        centers = np.array([[0.0, 0.0], [np.nan, 0.0], [1.0, 0.0], [np.inf, 0.0]])
+        index = ClusterIndex(centers=centers, assignments=np.arange(4),
+                             members=[np.array([c]) for c in range(4)])
+        queries = np.array([[0.1, 0.0], [0.9, 0.0], [np.inf, 0.0], [np.nan, 1.0]])
+        with np.errstate(invalid="ignore"):
+            want = reference_assign(queries, centers)
+            assert want.tolist() == [1, 1, 1, 0]
+            for screened in (contextlib.nullcontext(), screen_blocks(1)):
+                with screened:
+                    assert np.array_equal(nearest_clusters(index, queries), want)
+                    ids, _ = _nearest_rows(centers, queries, 1)
+                    assert ids[:, 0].tolist() == [0, 2, 0, 0]
 
 
 class TestValidate:

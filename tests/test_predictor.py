@@ -1,5 +1,6 @@
 """Clustered k-NN prediction: search, aggregation, ranking, full path."""
 
+import contextlib
 import tracemalloc
 from unittest import mock
 
@@ -31,7 +32,7 @@ from dxml.cluster import gemm_error_bound
 from dxml.net import embed_points, train_embedding_net
 from dxml.predictor import score_neighbors
 
-from conftest import planted_dataset, random_dataset
+from conftest import planted_dataset, random_dataset, screen_blocks
 
 
 def labels(*ids):
@@ -335,21 +336,24 @@ def assert_same_neighbors(got, want):
 
 
 class TestKnnBatch:
-    # k below the cluster size takes the GEMM shortlist; k at or above it, the whole scan.
+    # k below the cluster size takes the GEMM shortlist, or for inputs this small
+    # the exact table; k at or above it, the whole scan.
     @given(engine_cases, st.one_of(st.integers(1, 8), st.integers(1, 100)))
     @settings(max_examples=300, deadline=None)
     def test_matches_full_sort_oracle(self, case, k):
         rows, index, queries = case
-        got = knn_batch(index, rows, queries, k)
-        assert len(got) == len(queries)
-        for q, nbrs in zip(queries, got):
-            assert_same_neighbors(nbrs, routed_oracle(index, rows, q, k))
+        for searched in (contextlib.nullcontext(), screen_blocks(64)):
+            with searched:
+                got = knn_batch(index, rows, queries, k)
+            assert len(got) == len(queries)
+            for q, nbrs in zip(queries, got):
+                assert_same_neighbors(nbrs, routed_oracle(index, rows, q, k))
 
     @given(engine_cases, st.integers(1, 12), st.sampled_from([1, 2, 5]))
     @settings(max_examples=100, deadline=None)
     def test_batch_equals_one_at_a_time(self, case, k, block):
         rows, index, queries = case
-        with mock.patch.object(predictor, "_BLOCK", block):
+        with screen_blocks(block):
             batch = knn_batch(index, rows, queries, k)
         for q, nbrs in zip(queries, batch):
             assert_same_neighbors(nbrs, knn_batch(index, rows, q[None, :], k)[0])
@@ -388,16 +392,18 @@ class TestKnnBatch:
         naive = [np.argsort(a, kind="stable")[:k].tolist() for a in approx]
         exact = [routed_oracle(index, rows, q, k)[0].tolist() for q in queries]
         assert naive != exact
-        for q, nbrs in zip(queries, knn_batch(index, rows, queries, k)):
+        with screen_blocks(64):
+            found = knn_batch(index, rows, queries, k)
+        for q, nbrs in zip(queries, found):
             assert_same_neighbors(nbrs, routed_oracle(index, rows, q, k))
 
     def test_single_cluster_searches_without_copying(self):
         rows, index, queries = engine_case(7, 40, 3, 1, "gaussian", "random", 5)
-        spy = mock.patch.object(predictor, "_block_neighbors", wraps=predictor._block_neighbors)
-        with spy as block_neighbors:
+        spy = mock.patch.object(predictor, "_nearest_rows", wraps=predictor._nearest_rows)
+        with spy as nearest_rows:
             knn_batch(index, rows, queries, 5)
-        assert block_neighbors.call_count == 1
-        assert block_neighbors.call_args.args[0] is rows
+        assert nearest_rows.call_count == 1
+        assert nearest_rows.call_args.args[0] is rows
 
     def test_empty_batch(self):
         rows, index, _ = engine_case(8, 10, 2, 2, "gaussian", "random", 1)
