@@ -11,17 +11,17 @@ a full exact scan (``knn_search``) bit for bit.
 
 What depends only on the model is built once, on the first search, and kept
 on the ``ClusterIndex`` (its ``search_cache``): each cluster's rows as one
-contiguous float64 array, their squared norms by the same
-``einsum`` over the same array as a per-call computation would use, the
-largest of those norms, and each training point's label ids as a Python
-list.  A cluster's rows are gathered from ``train_embeds`` first and widened
-after, which is exact, so the float32 ``train_embeds`` that ``load_model``
-returns is never widened whole: the cache holds one float64 copy of it in
-all.  A cluster that holds every training point uses a float64
-``train_embeds`` itself, not a copy.  The cache keeps the ``train_embeds``
-and ``train_labels`` objects it was built from and is rebuilt whenever a
-call passes any other object, so those arrays and lists must not be changed
-in place after the first search.
+contiguous array, their squared norms for the screen (``cluster._screen_norms``)
+and the largest of them, and each training point's label ids as a Python
+list.  Rows keep the float32 of the ``train_embeds`` that ``load_model``
+returns, so the kernel screens them in float32 and widens only the rows it
+re-ranks; a cluster that holds every training point uses ``train_embeds``
+itself, not a copy, so with one cluster the cache holds no rows of its own.
+Embeddings of any other dtype are widened to float64, a cluster's rows
+after they are gathered.  The cache keeps the ``train_embeds`` and
+``train_labels`` objects it was built from and is rebuilt whenever a call
+passes any other object, so those arrays and lists must not be changed in
+place after the first search.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cluster import ClusterIndex, _nearest_rows, _sq_dists, nearest_clusters
+from .cluster import ClusterIndex, _nearest_rows, _screen_norms, _sq_dists, nearest_clusters
 from .data_io import LabelSet, SparseRows, SparseVector
 from .errors import ValidationError
 from .net import MlpModel, embed_points
@@ -144,7 +144,7 @@ def top_p(scores: Mapping[int, float], p: int) -> list[int]:
 
 @dataclass(frozen=True)
 class _ClusterRows:
-    """One cluster's rows, their training ids (None: row positions) and squared norms."""
+    """One cluster's rows, their training ids (None: row positions) and screen norms."""
 
     rows: np.ndarray
     ids: np.ndarray | None
@@ -173,25 +173,24 @@ def _search_cache(clusters: ClusterIndex) -> _SearchCache:
 def _cluster_rows(clusters: ClusterIndex, train_embeds: np.ndarray) -> list[_ClusterRows]:
     """Each cluster's rows and norms, built once per ``train_embeds`` object.
 
-    Rows are gathered from the caller's array and then widened to float64,
-    so no whole-array float64 temporary is built.  Keyed on the caller's
-    object, not on its float64 form, so a float32 or list input still hits
-    the cache.
+    Float32 rows stay float32; rows of any other dtype are gathered from the
+    caller's array and then widened to float64, so no whole-array float64
+    temporary is built.  Keyed on the caller's object, not on a converted
+    form, so a list input still hits the cache.
     """
     cache = _search_cache(clusters)
     cached = cache.rows
     if cached is None or cached[0] is not train_embeds:
         embeds = np.asarray(train_embeds)
+        dtype = np.float32 if embeds.dtype == np.float32 else np.float64
         built = []
         for members in clusters.members:
             if members.size == embeds.shape[0]:
                 rows, ids = embeds, None
             else:
                 rows, ids = embeds[members], members
-            rows = rows.astype(np.float64, copy=False)  # exact; a float64 whole array is not copied
-            sq_norms = np.einsum("ij,ij->i", rows, rows)
-            max_sq = sq_norms.max() if sq_norms.size else 0.0  # knn_batch rejects an empty one
-            built.append(_ClusterRows(rows, ids, sq_norms, max_sq))
+            rows = rows.astype(dtype, copy=False)  # a whole array of that dtype is not copied
+            built.append(_ClusterRows(rows, ids, *_screen_norms(rows)))
         cached = (train_embeds, built)
         cache.rows = cached
     return cached[1]

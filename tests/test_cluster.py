@@ -7,7 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dxml import ClusterIndex, ValidationError, kmeans, nearest_cluster, nearest_clusters
+from dxml import (
+    ClusterIndex, ValidationError, kmeans, knn_batch, nearest_cluster, nearest_clusters,
+)
 from dxml.cluster import _nearest_rows, _seed_centers, _sq_dists
 
 from conftest import screen_blocks
@@ -159,27 +161,23 @@ def assign(points, centers):
     return _nearest_rows(centers, points, 1, argmin=True)[0][:, 0]
 
 
-def reranked_queries(monkeypatch, k):
-    """Spy on the kernel's exact sums; returns the first coordinate of each query re-ranked alone.
+def shortlist_lengths(monkeypatch):
+    """Spy on the screen; returns the shortlist length of each screened query, in query order.
 
-    Only the per-query re-rank sums over more than k rows of a query while
-    the exact table is off, which it is here, so the screen decides every
-    query.
+    The exact table is turned off, so the screen decides every query.
     """
     import dxml.cluster
 
-    seen = []
-    real = dxml.cluster._sq_dists
+    lengths = []
+    real = dxml.cluster._shortlists
 
-    def spy(points, targets, which=None):
-        if which is not None and which.shape[1] > k:
-            assert points.shape[0] == 1, "the re-rank takes one query at a time"
-            seen.append(float(points[0, 0]))
-        return real(points, targets, which)
+    def spy(keep, k):
+        lengths.extend(keep.sum(axis=1).tolist())
+        return real(keep, k)
 
-    monkeypatch.setattr(dxml.cluster, "_sq_dists", spy)
+    monkeypatch.setattr(dxml.cluster, "_shortlists", spy)
     monkeypatch.setattr(dxml.cluster, "_EXACT_TABLE", 0)
-    return seen
+    return lengths
 
 
 class TestAssign:
@@ -215,6 +213,26 @@ class TestAssign:
                     assert np.array_equal(ids, top)
                     assert d2.tobytes() == np.take_along_axis(want, top, axis=1).tobytes()
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_float32_targets_give_the_bits_of_their_widening(self, seed):
+        # A float32 difference would round away the low bits of these rows.
+        rng = np.random.default_rng(100 + seed)
+        n, m, dim = int(rng.integers(1, 60)), int(rng.integers(1, 30)), int(rng.integers(1, 40))
+        scale = 10.0 ** rng.integers(-3, 4)
+        offset = 10.0 ** rng.integers(0, 4) if seed % 2 else 0.0
+        points = offset + scale * rng.standard_normal((n, dim))
+        t32 = (offset + scale * rng.standard_normal((m, dim))).astype(np.float32)
+        t64 = t32.astype(np.float64)
+        for pts in (points, points.astype(np.float32)):
+            wide = pts.astype(np.float64)
+            for c in range(m):  # the vector form
+                assert _sq_dists(pts, t32[c]).tobytes() == _sq_dists(wide, t64[c]).tobytes()
+            every = np.arange(m)[None, :].repeat(n, axis=0)  # the exact table
+            assert _sq_dists(pts, t32, every).tobytes() == _sq_dists(wide, t64, every).tobytes()
+            picks = rng.integers(m, size=(n, 5))  # gathered rows, as a shortlist's
+            assert _sq_dists(pts, t32, picks).tobytes() == _sq_dists(wide, t64, picks).tobytes()
+        assert np.array_equal(_sq_dists(points, t32, every), broadcast_sq_dists(points, t64))
+
     def test_chunk_boundaries(self, monkeypatch):
         import dxml.cluster
 
@@ -233,21 +251,21 @@ class TestAssign:
         # Centers 0 and 2 on a line, points 1 + j * eps: every screened value
         # (4 - 4p for center 2, 0 for center 0) is exact, so the screened gap
         # is 4|j| eps, against 2 * 16 * dim * eps * (max|c|^2 + |p|^2), about
-        # 160 eps.  Steps with |j| < 40 must be re-checked, the others not.
-        seen = reranked_queries(monkeypatch, 1)
+        # 160 eps.  Steps with |j| < 40 must keep both centers, the others one.
+        lengths = shortlist_lengths(monkeypatch)
         eps = np.finfo(np.float64).eps
         steps = np.array([0, 1, -1, 3, -3, 7, 12, -19, 30, 36, -37, 44, -45, 60, 200, -1000])
         points = (1.0 + steps * eps)[:, None]
         centers = np.array([[0.0], [2.0]])
         assert np.array_equal(assign(points, centers), (steps > 0).astype(np.int64))
-        assert sorted(seen) == sorted(points[np.abs(steps) < 40, 0].tolist())
+        assert lengths == np.where(np.abs(steps) < 40, 2, 1).tolist()
 
     def test_second_neighbor_gaps_within_twice_the_bound_reach_the_re_rank(self, monkeypatch):
         # The k=2 form of the test above: a row at 1 is every point's nearest,
         # and rows 0 and 2 compete for second place with the same exact
-        # screened values and the same 160 eps threshold.  Only the queries
-        # whose shortlist holds all three rows may be re-ranked one at a time.
-        seen = reranked_queries(monkeypatch, 2)
+        # screened values and the same 160 eps threshold, so exactly those
+        # queries keep all three rows.
+        lengths = shortlist_lengths(monkeypatch)
         eps = np.finfo(np.float64).eps
         steps = np.array([0, 1, -1, 3, -3, 7, 12, -19, 30, 36, -37, 44, -45, 60, 200, -1000])
         points = (1.0 + steps * eps)[:, None]
@@ -257,7 +275,7 @@ class TestAssign:
         assert ids[:, 1].tolist() == np.where(steps > 0, 2, 1).tolist()
         want = broadcast_sq_dists(points, rows)
         assert d2.tobytes() == np.take_along_axis(want, ids, axis=1).tobytes()
-        assert sorted(seen) == sorted(points[np.abs(steps) < 40, 0].tolist())
+        assert lengths == np.where(np.abs(steps) < 40, 3, 2).tolist()
 
     def test_both_sides_of_the_size_rule_give_the_same_bits(self, monkeypatch):
         import dxml.cluster
@@ -487,6 +505,150 @@ class TestKmeansOracle:
                     assert np.array_equal(nearest_clusters(index, queries), want)
                     ids, _ = _nearest_rows(centers, queries, 1)
                     assert ids[:, 0].tolist() == [0, 2, 0, 0]
+
+
+def nearest_oracle(rows, queries, k):
+    """The k nearest rows by (exact distance, id), NaN last, from the broadcast formula."""
+    want = broadcast_sq_dists(queries, rows)
+    ids = np.broadcast_to(np.arange(rows.shape[0]), want.shape)
+    order = np.lexsort((ids, want), axis=1)[:, : min(k, rows.shape[0])]
+    return order, np.take_along_axis(want, order, axis=1)
+
+
+def assert_float32_rows_match(rows32, queries, ks, blocks=(None, 1, 64)):
+    """Float32 rows give the oracle's ids and distance bits, as their float64 widening does."""
+    rows64 = rows32.astype(np.float64)
+    with np.errstate(all="ignore"):
+        want_argmin = np.argmin(broadcast_sq_dists(queries, rows64), axis=1)
+        wants = {k: nearest_oracle(rows64, queries, k) for k in ks}
+        for rows in blocks:
+            with screen_blocks(rows) if rows is not None else contextlib.nullcontext():
+                assert np.array_equal(assign(queries, rows32), want_argmin)
+                for k, (want_ids, want_d2) in wants.items():
+                    for searched in (rows32, rows64):
+                        ids, d2 = _nearest_rows(searched, queries, k)
+                        assert np.array_equal(ids, want_ids), (rows, k, searched.dtype)
+                        assert d2.tobytes() == want_d2.tobytes(), (rows, k, searched.dtype)
+
+
+def float32_screen_values(rows32, queries):
+    """|v|^2 - 2 q.v as the float32 screen forms it."""
+    norms = np.einsum("ij,ij->i", rows32, rows32, dtype=np.float64).astype(np.float32)
+    with np.errstate(all="ignore"):
+        return norms - 2 * (queries.astype(np.float32) @ rows32.T)
+
+
+class TestFloat32Screen:
+    """Float32 rows, screened in float32 and re-ranked widened, give the float64 results' bits."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 7, 64])
+    @pytest.mark.parametrize("case", list(oracle_cases()), ids=lambda c: c[0])
+    def test_oracle_cases_rounded_to_float32(self, case, rows):
+        _, pts, m, seeds = case
+        rows32 = pts.astype(np.float32)
+        rows64 = rows32.astype(np.float64)
+        queries = np.concatenate([pts[::3], pts[:5] + 1e-9, pts.mean(axis=0, keepdims=True),
+                                  rows64[:4]])
+        assert_float32_rows_match(rows32, queries, (1, 3, 10), blocks=(rows,))
+        index = kmeans(pts, m, rng_seed=seeds[0])  # rounding to float32 merges offset-1e6 points
+        twin = ClusterIndex(centers=index.centers, assignments=index.assignments,
+                            members=index.members)
+        with screen_blocks(rows) if rows is not None else contextlib.nullcontext():
+            for k in (1, 5, 40):
+                got = knn_batch(index, rows32, queries, k)
+                want = knn_batch(twin, rows64, queries, k)
+                for (ids, dists), (want_ids, want_dists) in zip(got, want):
+                    assert np.array_equal(ids, want_ids)
+                    assert dists.tobytes() == want_dists.tobytes()
+        assert all(cr.rows.dtype == np.float32 for cr in index.search_cache.rows[1])
+
+    def test_screen_leaves_gaps_within_twice_the_float32_bound_to_the_exact_path(self, monkeypatch):
+        # The float32 twin of the float64 gap test: rows 0 and 2, queries
+        # 1 + j * eps32, every screened value exact in float32 (0 for row 0,
+        # -4 j eps32 for row 2).  Twice the bound is
+        # 2 * gamma_7 * (4 + |q|^2) + 6 lambda, just above 35 eps32, so
+        # exactly the queries with 4 |j| <= 35, |j| <= 8, keep both rows.
+        lengths = shortlist_lengths(monkeypatch)
+        eps = float(np.finfo(np.float32).eps)
+        steps = np.array([0, 1, -1, 4, -4, 5, -5, 7, 8, -8, 9, -9, 12, 30, -100])
+        points = (1.0 + steps * eps)[:, None]
+        rows = np.array([[0.0], [2.0]], dtype=np.float32)
+        assert np.array_equal(float32_screen_values(rows, points)[:, 1], -4 * steps * eps)
+        assert np.array_equal(assign(points, rows), (steps > 0).astype(np.int64))
+        assert lengths == np.where(np.abs(steps) <= 8, 2, 1).tolist()
+        del lengths[:]
+        ids, d2 = _nearest_rows(rows, points, 1)
+        assert ids[:, 0].tolist() == (steps > 0).astype(np.int64).tolist()
+        assert d2.tobytes() == np.take_along_axis(
+            broadcast_sq_dists(points, rows.astype(np.float64)), ids, axis=1).tobytes()
+        assert lengths == np.where(np.abs(steps) <= 8, 2, 1).tolist()
+
+    def test_large_offset_widens_the_shortlist(self):
+        rng = np.random.default_rng(6)
+        rows32 = (1e3 + 1e-2 * rng.standard_normal((60, 4))).astype(np.float32)
+        queries = 1e3 + 1e-2 * rng.standard_normal((8, 4))
+        # The float32 screen alone cannot rank these rows: its values are whole ulps of 4e6.
+        naive = np.argsort(float32_screen_values(rows32, queries), axis=1, kind="stable")[:, :5]
+        assert not np.array_equal(naive, nearest_oracle(rows32.astype(np.float64), queries, 5)[0])
+        assert_float32_rows_match(rows32, queries, (1, 5))
+
+    def test_subnormal_products(self):
+        # Rows and queries below 1.2e-21: every float32 square and product is
+        # subnormal, so only the absolute term of the bound keeps the screen
+        # from dropping some queries' nearest rows.
+        rng = np.random.default_rng(7)
+        rows32 = (3e-23 * rng.uniform(-40, 40, size=(40, 1))).astype(np.float32)
+        queries = 3e-23 * rng.uniform(-40, 40, size=(200, 1))
+        products = queries.astype(np.float32)[:, None, :] * rows32[None, :, :]
+        assert np.all(np.abs(products) < np.finfo(np.float32).tiny)
+        naive = np.argsort(float32_screen_values(rows32, queries), axis=1, kind="stable")[:, :3]
+        assert not np.array_equal(naive, nearest_oracle(rows32.astype(np.float64), queries, 3)[0])
+        assert_float32_rows_match(rows32, queries, (1, 3))
+
+    def test_squared_norms_that_overflow_float32(self):
+        rng = np.random.default_rng(8)
+        rows32 = (3e19 * rng.standard_normal((30, 3))).astype(np.float32)
+        assert np.isinf(np.einsum("ij,ij->i", rows32, rows32)).any()
+        queries = np.concatenate([rows32[:4].astype(np.float64) * (1 + 1e-6),
+                                  3e19 * rng.standard_normal((5, 3)),
+                                  [[1e39, 0.0, 0.0], [0.0, -1e40, 1.0]]])  # beyond float32
+        assert_float32_rows_match(rows32, queries, (1, 4))
+
+    def test_screen_products_that_overflow_float32(self):
+        # Rows 0 and 1 have finite float32 norms near max / 2, but -2 q.v
+        # overflows to -inf for row 0 only, while row 1 is the query itself:
+        # only the bound's overflow guard keeps row 1 in the shortlist.
+        big = float(np.finfo(np.float32).max)
+        c = np.float32(np.sqrt(big / 2) * (1 - 1e-6))
+        rows32 = np.array([[c * (1 + 4e-6), 0.0], [c, 0.0], [0.0, 1.0]], dtype=np.float32)
+        queries = np.array([[float(c), 0.0], [1.0, 2.0]])
+        assert float32_screen_values(rows32, queries)[0, 0] == -np.inf
+        assert np.isfinite(float32_screen_values(rows32, queries)[0, 1])
+        assert nearest_oracle(rows32.astype(np.float64), queries, 1)[0][0, 0] == 1
+        assert_float32_rows_match(rows32, queries, (1, 2))
+
+    def test_nan_and_inf_rows(self):
+        rng = np.random.default_rng(9)
+        rows32 = rng.standard_normal((30, 3)).astype(np.float32)
+        rows32[[3, 11]] = np.nan
+        rows32[7, 1] = np.inf
+        rows32[20] = -np.inf
+        rows32[25, 0] = np.nan
+        queries = np.concatenate([rng.standard_normal((6, 3)),
+                                  [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, -np.inf, 0.0]]])
+        assert_float32_rows_match(rows32, queries, (1, 3, 29))
+
+    def test_exact_duplicates(self):
+        rng = np.random.default_rng(10)
+        rows32 = np.repeat(rng.standard_normal((8, 5)).astype(np.float32), 5, axis=0)
+        queries = np.concatenate([rows32[::7].astype(np.float64), rng.standard_normal((6, 5))])
+        assert_float32_rows_match(rows32, queries, (1, 4, 5, 12))
+
+    def test_k_at_least_the_row_count(self):
+        rng = np.random.default_rng(11)
+        rows32 = rng.standard_normal((9, 4)).astype(np.float32)
+        queries = rng.standard_normal((20, 4))
+        assert_float32_rows_match(rows32, queries, (9, 10, 50))
 
 
 class TestValidate:

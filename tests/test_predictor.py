@@ -698,21 +698,26 @@ class TestFloat32Model:
     def test_float32_train_embeds_are_never_widened_whole(self):
         n, dim = 30000, 8
         embeds = np.random.default_rng(42).standard_normal((n, dim)).astype(np.float32)
-        assignments = np.arange(n) % 3
-        index = ClusterIndex(centers=np.eye(3, dim), assignments=assignments,
-                             members=[np.flatnonzero(assignments == c) for c in range(3)])
         queries = np.ones((2, dim))
-        tracemalloc.start()
-        try:
-            knn_batch(index, embeds, queries, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # The cache's float64 rows, 8 * n * dim bytes, plus one cluster's float32 gather.
-        assert peak < 1.5 * 8 * n * dim
-        rows = [cr.rows for cr in index.search_cache.rows[1]]
-        assert all(r.dtype == np.float64 for r in rows)
-        assert sum(r.shape[0] for r in rows) == n
+        for m in (1, 3):
+            assignments = np.arange(n) % m
+            index = ClusterIndex(centers=np.eye(m, dim), assignments=assignments,
+                                 members=[np.flatnonzero(assignments == c) for c in range(m)])
+            tracemalloc.start()
+            try:
+                knn_batch(index, embeds, queries, 5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            rows = [cr.rows for cr in index.search_cache.rows[1]]
+            assert all(r.dtype == np.float32 for r in rows)
+            assert sum(r.shape[0] for r in rows) == n
+            if m == 1:
+                assert rows[0] is embeds
+            copy = 0 if m == 1 else 4 * n * dim  # the float32 rows the cache gathers
+            tables = 2 * 4 * len(queries) * (n // m)  # float32 screen values and their partition
+            norms = 12 * n  # float32 screen norms, and the float64 ones they are rounded from
+            assert peak < copy + tables + norms, m
 
     @pytest.mark.parametrize("clusters", ["1", "3"])
     @pytest.mark.parametrize("weighting", ["uniform", "inverse_distance"])
