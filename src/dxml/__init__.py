@@ -7,7 +7,7 @@ under a smooth-L1 loss, cluster the embedded training points, and predict by
 aggregating the label sets of nearest neighbors inside the closest cluster.
 """
 
-from .cluster import ClusterIndex, kmeans, nearest_cluster, nearest_clusters
+from .cluster import ClusterIndex, kmeans, nearest_clusters
 from .data_io import (
     Dataset,
     LabelSet,
@@ -24,7 +24,6 @@ from .errors import (
     DegenerateTargetError,
     DxmlError,
     ModelFileError,
-    UnlabeledPointError,
     ValidationError,
 )
 from .graph_embed import (
@@ -36,15 +35,13 @@ from .graph_embed import (
     train_skipgram,
 )
 from .label_graph import LabelGraph, build_label_graph
-from .label_projection import project_label_vector, project_targets
-from .metrics import MetricReport, evaluate, ndcg_at_k, precision_at_k, rank_k
+from .label_projection import project_targets
+from .metrics import MetricReport, evaluate
 from .model_io import ModelArtifacts, load_model, save_model
 from .net import (
     MlpModel,
     OptimizerState,
     TrainConfig,
-    embed_distance,
-    forward,
     init_model,
     loss_and_gradients,
     sgd_step,
@@ -53,34 +50,32 @@ from .net import (
 )
 from .predictor import (
     Prediction,
-    aggregate_labels,
     knn_batch,
-    knn_search,
     predict,
     predict_batch,
     score_neighbors,
     top_p,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
-    "ClusterIndex", "kmeans", "nearest_cluster", "nearest_clusters",
+    "ClusterIndex", "kmeans", "nearest_clusters",
     "Dataset", "LabelSet", "SparseRows", "SparseVector",
     "load_repo_file", "normalize_features", "parse_repo_file",
     "save_repo_file", "write_repo_file",
     "DataFormatError", "DegenerateTargetError", "DxmlError",
-    "ModelFileError", "UnlabeledPointError", "ValidationError",
+    "ModelFileError", "ValidationError",
     "DeepWalkConfig", "EmbeddingMatrix", "WalkCorpus",
     "embed_labels", "generate_walks", "train_skipgram",
     "LabelGraph", "build_label_graph",
-    "project_label_vector", "project_targets",
-    "MetricReport", "evaluate", "ndcg_at_k", "precision_at_k", "rank_k",
+    "project_targets",
+    "MetricReport", "evaluate",
     "ModelArtifacts", "load_model", "save_model",
     "MlpModel", "OptimizerState", "TrainConfig",
-    "embed_distance", "forward", "init_model", "loss_and_gradients",
+    "init_model", "loss_and_gradients",
     "sgd_step", "smooth_l1", "train",
-    "Prediction", "aggregate_labels", "knn_batch", "knn_search", "predict",
+    "Prediction", "knn_batch", "predict",
     "predict_batch", "score_neighbors", "top_p",
     "__version__",
 ]

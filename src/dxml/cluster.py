@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["ClusterIndex", "kmeans", "nearest_cluster", "nearest_clusters"]
+__all__ = ["ClusterIndex", "kmeans", "nearest_clusters"]
 
 log = logging.getLogger(__name__)
 
@@ -431,13 +431,3 @@ def nearest_clusters(index: ClusterIndex, queries: np.ndarray) -> np.ndarray:
             f"queries shape {queries.shape} does not match center dim {index.centers.shape[1]}"
         )
     return _nearest_rows(index.centers, queries, 1, argmin=True)[0][:, 0]
-
-
-def nearest_cluster(index: ClusterIndex, query: np.ndarray) -> int:
-    """Cluster whose center is Euclidean-nearest to ``query``; ties pick the lowest id."""
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (index.centers.shape[1],):
-        raise ValidationError(
-            f"query shape {query.shape} does not match center dim {index.centers.shape[1]}"
-        )
-    return int(nearest_clusters(index, query[None, :])[0])

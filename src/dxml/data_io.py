@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice, repeat
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -54,40 +54,15 @@ _SPACE, _NEWLINE, _COLON = ord(" "), ord("\n"), ord(":")
 
 @dataclass(frozen=True, eq=False)
 class SparseVector:
-    """Sparse real vector stored as parallel index/value arrays.
+    """One point's features: parallel index/value arrays.
 
-    Indices are strictly increasing; explicit zeros are never stored.
+    Indices are strictly increasing; explicit zeros are never stored.  This
+    is the per-point form of ``Dataset.points`` and of ``predictor.predict``;
+    batches of points are ``SparseRows``.
     """
 
     indices: np.ndarray
     values: np.ndarray
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "SparseVector":
-        pairs = [(int(i), float(v)) for i, v in pairs if v != 0.0]
-        if not pairs:
-            return cls(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
-        idx = np.array([p[0] for p in pairs], dtype=np.int32)
-        val = np.array([p[1] for p in pairs], dtype=np.float64)
-        order = np.argsort(idx, kind="stable")
-        idx, val = idx[order], val[order]
-        if np.any(np.diff(idx) <= 0):
-            raise ValidationError("duplicate feature index in sparse vector")
-        return cls(idx, val)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SparseVector):
-            return NotImplemented
-        return np.array_equal(self.indices, other.indices) and np.array_equal(
-            self.values, other.values
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,19 +76,6 @@ class SparseRows:
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
-
-    @classmethod
-    def pack(cls, xs: Sequence[SparseVector]) -> "SparseRows":
-        """The vectors as rows, in order; one vector is wrapped without a copy."""
-        if len(xs) == 1:
-            x = xs[0]
-            indptr = np.array([0, x.indices.size], dtype=np.int64)
-            return cls(indptr, x.indices, np.asarray(x.values, dtype=np.float64))
-        return cls(
-            _offsets([x.indices.size for x in xs]),
-            _concat([x.indices for x in xs], np.int32),
-            _concat([x.values for x in xs], np.float64),
-        )
 
     def __len__(self) -> int:
         return int(self.indptr.size - 1)
@@ -523,8 +485,10 @@ def normalize_features(dataset: Dataset, scheme: str = "none") -> Dataset:
     """Return a Dataset with per-point feature scaling applied.
 
     'none' is the identity; 'unit_l2' divides each vector by its Euclidean
-    norm, leaving vectors with no stored entries untouched.  The result
-    shares every array but ``values`` with ``dataset``.
+    norm, leaving vectors with no stored entries untouched.  A point whose
+    squared norm underflows to 0 or overflows in float64 has no norm to
+    divide by and raises ValidationError, naming the first such point.  The
+    result shares every array but ``values`` with ``dataset``.
     """
     if scheme not in NORMALIZATION_SCHEMES:
         raise ValidationError(
@@ -534,10 +498,20 @@ def normalize_features(dataset: Dataset, scheme: str = "none") -> Dataset:
         return dataset
     v, ip = dataset.values, dataset.indptr.tolist()
     # np.linalg.norm of a vector is sqrt(x.dot(x)); one BLAS dot per row keeps its bits.
-    norms = np.sqrt([v[a:b].dot(v[a:b]) for a, b in zip(ip, ip[1:])])
+    with np.errstate(over="ignore"):  # an overflow is reported below, naming the point
+        norms = np.sqrt([v[a:b].dot(v[a:b]) for a, b in zip(ip, ip[1:])])
+    counts = np.diff(dataset.indptr)
+    bad = np.flatnonzero(((norms == 0.0) & (counts > 0)) | np.isinf(norms))
+    if bad.size:
+        i = int(bad[0])
+        kind = "overflows" if np.isinf(norms[i]) else "underflows to 0"
+        raise ValidationError(
+            f"point {i}: its squared feature norm {kind} in float64, "
+            "so it cannot be scaled to unit L2 norm"
+        )
     return Dataset.from_csr(
         dataset.num_points, dataset.num_features, dataset.num_labels,
         indptr=dataset.indptr, indices=dataset.indices,
-        values=v / np.repeat(norms, np.diff(dataset.indptr)),
+        values=v / np.repeat(norms, counts),
         label_indptr=dataset.label_indptr, label_ids=dataset.label_ids,
     )

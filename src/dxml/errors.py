@@ -24,10 +24,6 @@ class ValidationError(DxmlError):
     """An input violates a documented precondition."""
 
 
-class UnlabeledPointError(ValidationError):
-    """A label-dependent operation received an empty label set."""
-
-
 class DegenerateTargetError(ValidationError):
     """An averaged label embedding collapsed to near-zero norm."""
 

@@ -109,11 +109,6 @@ class EmbeddingMatrix:
     def count(self) -> int:
         return int(self.values.shape[1])
 
-    def column(self, j: int) -> np.ndarray:
-        if j < 0 or j >= self.count:
-            raise ValidationError(f"column {j} outside [0, {self.count})")
-        return self.values[:, j]
-
     def validate(self) -> None:
         if self.values.ndim != 2 or self.dim < 1:
             raise ValidationError("embedding matrix must be 2-d with dim >= 1")

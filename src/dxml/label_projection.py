@@ -10,43 +10,16 @@ import logging
 
 import numpy as np
 
-from .data_io import Dataset, LabelSet
-from .errors import DegenerateTargetError, UnlabeledPointError, ValidationError
+from .data_io import Dataset
+from .errors import DegenerateTargetError, ValidationError
 from .graph_embed import EmbeddingMatrix
 
-__all__ = ["project_label_vector", "project_targets"]
+__all__ = ["project_targets"]
 
 log = logging.getLogger(__name__)
 
 _DEGENERATE_NORM = 1e-12
 _GATHER_FLOATS = 1 << 18  # floats per block of gathered label columns
-
-
-def project_label_vector(
-    embeddings: EmbeddingMatrix, labels: LabelSet, normalize: bool = True
-) -> np.ndarray:
-    """Average the embedding columns named by ``labels``.
-
-    With ``normalize`` the mean is rescaled to unit Euclidean norm; a mean
-    whose norm falls below 1e-12 is reported as degenerate instead of being
-    divided out.  An empty label set is an error: such points carry no
-    training signal and the caller decides whether to skip them.
-    """
-    if len(labels) == 0:
-        raise UnlabeledPointError("cannot project an empty label set")
-    if labels.ids[-1] >= embeddings.count or labels.ids[0] < 0:
-        raise ValidationError(
-            f"label id outside [0, {embeddings.count})"
-        )
-    mean = embeddings.values[:, labels.ids].mean(axis=1)
-    if not normalize:
-        return mean
-    nrm = float(np.linalg.norm(mean))
-    if nrm < _DEGENERATE_NORM:
-        raise DegenerateTargetError(
-            f"averaged label embedding has norm {nrm:.3e}, cannot normalize"
-        )
-    return mean / nrm
 
 
 def project_targets(
@@ -55,8 +28,11 @@ def project_targets(
     """Targets for every labeled point of ``dataset``, the training data of the network.
 
     Returns (targets, rows, skipped): ``targets[i]`` belongs to point
-    ``rows[i]`` and equals ``project_label_vector`` of its labels bit for bit;
-    ``skipped`` counts the unlabeled points, which get no target.
+    ``rows[i]`` and has the bits of the mean of its labels' embedding
+    columns, ``E[:, ids].mean(axis=1)``, divided with ``normalize`` by its
+    ``np.linalg.norm``; a mean whose norm falls below 1e-12 raises
+    DegenerateTargetError.  ``skipped`` counts the unlabeled points, which
+    get no target.
     """
     counts = np.diff(dataset.label_indptr)
     rows = np.flatnonzero(counts)
@@ -71,7 +47,8 @@ def project_targets(
     starts, counts = dataset.label_indptr[rows], counts[rows]
     # Points with m labels are averaged together as a (dim, points, m) gather
     # whose mean runs over the same m contiguous values, in the same order, as
-    # project_label_vector's; a block keeps the gather near _GATHER_FLOATS.
+    # one point's E[:, ids].mean(axis=1); a block keeps the gather near
+    # _GATHER_FLOATS.
     for m in np.unique(counts).tolist():
         same = np.flatnonzero(counts == m)
         step = max(1, _GATHER_FLOATS // (m * E.shape[0]))

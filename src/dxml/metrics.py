@@ -14,48 +14,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data_io import Dataset, LabelSet
+from .data_io import Dataset
 from .errors import ValidationError
 
-__all__ = ["MetricReport", "rank_k", "precision_at_k", "ndcg_at_k", "evaluate"]
-
-
-def rank_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores, descending, ties by ascending index."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise ValidationError("scores must be a non-empty 1-d vector")
-    order = np.lexsort((np.arange(s.size), -s))
-    return order[: min(k, s.size)]
-
-
-def precision_at_k(scores: np.ndarray, truth: LabelSet, k: int) -> float:
-    """Fraction of the top-k ranked labels that are true, divided by k."""
-    ranked = rank_k(scores, k)
-    hits = int(np.isin(ranked, truth.ids).sum())
-    return hits / k
-
-
-def ndcg_at_k(scores: np.ndarray, truth: LabelSet, k: int) -> float:
-    """Position-discounted gain over the best achievable at this k; 0 if no truth.
-
-    Both sums accumulate sequentially in rank-position order so the result is
-    bit-for-bit the textbook left-to-right evaluation of the formula.
-    """
-    if len(truth) == 0:
-        return 0.0
-    ranked = rank_k(scores, k)
-    truth_ids = set(truth.ids.tolist())
-    dcg = 0.0
-    for pos, label in enumerate(ranked.tolist(), 1):
-        if label in truth_ids:
-            dcg += 1.0 / math.log2(pos + 1)
-    ideal = 0.0
-    for pos in range(1, min(k, len(truth)) + 1):
-        ideal += 1.0 / math.log2(pos + 1)
-    return dcg / ideal
+__all__ = ["MetricReport", "evaluate"]
 
 
 @dataclass(eq=True)
@@ -92,10 +54,12 @@ class MetricReport:
 def _ranked_head(
     point_scores: Mapping[int, float], num_labels: int, top: int
 ) -> np.ndarray:
-    """``rank_k`` of the dense score vector at ``top``, from the scored labels only.
+    """The ``top`` labels of the dense score vector, from the scored labels only.
 
-    A label without a score ranks as a zero score.  Only the ``top`` lowest
-    such ids can reach the head, so they are the only ones ranked.
+    Labels rank by descending score, ties broken by ascending label index,
+    NaN scores last.  A label without a score ranks as a zero score.  Only
+    the ``top`` lowest such ids can reach the head, so they are the only
+    ones ranked.
     """
     labels = np.fromiter(point_scores.keys(), dtype=np.int64, count=len(point_scores))
     scores = np.fromiter(point_scores.values(), dtype=np.float64, count=len(point_scores))
@@ -121,9 +85,11 @@ def evaluate(
     """Average P@k and nDCG@k of sparse score maps against ``dataset`` truth.
 
     Unlabeled test points count as zeros unless ``skip_unlabeled`` excludes
-    them from the average.  Each point is ranked once, at the largest k; every
-    k reads a prefix of that ranking and gets ``precision_at_k`` and
-    ``ndcg_at_k`` bit for bit.
+    them from the average.  Each point is ranked once, at the largest k, and
+    every k reads a prefix of that ranking.  A point's P@k is its hits in
+    the top k over k; its DCG and the ideal DCG are summed in rank order, so
+    each per-point value has the bits of the module docstring's formulas
+    evaluated left to right.
     """
     if len(score_maps) != dataset.num_points:
         raise ValidationError(

@@ -5,10 +5,10 @@ time, then scaling to the unit sphere.  The loss is the coordinate-wise
 smooth-L1 distance between the network output and the point's label target,
 minimized with minibatch SGD plus momentum and weight decay.
 
-Training, ``embed_points`` and ``forward`` (a batch of one) run one forward
-pass over CSR rows (``SparseRows``).  Only the first layer is per point: one
-BLAS vector-matrix product of the point's values with its gathered rows of
-W1.  Bias, ReLU and dropout are one array operation each over the batch.
+Training and ``embed_points`` run one forward pass over CSR rows
+(``SparseRows``); a single point is a batch of one.  Only the first layer is
+per point: one BLAS vector-matrix product of the point's values with its
+gathered rows of W1.  Bias, ReLU and dropout are one array operation each over the batch.
 The second layer is a stacked ``np.matmul(A[:, None, :], W2)``, one
 vector-matrix product per row, not a GEMM: a GEMM blocks its sums by the
 batch size and the row's place in it, so a point's bits would depend on its
@@ -40,11 +40,9 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
-
 import numpy as np
 
-from .data_io import Dataset, SparseRows, SparseVector
+from .data_io import Dataset, SparseRows
 from .errors import ValidationError
 from .graph_embed import EmbeddingMatrix
 from .label_projection import project_targets
@@ -55,9 +53,7 @@ __all__ = [
     "OptimizerState",
     "Gradients",
     "init_model",
-    "forward",
     "smooth_l1",
-    "embed_distance",
     "loss_and_gradients",
     "sgd_step",
     "train",
@@ -205,15 +201,6 @@ def smooth_l1(a, b):
     return float(out) if out.ndim == 0 else out
 
 
-def embed_distance(fx: np.ndarray, fy: np.ndarray) -> float:
-    """Sum of coordinate-wise smooth-L1 terms between two embeddings."""
-    fx = np.asarray(fx, dtype=np.float64)
-    fy = np.asarray(fy, dtype=np.float64)
-    if fx.shape != fy.shape:
-        raise ValidationError(f"shape mismatch {fx.shape} vs {fy.shape}")
-    return float(np.sum(smooth_l1(fx, fy)))
-
-
 def _forward_rows(
     model: MlpModel,
     x: SparseRows,
@@ -245,43 +232,28 @@ def _forward_rows(
     return Hpre, A, Zd, Zd / guarded[:, None], norms, guarded
 
 
-def forward(
-    model: MlpModel, x: SparseVector, dropout_mask: np.ndarray | None = None
-) -> np.ndarray:
-    """Embed one sparse point, as a batch of one; eval mode when ``dropout_mask`` is None.
-
-    A train-mode mask must already carry the inverted-dropout scale
-    1/(1 - rate).  Output norm is epsilon-guarded, so it is 1 up to 1e-9
-    whenever the pre-normalization vector is not vanishingly small.
-    """
-    masks = None if dropout_mask is None else np.asarray(dropout_mask)[None]
-    return _forward_rows(model, SparseRows.pack([x]), masks)[3][0]
-
-
 def loss_and_gradients(
     model: MlpModel,
-    batch: Sequence[tuple[SparseVector, np.ndarray]] | tuple[SparseRows, np.ndarray],
+    batch: tuple[SparseRows, np.ndarray],
     dropout_masks: np.ndarray | None = None,
     loss_mode: str = "mean",
     dW1: np.ndarray | None = None,
 ) -> tuple[float, Gradients]:
     """Smooth-L1 batch loss and exact gradients for all four tensors.
 
-    ``batch`` is a sequence of (point, target) pairs, or one pair of CSR
-    rows and a (B, l) target array.  ``dropout_masks`` is a (B, l) array of
-    pre-scaled mask rows or None; gradients are for the mean per-point
-    distance ('mean') or the plain sum ('sum').  The W1 gradient is compact,
-    one row per distinct feature id of the batch (``Gradients.rows``).
+    ``batch`` is a pair of CSR rows and a (B, l) target array.
+    ``dropout_masks`` is a (B, l) array of pre-scaled mask rows (they carry
+    the inverted-dropout scale 1/(1 - rate)) or None; gradients are for the
+    mean per-point distance ('mean') or the plain sum ('sum').  The W1
+    gradient is compact, one row per distinct feature id of the batch
+    (``Gradients.rows``).
     ``dW1``, if given, is a float64 scratch array of H columns and at least
     that many rows; its leading rows are zeroed and hold the gradient, which
     is then a view of it, in place of a new array.
     """
     if loss_mode not in ("mean", "sum"):
         raise ValidationError("loss_mode must be 'mean' or 'sum'")
-    if len(batch) and isinstance(batch[0], SparseRows):
-        x, T = batch
-    else:
-        x, T = SparseRows.pack([sv for sv, _ in batch]), [t for _, t in batch]
+    x, T = batch
     B = len(x)
     if B == 0:
         raise ValidationError("empty batch")
@@ -392,7 +364,7 @@ def sgd_step(
 
 
 def train_embedding_net(
-    xs: SparseRows | Sequence[SparseVector],
+    x: SparseRows,
     targets: np.ndarray,
     num_features: int,
     config: TrainConfig,
@@ -401,7 +373,6 @@ def train_embedding_net(
 ) -> MlpModel:
     """Fit the network to precomputed targets; deterministic for a fixed seed."""
     config.validate()
-    x = _as_rows(xs)
     n = len(x)
     if n == 0:
         raise ValidationError("no labeled training points")
@@ -465,9 +436,12 @@ def train(
     )
 
 
-def embed_points(model: MlpModel, xs: SparseRows | Sequence[SparseVector]) -> np.ndarray:
-    """Eval-mode embeddings, one row per point; row i is ``forward`` of point i, bit for bit."""
-    x = _as_rows(xs)
+def embed_points(model: MlpModel, x: SparseRows) -> np.ndarray:
+    """Eval-mode embeddings, one row per point; a row's bits do not depend on the batch.
+
+    Each output row has norm 1 up to 1e-9, or is zero where the network's
+    output before scaling is (the norm is epsilon-guarded).
+    """
     n = len(x)
     if n <= _EMBED_ROWS:
         return _forward_rows(model, x, None)[3]
@@ -475,7 +449,3 @@ def embed_points(model: MlpModel, xs: SparseRows | Sequence[SparseVector]) -> np
     for s in range(0, n, _EMBED_ROWS):
         out[s : s + _EMBED_ROWS] = _forward_rows(model, x, None, s, s + _EMBED_ROWS)[3]
     return out
-
-
-def _as_rows(xs: SparseRows | Sequence[SparseVector]) -> SparseRows:
-    return xs if isinstance(xs, SparseRows) else SparseRows.pack(xs)

@@ -7,7 +7,7 @@ The search is batched: the queries routed to one cluster go together
 through ``cluster._nearest_rows``, the screened kernel that k-means and
 routing also use, which returns the exact k nearest members ordered by
 (distance, training id).  So neighbors, distances and scores equal those of
-a full exact scan (``knn_search``) bit for bit.
+a full exact scan of the routed cluster bit for bit.
 
 What depends only on the model is built once, on the first search, and kept
 on the ``ClusterIndex`` (its ``search_cache``): each cluster's rows as one
@@ -32,15 +32,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cluster import ClusterIndex, _nearest_rows, _screen_norms, _sq_dists, nearest_clusters
+from .cluster import ClusterIndex, _nearest_rows, _screen_norms, nearest_clusters
 from .data_io import LabelSet, SparseRows, SparseVector
 from .errors import ValidationError
 from .net import MlpModel, embed_points
 
-__all__ = [
-    "Prediction", "knn_search", "knn_batch", "aggregate_labels", "score_neighbors", "top_p",
-    "predict", "predict_batch",
-]
+__all__ = ["Prediction", "knn_batch", "score_neighbors", "top_p", "predict", "predict_batch"]
 
 log = logging.getLogger(__name__)
 
@@ -55,41 +52,8 @@ class Prediction:
     top_labels: list[int]
 
 
-def knn_search(
-    vectors: np.ndarray,
-    query: np.ndarray,
-    k: int,
-    ids: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact k nearest rows of ``vectors`` to ``query``.
-
-    Returns (ids, distances) ordered by ascending Euclidean distance with
-    ties broken by ascending id.  ``ids`` defaults to row positions; fewer
-    than k rows yield all of them.
-    """
-    vectors = np.asarray(vectors, dtype=np.float64)
-    query = np.asarray(query, dtype=np.float64)
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if vectors.ndim != 2 or vectors.shape[0] == 0:
-        raise ValidationError("vectors must be a non-empty 2-d array")
-    if query.shape != (vectors.shape[1],):
-        raise ValidationError(
-            f"query shape {query.shape} does not match vector dim {vectors.shape[1]}"
-        )
-    if ids is not None:
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.shape != (vectors.shape[0],):
-            raise ValidationError("ids must align with vector rows")
-    else:
-        ids = np.arange(vectors.shape[0], dtype=np.int64)
-    d2 = _sq_dists(vectors, query)
-    order = np.lexsort((ids, d2))[:k]
-    return ids[order], np.sqrt(d2[order])
-
-
 def _weights(n: int, weighting: str, distances: np.ndarray | None) -> list[float]:
-    """Vote weight of each of ``n`` neighbors; see ``aggregate_labels``."""
+    """Vote weight of each of ``n`` neighbors; see ``score_neighbors``."""
     if n == 0:
         raise ValidationError("need at least one neighbor")
     if weighting == "uniform":
@@ -110,21 +74,6 @@ def _vote(neighbor_ids: Iterable[list[int]], weights: list[float]) -> dict[int, 
         for label in labels:
             scores[label] = get(label, 0.0) + w
     return scores
-
-
-def aggregate_labels(
-    neighbor_labels: Sequence[LabelSet],
-    weighting: str = "uniform",
-    distances: np.ndarray | None = None,
-) -> dict[int, float]:
-    """Fold neighbor label sets into one sparse score map.
-
-    'uniform' gives every neighbor weight 1/len(neighbors), so a label held
-    by every neighbor scores exactly 1.  'inverse_distance' weights neighbor
-    i by 1/(distance_i + 1e-8), normalized to sum to 1.
-    """
-    weights = _weights(len(neighbor_labels), weighting, distances)
-    return _vote((labels.ids.tolist() for labels in neighbor_labels), weights)
 
 
 def rank_scores(scores: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
@@ -214,11 +163,13 @@ def knn_batch(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exact k nearest training rows for each query row, inside its routed cluster.
 
-    Entry i equals ``knn_search(train_embeds[members], queries[i], k,
-    ids=members)`` for the members of the cluster nearest to ``queries[i]``.
-    The queries routed to one cluster are searched together.  The cluster
-    rows and norms are cached on ``clusters`` for this ``train_embeds``
-    object, which must not be changed in place afterwards.
+    Entry i is (ids, distances) of the k members of the cluster nearest to
+    ``queries[i]`` that lie nearest to it, by ascending Euclidean distance,
+    ties broken by ascending training id; a cluster of fewer than k members
+    gives all of them.  The queries routed to one cluster are searched
+    together.  The cluster rows and norms are cached on ``clusters`` for
+    this ``train_embeds`` object, which must not be changed in place
+    afterwards.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -246,10 +197,14 @@ def score_neighbors(
     neighbors: Sequence[tuple[np.ndarray, np.ndarray]],
     weighting: str = "uniform",
 ) -> list[dict[int, float]]:
-    """One score map per (ids, distances) entry of ``neighbors``, as ``aggregate_labels`` gives.
+    """One sparse score map per (ids, distances) entry of ``neighbors``.
 
-    The neighbors' label ids are read from lists cached on ``clusters`` for
-    this ``train_labels`` object, which must not be changed in place afterwards.
+    Each neighbor adds its weight to each of its labels.  'uniform' gives
+    every neighbor weight 1/len(neighbors), so a label held by every
+    neighbor scores exactly 1.  'inverse_distance' weights neighbor i by
+    1/(distance_i + 1e-8), normalized to sum to 1.  The neighbors' label ids
+    are read from lists cached on ``clusters`` for this ``train_labels``
+    object, which must not be changed in place afterwards.
     """
     label_ids = _label_lists(clusters, train_labels)
     return [
@@ -263,7 +218,7 @@ def predict_batch(
     clusters: ClusterIndex,
     train_embeds: np.ndarray,
     train_labels: Sequence[LabelSet],
-    xs: SparseRows | Sequence[SparseVector],
+    x: SparseRows,
     k: int = 10,
     weighting: str = "uniform",
 ) -> list[dict[int, float]]:
@@ -274,7 +229,7 @@ def predict_batch(
     ``train_embeds`` and ``train_labels`` is cached on ``clusters`` (see the
     module docstring), so neither may be changed in place afterwards.
     """
-    neighbors = knn_batch(clusters, train_embeds, embed_points(mlp, xs), k)
+    neighbors = knn_batch(clusters, train_embeds, embed_points(mlp, x), k)
     return score_neighbors(clusters, train_labels, neighbors, weighting)
 
 
@@ -288,11 +243,13 @@ def predict(
     p: int = 5,
     weighting: str = "uniform",
 ) -> Prediction:
-    """Embed, route to the nearest cluster, search its members, score labels.
+    """Embed one point, route it to the nearest cluster, search its members, score labels.
 
-    The scores are ``predict_batch`` on a batch of one.
+    ``x`` is one point's features; the scores are ``predict_batch`` on it
+    as a batch of one.
     """
     if k < 1 or p < 1:
         raise ValidationError("k and p must be >= 1")
-    scores = predict_batch(mlp, clusters, train_embeds, train_labels, [x], k, weighting)[0]
+    row = SparseRows(np.array([0, x.indices.size]), x.indices, np.asarray(x.values, np.float64))
+    scores = predict_batch(mlp, clusters, train_embeds, train_labels, row, k, weighting)[0]
     return Prediction(scores=scores, top_labels=top_p(scores, p) if scores else [])

@@ -10,11 +10,28 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dxml import Dataset, LabelSet, SparseVector
+from dxml import Dataset, LabelSet, SparseRows, SparseVector
 
 
 def pytest_configure(config):
     config.addinivalue_line("markers", "slow: long-running end-to-end checks")
+
+
+def sparse(pairs) -> SparseVector:
+    """One point from (index, value) pairs, sorted by index, zero values dropped."""
+    pairs = sorted((int(i), float(v)) for i, v in pairs if v != 0.0)
+    return SparseVector(np.array([i for i, _ in pairs], dtype=np.int32),
+                        np.array([v for _, v in pairs], dtype=np.float64))
+
+
+def rows_of(xs) -> SparseRows:
+    """Points as CSR rows, in order: the input of the library's batched functions."""
+    indptr = np.zeros(len(xs) + 1, dtype=np.int64)
+    np.cumsum(np.array([x.indices.size for x in xs], dtype=np.int64), out=indptr[1:])
+    if not xs:
+        return SparseRows(indptr, np.empty(0, dtype=np.int32), np.empty(0))
+    return SparseRows(indptr, np.concatenate([x.indices for x in xs]).astype(np.int32),
+                      np.concatenate([x.values for x in xs]).astype(np.float64))
 
 
 def random_dataset(
@@ -68,7 +85,7 @@ def planted_dataset(n: int, L: int, seed: int, noise_features: int = 6) -> Datas
         feats[2 * L + int(rng.integers(noise_features))] = 0.5
         points.append(
             (
-                SparseVector.from_pairs(sorted(feats.items())),
+                sparse(feats.items()),
                 LabelSet.from_iterable(labels),
             )
         )

@@ -22,14 +22,9 @@ from dxml import (
     SparseVector,
     embed_labels,
     evaluate,
-    forward,
     kmeans,
-    knn_search,
     load_model,
-    ndcg_at_k,
-    nearest_cluster,
     parse_repo_file,
-    precision_at_k,
     predict,
     save_model,
     write_repo_file,
@@ -37,12 +32,13 @@ from dxml import (
 from dxml.cli import main
 from dxml.graph_embed import EmbeddingMatrix
 
-from conftest import _benchmark_paths, random_dataset
+from conftest import _benchmark_paths, random_dataset, sparse
 from test_cli import TINY_FLAGS, read_bytes
+from test_cluster import nearest_cluster
 from test_graph_embed import two_cliques
-from test_metrics import brute_ndcg, brute_precision
+from test_metrics import brute_ndcg, brute_precision, ndcg_at_k, precision_at_k
 from test_net import finite_difference_check
-from test_predictor import trained_toy_artifacts
+from test_predictor import embed, knn_one, trained_toy_artifacts
 
 
 @pytest.fixture
@@ -191,18 +187,16 @@ def test_07_knn_exact_and_m1_reduction(announce):
             k = int(rng.integers(1, n + 2))
             vectors = rng.standard_normal((n, dim))
             q = rng.standard_normal(dim)
-            ids, _ = knn_search(vectors, q, k)
+            ids, _ = knn_one(vectors, q, k)
             d2 = ((vectors - q) ** 2).sum(axis=1)
             want = sorted(range(n), key=lambda i: (d2[i], i))[: min(k, n)]
             assert ids.tolist() == want, f"trial {trial}"
 
         mlp, clusters, embeds, label_sets, _ = trained_toy_artifacts(seed=7, m=1)
         for _ in range(25):
-            x = SparseVector.from_pairs(
-                (i, float(v)) for i, v in enumerate(rng.standard_normal(8))
-            )
+            x = sparse(enumerate(rng.standard_normal(8)))
             got = predict(mlp, clusters, embeds, label_sets, x, k=5, p=5)
-            fx = forward(mlp, x)
+            fx = embed(mlp, x)
             d2 = ((embeds - fx) ** 2).sum(axis=1)
             order = np.lexsort((np.arange(embeds.shape[0]), d2))[:5]
             want_scores: dict[int, float] = {}
@@ -275,8 +269,7 @@ def test_10_round_trips_at_benchmark_scale(tmp_path, announce):
             ds = _benchmark_scale_dataset()
         text = write_repo_file(ds)
         again = parse_repo_file(io.StringIO(text))
-        assert again.num_points == ds.num_points
-        assert again.points == ds.points
+        assert again == ds
         assert write_repo_file(again) == text
 
         rng = np.random.default_rng(11)

@@ -4,13 +4,17 @@ import argparse
 import dataclasses
 import io
 import json
+import os
 import re
 import subprocess
 import sys
+import tomllib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dxml
 from dxml import DeepWalkConfig, TrainConfig, load_repo_file
 from dxml.cli import _build_parser, _derived_seeds, _int_list, _seed, _write_predictions, main
 
@@ -87,6 +91,17 @@ class TestTrain:
         code = main(["train", path, "--model-out", str(tmp_path / "m.dxml"), *TINY_FLAGS])
         assert code == 2
         assert "no labeled points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1e-200", "1e200"])
+    def test_feature_norm_outside_float64_fails(self, value, tmp_path, capsys):
+        path = str(tmp_path / "train.txt")
+        with open(path, "w") as fh:
+            fh.write(f"3 9 2\n0 1:1.0\n1 2:1.0\n1 5:{value}\n")
+        model = tmp_path / "m.dxml"
+        assert main(["train", path, "--model-out", str(model), *TINY_FLAGS]) == 2
+        err = capsys.readouterr().err
+        assert "point 2: its squared feature norm" in err and "gradient" not in err
+        assert not model.exists()
 
     def test_missing_input_file(self, tmp_path):
         code = main(["train", str(tmp_path / "nope.txt"),
@@ -198,6 +213,16 @@ class TestPredict:
             fh.write("1 99 6\n0 5:1.0\n")
         assert main(["predict", trained_model, bad, "--out", str(tmp_path / "p.txt")]) == 2
         assert "features" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1e-200", "1e200"])
+    def test_feature_norm_outside_float64_fails(self, value, trained_model, tmp_path, capsys):
+        bad = str(tmp_path / "bad.txt")
+        with open(bad, "w") as fh:
+            fh.write(f"2 18 6\n0 1:1.0\n1 5:{value}\n")
+        out = tmp_path / "p.txt"
+        assert main(["predict", trained_model, bad, "--out", str(out)]) == 2
+        assert "point 1: its squared feature norm" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_corrupt_model_fails(self, trained_model, data_files, tmp_path, capsys):
         _, test = data_files
@@ -533,7 +558,43 @@ class TestNonUtf8Input:
         assert str(cfg) in capsys.readouterr().err
 
 
+REPO = Path(__file__).resolve().parent.parent
+
+
+class TestBenchmarkClient:
+    """The benchmark's per-query client (``bench/child.py loop``) against ``predict``.
+
+    The client reads ``Dataset.points`` and calls ``dxml.predict`` on one
+    ``SparseVector`` at a time; its first pass must write the bytes the CLI
+    writes for the whole test file.
+    """
+
+    @pytest.mark.parametrize("weighting", ["uniform", "inverse_distance"])
+    def test_loop_writes_the_cli_predictions(self, weighting, trained_model, data_files,
+                                             tmp_path):
+        _, test = data_files
+        files = {name: str(tmp_path / name) for name in ("pred", "tops", "lats", "cli")}
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "bench" / "child.py"), "loop", trained_model, test,
+             files["pred"], files["tops"], files["lats"], "10", weighting, "0"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert main(["-q", "predict", trained_model, test, "-k", "10",
+                     "--weighting", weighting, "--out", files["cli"]]) == 0
+        assert read_bytes(files["pred"]) == read_bytes(files["cli"])
+        tops = Path(files["tops"]).read_text().splitlines()
+        assert len(tops) == load_repo_file(test).num_points
+        for line, pred in zip(tops, Path(files["cli"]).read_text().splitlines()):
+            assert line.split() == [pair.split(":")[0] for pair in pred.split("\t")][:5]
+
+
 class TestUsage:
+    def test_version_matches_pyproject(self):
+        with open(REPO / "pyproject.toml", "rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == dxml.__version__
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 

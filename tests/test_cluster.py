@@ -7,12 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dxml import (
-    ClusterIndex, ValidationError, kmeans, knn_batch, nearest_cluster, nearest_clusters,
-)
+from dxml import ClusterIndex, ValidationError, kmeans, knn_batch, nearest_clusters
 from dxml.cluster import _nearest_rows, _seed_centers, _sq_dists
 
 from conftest import screen_blocks
+
+
+def nearest_cluster(index, query):
+    """The cluster one query is routed to: ``nearest_clusters`` on a batch of one."""
+    return int(nearest_clusters(index, np.asarray(query, dtype=np.float64)[None, :])[0])
 
 
 def blobs(rng, centers, per_blob, spread=0.05):

@@ -6,14 +6,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from dxml import DataFormatError, Dataset, LabelSet, SparseVector, ValidationError, build_label_graph
+from dxml import DataFormatError, Dataset, LabelSet, ValidationError, build_label_graph
 from dxml.label_graph import read_adjacency, write_adjacency
 
-from conftest import random_dataset
+from conftest import random_dataset, sparse
 
 
 def dataset_from_label_sets(label_sets, L):
-    sv = SparseVector.from_pairs([])
+    sv = sparse([])
     points = [(sv, LabelSet.from_iterable(ls)) for ls in label_sets]
     return Dataset(len(points), 1, L, points)
 

@@ -3,20 +3,12 @@
 import numpy as np
 import pytest
 
-from dxml import (
-    Dataset,
-    DegenerateTargetError,
-    LabelSet,
-    SparseVector,
-    UnlabeledPointError,
-    ValidationError,
-    project_label_vector,
-)
+from dxml import Dataset, DegenerateTargetError, LabelSet, ValidationError
 from dxml import label_projection
 from dxml.graph_embed import EmbeddingMatrix
 from dxml.label_projection import project_targets
 
-from conftest import random_dataset
+from conftest import random_dataset, sparse
 
 
 def matrix(cols):
@@ -24,46 +16,69 @@ def matrix(cols):
 
 
 def dataset_from_label_sets(label_sets, L):
-    points = [(SparseVector.from_pairs([]), LabelSet.from_iterable(ls)) for ls in label_sets]
+    points = [(sparse([]), LabelSet.from_iterable(ls)) for ls in label_sets]
     return Dataset(len(points), 1, L, points)
+
+
+def project_label_vector(embeddings, labels, normalize=True):
+    """One label set's target on its own: the per-point reference for ``project_targets``.
+
+    The mean of the named embedding columns, divided by its Euclidean norm
+    with ``normalize``; a norm below 1e-12 is degenerate.
+    """
+    mean = embeddings.values[:, labels.ids].mean(axis=1)
+    if not normalize:
+        return mean
+    nrm = float(np.linalg.norm(mean))
+    if nrm < 1e-12:
+        raise DegenerateTargetError(f"averaged label embedding has norm {nrm:.3e}")
+    return mean / nrm
+
+
+def project(embeddings, labels, normalize=True):
+    """``project_targets`` of a dataset whose one point holds ``labels``."""
+    ds = dataset_from_label_sets([labels], embeddings.count)
+    return project_targets(embeddings, ds, normalize=normalize)[0][0]
 
 
 class TestProjection:
     def test_two_column_average(self):
         V = matrix([[1.0, 0.0], [0.0, 1.0]])
-        raw = project_label_vector(V, LabelSet.from_iterable([0, 1]), normalize=False)
+        raw = project(V, LabelSet.from_iterable([0, 1]), normalize=False)
         assert raw.tolist() == [0.5, 0.5]
-        unit = project_label_vector(V, LabelSet.from_iterable([0, 1]))
+        unit = project(V, LabelSet.from_iterable([0, 1]))
         assert np.allclose(unit, [1 / np.sqrt(2)] * 2, atol=1e-12)
 
     def test_singleton_is_normalized_column(self):
         V = matrix([[3.0, 4.0], [1.0, 0.0]])
-        out = project_label_vector(V, LabelSet.from_iterable([0]))
+        out = project(V, LabelSet.from_iterable([0]))
         assert np.allclose(out, [0.6, 0.8], atol=1e-12)
 
     def test_empty_label_set_rejected(self):
-        with pytest.raises(UnlabeledPointError):
-            project_label_vector(matrix([[1.0, 0.0]]), LabelSet.empty())
+        ds = dataset_from_label_sets([[]], 1)
+        targets, rows, skipped = project_targets(matrix([[1.0, 0.0]]), ds)
+        assert targets.shape == (0, 2) and rows.size == 0 and skipped == 1
 
     def test_degenerate_mean_rejected(self):
         V = matrix([[1.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(DegenerateTargetError):
-            project_label_vector(V, LabelSet.from_iterable([0, 1]))
+            project(V, LabelSet.from_iterable([0, 1]))
 
     def test_degenerate_ok_without_normalize(self):
         V = matrix([[1.0, 0.0], [-1.0, 0.0]])
-        out = project_label_vector(V, LabelSet.from_iterable([0, 1]), normalize=False)
+        out = project(V, LabelSet.from_iterable([0, 1]), normalize=False)
         assert out.tolist() == [0.0, 0.0]
 
     def test_label_out_of_range(self):
+        ds = dataset_from_label_sets([[5]], 6)
         with pytest.raises(ValidationError):
-            project_label_vector(matrix([[1.0, 0.0]]), LabelSet.from_iterable([5]))
+            project_targets(matrix([[1.0, 0.0]]), ds)
 
     def test_order_invariant(self):
         rng = np.random.default_rng(0)
         V = EmbeddingMatrix(values=rng.standard_normal((8, 10)))
-        a = project_label_vector(V, LabelSet.from_iterable([7, 2, 4]))
-        b = project_label_vector(V, LabelSet.from_iterable([4, 7, 2]))
+        a = project(V, LabelSet.from_iterable([7, 2, 4]))
+        b = project(V, LabelSet.from_iterable([4, 7, 2]))
         assert np.array_equal(a, b)
 
     def test_unit_norm_property(self):
@@ -72,14 +87,14 @@ class TestProjection:
         for _ in range(100):
             size = int(rng.integers(1, 5))
             labels = LabelSet.from_iterable(rng.choice(12, size=size, replace=False).tolist())
-            out = project_label_vector(V, labels)
+            out = project(V, labels)
             assert abs(np.linalg.norm(out) - 1.0) < 1e-9
 
     def test_mean_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
         V = EmbeddingMatrix(values=rng.standard_normal((5, 9)))
         labels = LabelSet.from_iterable([1, 3, 8])
-        raw = project_label_vector(V, labels, normalize=False)
+        raw = project(V, labels, normalize=False)
         manual = sum(V.values[:, j] for j in [1, 3, 8]) / 3
         assert np.allclose(raw, manual, atol=1e-15)
 

@@ -8,17 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dxml import (
-    Dataset,
-    LabelSet,
-    MetricReport,
-    SparseVector,
-    ValidationError,
-    evaluate,
-    ndcg_at_k,
-    precision_at_k,
-    rank_k,
-)
+from dxml import Dataset, LabelSet, MetricReport, ValidationError, evaluate
+from dxml.metrics import _ranked_head
+
+from conftest import sparse
 
 # Frozen by hand from the formula: hits at rank positions 1 and 3 of the
 # top 3, two true labels.  DCG = 1 + 1/log2(4) = 1.5; ideal = 1 + 1/log2(3).
@@ -26,8 +19,11 @@ HAND_NDCG = 1.5 / (1.0 + 1.0 / math.log2(3.0))
 
 
 def brute_rank(scores, k):
-    """Reference ranking: stable sort on (-score, index), plain Python."""
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    """Reference ranking: stable sort on (-score, index), NaN last, plain Python."""
+    def key(i):
+        return (math.isnan(scores[i]), 0.0 if math.isnan(scores[i]) else -scores[i], i)
+
+    order = sorted(range(len(scores)), key=key)
     return order[: min(k, len(scores))]
 
 
@@ -42,6 +38,28 @@ def brute_ndcg(scores, truth, k):
     dcg = sum(1.0 / math.log2(pos + 1) for pos, i in enumerate(ranked, 1) if i in truth)
     ideal = sum(1.0 / math.log2(pos + 1) for pos in range(1, min(k, len(truth)) + 1))
     return dcg / ideal
+
+
+def rank_k(scores, k):
+    """The head ``evaluate`` ranks for one point's dense score vector, at k."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return _ranked_head(dict(enumerate(scores.tolist())), scores.size, min(k, scores.size))
+
+
+def one_point(scores, truth, k):
+    """``evaluate``'s report at k for one point with dense ``scores`` and labels ``truth``."""
+    ds = tiny_dataset([truth.ids.tolist()], num_labels=len(scores))
+    return evaluate([dict(enumerate(np.asarray(scores).tolist()))], ds, ks=(k,))
+
+
+def precision_at_k(scores, truth, k):
+    """One point's P@k, through ``evaluate``."""
+    return one_point(scores, truth, k).precision[k]
+
+
+def ndcg_at_k(scores, truth, k):
+    """One point's nDCG@k, through ``evaluate``."""
+    return one_point(scores, truth, k).ndcg[k]
 
 
 class TestRankK:
@@ -63,10 +81,11 @@ class TestRankK:
             assert rank_k(scores, k).tolist() == brute_rank(scores.tolist(), k)
 
     def test_bad_inputs(self):
+        ds = tiny_dataset([[0]], num_labels=1)
         with pytest.raises(ValidationError):
-            rank_k(np.array([0.1]), 0)
+            evaluate([{0: 0.1}], ds, ks=(0,))
         with pytest.raises(ValidationError):
-            rank_k(np.empty(0), 1)
+            evaluate([{0: 0.1}], ds, ks=())
 
 
 class TestPrecisionAtK:
@@ -151,7 +170,7 @@ class TestBruteForceOracle:
 
 def tiny_dataset(label_sets, num_labels):
     points = [
-        (SparseVector.from_pairs([(0, 1.0)]), LabelSet.from_iterable(ls))
+        (sparse([(0, 1.0)]), LabelSet.from_iterable(ls))
         for ls in label_sets
     ]
     return Dataset(num_points=len(points), num_features=1, num_labels=num_labels, points=points)
@@ -253,8 +272,12 @@ class TestReportFormat:
 
 
 def reference_evaluate(score_maps, dataset, ks, skip_unlabeled=False):
-    """Every k ranks every point's full dense score vector: the first evaluate."""
-    dense = np.zeros(dataset.num_labels)
+    """Every k ranks every point's full dense score vector: the first evaluate.
+
+    A point's P@k and nDCG@k are the brute-force formulas, summed in the
+    same order as the library's, so the means agree bit for bit.
+    """
+    dense = [0.0] * dataset.num_labels
     p_sums = {k: 0.0 for k in ks}
     n_sums = {k: 0.0 for k in ks}
     counted = skipped = 0
@@ -264,11 +287,12 @@ def reference_evaluate(score_maps, dataset, ks, skip_unlabeled=False):
             continue
         for label, score in point_scores.items():
             dense[label] = score
+        truth_ids = set(truth.ids.tolist())
         for k in ks:
-            p_sums[k] += precision_at_k(dense, truth, k)
-            n_sums[k] += ndcg_at_k(dense, truth, k)
+            p_sums[k] += brute_precision(dense, truth_ids, k)
+            n_sums[k] += brute_ndcg(dense, truth_ids, k)
         counted += 1
-        dense[:] = 0.0
+        dense = [0.0] * dataset.num_labels
     return ({k: p_sums[k] / counted for k in ks}, {k: n_sums[k] / counted for k in ks},
             counted, skipped)
 

@@ -14,23 +14,45 @@ from dxml import (
     SparseVector,
     TrainConfig,
     ValidationError,
-    embed_distance,
-    forward,
     init_model,
     loss_and_gradients,
     sgd_step,
     smooth_l1,
 )
 from dxml import net
-from dxml.data_io import SparseRows
 from dxml.graph_embed import EmbeddingMatrix
 from dxml.net import Gradients, embed_points, train, train_embedding_net
 
-from conftest import planted_dataset, random_dataset
+from conftest import planted_dataset, random_dataset, rows_of, sparse
 
 
 def dense_sv(values):
-    return SparseVector.from_pairs(enumerate(values))
+    return sparse(enumerate(values))
+
+
+def batch_of(pairs):
+    """(point, target) pairs as the (rows, targets) batch ``loss_and_gradients`` takes."""
+    return rows_of([x for x, _ in pairs]), np.array([t for _, t in pairs], dtype=np.float64)
+
+
+def embed_one(model, x, dropout_mask=None):
+    """One point through the batched forward pass, as a batch of one.
+
+    Eval mode goes through ``embed_points``; a train-mode mask, which carries
+    the inverted-dropout scale 1/(1 - rate), through the pass the loss uses.
+    """
+    if dropout_mask is None:
+        return embed_points(model, rows_of([x]))[0]
+    return net._forward_rows(model, rows_of([x]), np.asarray(dropout_mask)[None])[3][0]
+
+
+def embed_distance(fx, fy):
+    """Sum of coordinate-wise smooth-L1 terms between two embeddings: one point's loss."""
+    fx = np.asarray(fx, dtype=np.float64)
+    fy = np.asarray(fy, dtype=np.float64)
+    if fx.shape != fy.shape:
+        raise ValidationError(f"shape mismatch {fx.shape} vs {fy.shape}")
+    return float(np.sum(smooth_l1(fx, fy)))
 
 
 def random_sparse(rng, d):
@@ -48,10 +70,10 @@ def random_sparse(rng, d):
 
 
 def reference_forward(model, x, dropout_mask=None):
-    if x.nnz and (x.indices[-1] >= model.input_dim or x.indices[0] < 0):
+    if x.indices.size and (x.indices[-1] >= model.input_dim or x.indices[0] < 0):
         raise ValidationError(f"feature index outside [0, {model.input_dim})")
     h = model.b1.copy()
-    if x.nnz:
+    if x.indices.size:
         h += x.values @ model.W1[x.indices]
     np.maximum(h, 0.0, out=h)
     z = h @ model.W2 + model.b2
@@ -68,7 +90,7 @@ def reference_forward_batch(model, xs, masks):
     norms = np.empty(B)
     for i, sv in enumerate(xs):
         h = model.b1.copy()
-        if sv.nnz:
+        if sv.indices.size:
             h += sv.values @ model.W1[sv.indices]
         Hpre[i] = h
         np.maximum(h, 0.0, out=h)
@@ -96,7 +118,7 @@ def reference_loss_and_gradients(model, batch, masks=None, loss_mode="mean"):
     dH = (dZ @ model.W2.T) * (Hpre > 0.0)
     dW1 = np.zeros_like(model.W1)
     for i, sv in enumerate(xs):
-        if sv.nnz:
+        if sv.indices.size:
             dW1[sv.indices] += sv.values[:, None] * dH[i]
     return loss, Gradients(dW1=dW1, db1=dH.sum(axis=0), dW2=A.T @ dZ, db2=dZ.sum(axis=0),
                            rows=np.arange(model.input_dim))
@@ -216,7 +238,7 @@ class TestMatchesPerPointReference:
         update_bytes = net._UPDATE_BYTES if block is None else block * model.hidden_size * 8
         losses = []
         with mock.patch.object(net, "_UPDATE_BYTES", update_bytes):
-            got = train_embedding_net(xs, targets, d, cfg, model.hidden_size, losses)
+            got = train_embedding_net(rows_of(xs), targets, d, cfg, model.hidden_size, losses)
         assert_same_model(got, want)
         assert losses == want_losses
 
@@ -229,14 +251,13 @@ class TestMatchesPerPointReference:
         batch = list(zip(xs, targets))
         want_loss, want = reference_loss_and_gradients(model, batch, masks, mode)
         named = np.unique(np.concatenate([x.indices for x in xs]).astype(np.int64))
-        for given_batch in (batch, (SparseRows.pack(xs), targets)):
-            loss, got = loss_and_gradients(model, given_batch, masks, mode)
-            assert loss == want_loss
-            assert got.rows.tolist() == named.tolist()  # the batch's distinct ids, sorted
-            assert got.dW1.shape == (named.size, model.hidden_size)
-            for a, b in ((dense_dW1(got, model.input_dim), want.dW1), (got.db1, want.db1),
-                         (got.dW2, want.dW2), (got.db2, want.db2)):
-                assert a.tobytes() == b.tobytes()
+        loss, got = loss_and_gradients(model, (rows_of(xs), targets), masks, mode)
+        assert loss == want_loss
+        assert got.rows.tolist() == named.tolist()  # the batch's distinct ids, sorted
+        assert got.dW1.shape == (named.size, model.hidden_size)
+        for a, b in ((dense_dW1(got, model.input_dim), want.dW1), (got.db1, want.db1),
+                     (got.dW2, want.dW2), (got.db2, want.db2)):
+            assert a.tobytes() == b.tobytes()
 
     @given(net_problems, st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 2, 5]))
     @settings(max_examples=200, deadline=None)
@@ -245,16 +266,15 @@ class TestMatchesPerPointReference:
         want = reference_embed_points(model, xs)
         rows = net._EMBED_ROWS if block is None else block
         with mock.patch.object(net, "_EMBED_ROWS", rows):
-            full = embed_points(model, xs)
-            assert full.tobytes() == want.tobytes()
-            assert embed_points(model, SparseRows.pack(xs)).tobytes() == want.tobytes()
+            assert embed_points(model, rows_of(xs)).tobytes() == want.tobytes()
             rng = np.random.default_rng(seed)
             perm = rng.permutation(len(xs))
-            assert embed_points(model, [xs[i] for i in perm]).tobytes() == want[perm].tobytes()
+            shuffled = rows_of([xs[i] for i in perm])
+            assert embed_points(model, shuffled).tobytes() == want[perm].tobytes()
             a, b = sorted(rng.integers(0, len(xs) + 1, size=2).tolist())
-            assert embed_points(model, xs[a:b]).tobytes() == want[a:b].tobytes()
+            assert embed_points(model, rows_of(xs[a:b])).tobytes() == want[a:b].tobytes()
         for x, row in zip(xs, want):
-            assert forward(model, x).tobytes() == row.tobytes()
+            assert embed_one(model, x).tobytes() == row.tobytes()
 
     @given(net_problems)
     @settings(max_examples=50, deadline=None)
@@ -262,7 +282,7 @@ class TestMatchesPerPointReference:
         xs, targets, model = problem
         mask = (np.random.default_rng(len(xs)).random(model.output_dim) >= 0.5) / 0.5
         for x in xs:
-            got = forward(model, x, dropout_mask=mask)
+            got = embed_one(model, x, dropout_mask=mask)
             assert got.tobytes() == reference_forward(model, x, mask).tobytes()
 
     @given(
@@ -326,7 +346,7 @@ class TestMatchesPerPointReference:
         targets /= np.linalg.norm(targets, axis=1, keepdims=True)
         model = init_model(d, hidden, 3, rng)
         _, want = reference_loss_and_gradients(model, list(zip(xs, targets)))
-        _, got = loss_and_gradients(model, (SparseRows.pack(xs), targets))
+        _, got = loss_and_gradients(model, (rows_of(xs), targets))
         assert got.rows.tolist() == [0, 2, 3, 5, 6, 11, 12]
         assert dense_dW1(got, d).tobytes() == want.dW1.tobytes()
         update_bytes = net._UPDATE_BYTES if block is None else block * hidden * 8
@@ -336,14 +356,14 @@ class TestMatchesPerPointReference:
             want, want_losses = reference_train(xs, targets, d, cfg, hidden)
             losses = []
             with mock.patch.object(net, "_UPDATE_BYTES", update_bytes):
-                got = train_embedding_net(xs, targets, d, cfg, hidden, losses)
+                got = train_embedding_net(rows_of(xs), targets, d, cfg, hidden, losses)
             assert_same_model(got, want)
             assert losses == want_losses
 
     def test_batch_of_empty_rows_names_no_rows(self):
         xs, targets, model = net_problem(3, n=4, d=9, hidden=5, out=3, empty_share=1.0)
         _, want = reference_loss_and_gradients(model, list(zip(xs, targets)))
-        _, got = loss_and_gradients(model, (SparseRows.pack(xs), targets))
+        _, got = loss_and_gradients(model, (rows_of(xs), targets))
         assert got.rows.size == 0 and got.dW1.shape == (0, 5)
         assert dense_dW1(got, 9).tobytes() == want.dW1.tobytes()
         # The step still decays every row of W1.
@@ -357,7 +377,7 @@ class TestMatchesPerPointReference:
 
     def test_gradient_buffer_is_reused(self):
         xs, targets, model = net_problem(4, n=6, d=30, hidden=5, out=3, empty_share=0.3)
-        batch = (SparseRows.pack(xs), targets)
+        batch = (rows_of(xs), targets)
         _, want = loss_and_gradients(model, batch)
         buffer = np.full((30, 5), np.nan)  # leftovers of an earlier batch are zeroed
         _, got = loss_and_gradients(model, batch, dW1=buffer)
@@ -373,7 +393,7 @@ class TestMatchesPerPointReference:
         assert net._UPDATE_BYTES // (64 * 8) == 256
         cfg = TrainConfig(epochs=2, minibatch_size=16, rng_seed=4)
         want, _ = reference_train(xs, targets, 700, cfg, 64)
-        assert_same_model(train_embedding_net(xs, targets, 700, cfg, 64), want)
+        assert_same_model(train_embedding_net(rows_of(xs), targets, 700, cfg, 64), want)
 
 
 class TestGradientMemory:
@@ -389,7 +409,7 @@ class TestGradientMemory:
               for i in ids]
         targets = rng.standard_normal((len(xs), 8))
         targets /= np.linalg.norm(targets, axis=1, keepdims=True)
-        return SparseRows.pack(xs), targets
+        return rows_of(xs), targets
 
     @staticmethod
     def peak_bytes(fn):
@@ -449,6 +469,8 @@ class TestSmoothL1:
 
 
 class TestEmbedDistance:
+    """The one-point loss reference that ``test_single_sample_loss_is_embed_distance`` uses."""
+
     def test_matches_term_sum(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -472,7 +494,7 @@ class TestForward:
         )
 
     def test_identity_weights_normalize(self):
-        out = forward(self.identity_model(), dense_sv([3.0, 4.0]))
+        out = embed_one(self.identity_model(), dense_sv([3.0, 4.0]))
         assert np.allclose(out, [0.6, 0.8], atol=1e-9)
 
     def test_unit_norm_for_random_models(self):
@@ -484,7 +506,7 @@ class TestForward:
         for _ in range(100):
             d = int(rng.integers(2, 8))
             model = init_model(d, int(rng.integers(2, 6)), int(rng.integers(2, 6)), rng)
-            out = forward(model, random_sparse(rng, d))
+            out = embed_one(model, random_sparse(rng, d))
             norm = np.linalg.norm(out)
             if norm == 0.0:
                 continue
@@ -494,30 +516,30 @@ class TestForward:
 
     def test_zero_output_guarded(self):
         model = MlpModel(W1=np.zeros((2, 2)), b1=np.zeros(2), W2=np.zeros((2, 2)), b2=np.zeros(2))
-        out = forward(model, dense_sv([1.0, 1.0]))
+        out = embed_one(model, dense_sv([1.0, 1.0]))
         assert np.all(out == 0.0), "epsilon guard keeps the zero vector finite"
 
     def test_relu_blocks_negative_hidden(self):
         model = MlpModel(
             W1=np.array([[-1.0], [-1.0]]), b1=np.zeros(1), W2=np.array([[1.0, 1.0]]), b2=np.zeros(2)
         )
-        assert np.all(forward(model, dense_sv([1.0, 2.0])) == 0.0)
+        assert np.all(embed_one(model, dense_sv([1.0, 2.0])) == 0.0)
 
     def test_dropout_mask_applied(self):
         model = self.identity_model()
         mask = np.array([2.0, 0.0])  # rate 0.5, second unit dropped
-        out = forward(model, dense_sv([3.0, 4.0]), dropout_mask=mask)
+        out = embed_one(model, dense_sv([3.0, 4.0]), dropout_mask=mask)
         assert np.allclose(out, [1.0, 0.0], atol=1e-9)
 
     def test_feature_index_out_of_range(self):
         with pytest.raises(ValidationError):
-            forward(self.identity_model(), SparseVector.from_pairs([(5, 1.0)]))
+            embed_one(self.identity_model(), sparse([(5, 1.0)]))
 
     def test_zero_loss_when_targets_match_outputs(self):
         rng = np.random.default_rng(4)
         model = init_model(6, 5, 4, rng)
         xs = [random_sparse(rng, 6) for _ in range(8)]
-        batch = [(x, forward(model, x)) for x in xs]
+        batch = batch_of([(x, embed_one(model, x)) for x in xs])
         loss, grads = loss_and_gradients(model, batch)
         assert loss == 0.0
         for g in (grads.dW1, grads.db1, grads.dW2, grads.db2):
@@ -529,8 +551,8 @@ class TestForward:
         x = random_sparse(rng, 7)
         t = rng.standard_normal(3)
         t /= np.linalg.norm(t)
-        loss, _ = loss_and_gradients(model, [(x, t)])
-        assert loss == embed_distance(forward(model, x), t)
+        loss, _ = loss_and_gradients(model, batch_of([(x, t)]))
+        assert loss == embed_distance(embed_one(model, x), t)
 
 
 def finite_difference_check(seed, step=1e-5, tolerance=1e-4):
@@ -553,6 +575,7 @@ def finite_difference_check(seed, step=1e-5, tolerance=1e-4):
         t = rng.standard_normal(out_dim)
         t /= np.linalg.norm(t)
         batch.append((random_sparse(rng, d), t))
+    batch = batch_of(batch)
     masks = None
     if rng.random() < 0.5:
         masks = (rng.random((batch_size, out_dim)) >= 0.3) / 0.7
@@ -598,7 +621,7 @@ class TestGradients:
     def test_empty_batch_rejected(self):
         model = init_model(3, 3, 3)
         with pytest.raises(ValidationError):
-            loss_and_gradients(model, [])
+            loss_and_gradients(model, (rows_of([]), np.empty((0, 3))))
 
     def test_sum_mode_scales_mean_mode(self):
         rng = np.random.default_rng(7)
@@ -607,6 +630,7 @@ class TestGradients:
         for _ in range(4):
             t = rng.standard_normal(3)
             batch.append((random_sparse(rng, 5), t / np.linalg.norm(t)))
+        batch = batch_of(batch)
         mean_loss, mean_g = loss_and_gradients(model, batch, None, "mean")
         sum_loss, sum_g = loss_and_gradients(model, batch, None, "sum")
         assert sum_loss == pytest.approx(4 * mean_loss, rel=1e-12)
@@ -695,22 +719,22 @@ class TestTraining:
     def test_zero_epochs_returns_seeded_init(self):
         xs, targets, d = self.small_problem()
         cfg = TrainConfig(epochs=0, rng_seed=42)
-        model = train_embedding_net(xs, targets, d, cfg, hidden_size=6)
+        model = train_embedding_net(rows_of(xs), targets, d, cfg, hidden_size=6)
         expected = init_model(d, 6, targets.shape[1], np.random.default_rng(42))
         assert model == expected
 
     def test_deterministic_for_seed(self):
         xs, targets, d = self.small_problem(1)
         cfg = TrainConfig(epochs=5, rng_seed=3)
-        a = train_embedding_net(xs, targets, d, cfg, hidden_size=6)
-        b = train_embedding_net(xs, targets, d, cfg, hidden_size=6)
+        a = train_embedding_net(rows_of(xs), targets, d, cfg, hidden_size=6)
+        b = train_embedding_net(rows_of(xs), targets, d, cfg, hidden_size=6)
         assert a == b
 
     def test_loss_non_increasing_at_small_lr(self):
         xs, targets, d = self.small_problem(2)
         cfg = TrainConfig(learning_rate=1e-3, dropout_rate=0.0, epochs=50, rng_seed=0)
         losses = []
-        train_embedding_net(xs, targets, d, cfg, hidden_size=8, record_losses=losses)
+        train_embedding_net(rows_of(xs), targets, d, cfg, hidden_size=8, record_losses=losses)
         assert len(losses) == 50
         for earlier, later in zip(losses, losses[1:]):
             assert later <= earlier + 1e-9
@@ -731,13 +755,14 @@ class TestTraining:
                 keys[key] = i
         cfg = TrainConfig(dropout_rate=0.0, epochs=200, rng_seed=1)
         losses = []
-        train_embedding_net(xs, targets, ds.num_features, cfg, hidden_size=16, record_losses=losses)
+        train_embedding_net(ds.features, targets, ds.num_features, cfg, hidden_size=16,
+                            record_losses=losses)
         assert losses[-1] < 0.1 * losses[0], f"{losses[0]:.4f} -> {losses[-1]:.4f}"
 
     def test_no_bias_stays_zero(self):
         xs, targets, d = self.small_problem(3)
         cfg = TrainConfig(epochs=3, use_bias=False, rng_seed=0)
-        model = train_embedding_net(xs, targets, d, cfg, hidden_size=5)
+        model = train_embedding_net(rows_of(xs), targets, d, cfg, hidden_size=5)
         assert np.all(model.b1 == 0.0) and np.all(model.b2 == 0.0)
 
     def test_train_skips_unlabeled(self):
@@ -749,13 +774,13 @@ class TestTraining:
 
     def test_no_labeled_points_rejected(self):
         with pytest.raises(ValidationError):
-            train_embedding_net([], np.empty((0, 3)), 4, TrainConfig(), hidden_size=4)
+            train_embedding_net(rows_of([]), np.empty((0, 3)), 4, TrainConfig(), hidden_size=4)
 
     def test_embed_points_rows_are_unit(self):
         xs, targets, d = self.small_problem(4)
         cfg = TrainConfig(epochs=2, rng_seed=5)
-        model = train_embedding_net(xs, targets, d, cfg, hidden_size=6)
-        rows = embed_points(model, xs)
+        model = train_embedding_net(rows_of(xs), targets, d, cfg, hidden_size=6)
+        rows = embed_points(model, rows_of(xs))
         norms = np.linalg.norm(rows, axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-9)
 

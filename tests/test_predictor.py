@@ -11,18 +11,16 @@ from hypothesis import strategies as st
 
 from dxml import (
     ClusterIndex,
+    Dataset,
     LabelSet,
     MlpModel,
     Prediction,
     SparseVector,
     TrainConfig,
     ValidationError,
-    aggregate_labels,
-    forward,
     init_model,
     kmeans,
     knn_batch,
-    knn_search,
     predict,
     predict_batch,
     top_p,
@@ -32,18 +30,57 @@ from dxml.cluster import gemm_error_bound
 from dxml.net import embed_points, train_embedding_net
 from dxml.predictor import score_neighbors
 
-from conftest import planted_dataset, random_dataset, screen_blocks
+from conftest import planted_dataset, random_dataset, rows_of, screen_blocks, sparse
 
 
 def labels(*ids):
     return LabelSet.from_iterable(ids)
 
 
+def embed(mlp, x):
+    """One point's embedding: ``embed_points`` on a batch of one."""
+    return embed_points(mlp, rows_of([x]))[0]
+
+
 def sorted_oracle(vectors, query, k):
-    """Full sort by (distance, id); the reference for knn_search."""
+    """Full sort by (distance, id); the reference k-NN search."""
     d2 = ((vectors - query) ** 2).sum(axis=1)
     order = sorted(range(len(vectors)), key=lambda i: (d2[i], i))
     return order[: min(k, len(vectors))], np.sqrt(d2)
+
+
+def oracle_knn(vectors, query, k, ids=None):
+    """(ids, distances) of the k nearest rows, by ``sorted_oracle``; ``ids`` ascend with rows."""
+    order, dists = sorted_oracle(vectors, query, k)
+    ids = np.arange(len(vectors)) if ids is None else np.asarray(ids)
+    return ids[order], dists[order]
+
+
+def knn_one(vectors, query, k, ids=None):
+    """``knn_batch`` for one query over one cluster of the given rows.
+
+    Row i is training point ``ids[i]`` (default i); the other training
+    points of the model are not in the cluster.
+    """
+    vectors = np.asarray(vectors, dtype=np.float64)
+    n, dim = vectors.shape
+    if ids is None:
+        embeds, members = vectors, np.arange(n)
+    else:
+        embeds = np.zeros((int(np.max(ids)) + 1, dim))
+        embeds[ids] = vectors
+        members = np.sort(ids)
+    index = ClusterIndex(centers=np.zeros((1, dim)), assignments=np.zeros(len(embeds), dtype=int),
+                         members=[members])
+    return knn_batch(index, embeds, np.asarray(query, dtype=np.float64)[None, :], k)[0]
+
+
+def vote(neighbor_labels, weighting="uniform", distances=None):
+    """``score_neighbors`` for one query whose neighbors, in order, hold ``neighbor_labels``."""
+    n = len(neighbor_labels)
+    index = ClusterIndex(centers=np.zeros((1, 1)), assignments=np.zeros(n, dtype=int),
+                         members=[np.arange(n)])
+    return score_neighbors(index, neighbor_labels, [(np.arange(n), distances)], weighting)[0]
 
 
 class TestKnnSearch:
@@ -55,55 +92,53 @@ class TestKnnSearch:
             k = int(rng.integers(1, n + 3))
             vectors = rng.standard_normal((n, dim))
             q = rng.standard_normal(dim)
-            ids, dists = knn_search(vectors, q, k)
+            ids, dists = knn_one(vectors, q, k)
             want_ids, all_d = sorted_oracle(vectors, q, k)
             assert ids.tolist() == want_ids, f"trial {trial}"
             assert np.array_equal(dists, all_d[want_ids])
 
     def test_duplicate_rows_tie_break_by_id(self):
         vectors = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-        ids, dists = knn_search(vectors, np.zeros(2), 4)
+        ids, dists = knn_one(vectors, np.zeros(2), 4)
         assert ids.tolist() == [1, 2, 0, 3]
         assert dists.tolist() == [0.0, 0.0, 1.0, 1.0]
 
     def test_k_larger_than_pool_returns_all(self):
         vectors = np.array([[0.0], [2.0], [1.0]])
-        ids, _ = knn_search(vectors, np.array([0.0]), 10)
+        ids, _ = knn_one(vectors, np.array([0.0]), 10)
         assert ids.tolist() == [0, 2, 1]
 
     def test_query_equal_to_member_ranks_first(self):
         rng = np.random.default_rng(1)
         vectors = rng.standard_normal((20, 3))
-        ids, dists = knn_search(vectors, vectors[13], 5)
+        ids, dists = knn_one(vectors, vectors[13], 5)
         assert ids[0] == 13 and dists[0] == 0.0
 
     def test_zero_dimensional_vectors_all_tie(self):
-        ids, dists = knn_search(np.zeros((3, 0)), np.zeros(0), 2)
+        ids, dists = knn_one(np.zeros((3, 0)), np.zeros(0), 2)
         assert ids.tolist() == [0, 1] and dists.tolist() == [0.0, 0.0]
 
     def test_custom_ids_are_reported(self):
         vectors = np.array([[0.0], [1.0]])
-        ids, _ = knn_search(vectors, np.array([0.9]), 1, ids=np.array([70, 31]))
+        ids, _ = knn_one(vectors, np.array([0.9]), 1, ids=np.array([70, 31]))
         assert ids.tolist() == [31]
 
     def test_bad_inputs(self):
         with pytest.raises(ValidationError):
-            knn_search(np.zeros((2, 2)), np.zeros(2), 0)
+            knn_one(np.zeros((2, 2)), np.zeros(2), 0)
+        with pytest.raises(ValidationError, match="no members"):
+            knn_one(np.empty((0, 2)), np.zeros(2), 1)
         with pytest.raises(ValidationError):
-            knn_search(np.empty((0, 2)), np.zeros(2), 1)
-        with pytest.raises(ValidationError):
-            knn_search(np.zeros((2, 2)), np.zeros(3), 1)
-        with pytest.raises(ValidationError):
-            knn_search(np.zeros((2, 2)), np.zeros(2), 1, ids=np.array([5]))
+            knn_one(np.zeros((2, 2)), np.zeros(3), 1)
 
 
 class TestAggregateLabels:
     def test_uniform_counting_example(self):
-        scores = aggregate_labels([labels(1, 2), labels(2), labels(2, 3)])
+        scores = vote([labels(1, 2), labels(2), labels(2, 3)])
         assert scores == pytest.approx({1: 1 / 3, 2: 1.0, 3: 1 / 3})
 
     def test_single_neighbor_scores_one(self):
-        assert aggregate_labels([labels(4, 9)]) == pytest.approx({4: 1.0, 9: 1.0})
+        assert vote([labels(4, 9)]) == pytest.approx({4: 1.0, 9: 1.0})
 
     def test_uniform_scores_in_unit_interval(self):
         rng = np.random.default_rng(2)
@@ -112,30 +147,30 @@ class TestAggregateLabels:
                 labels(*rng.choice(12, size=rng.integers(1, 5), replace=False))
                 for _ in range(int(rng.integers(1, 8)))
             ]
-            scores = aggregate_labels(sets)
+            scores = vote(sets)
             assert all(0.0 < v <= 1.0 + 1e-12 for v in scores.values())
 
     def test_inverse_distance_weighting(self):
         d = np.array([1.0, 3.0])
         raw = 1.0 / (d + 1e-8)
         w = raw / raw.sum()
-        scores = aggregate_labels([labels(0), labels(1)], "inverse_distance", d)
+        scores = vote([labels(0), labels(1)], "inverse_distance", d)
         assert scores == pytest.approx({0: w[0], 1: w[1]})
         assert sum(scores.values()) == pytest.approx(1.0)
 
     def test_inverse_distance_requires_distances(self):
         with pytest.raises(ValidationError):
-            aggregate_labels([labels(0)], "inverse_distance")
+            vote([labels(0)], "inverse_distance")
         with pytest.raises(ValidationError):
-            aggregate_labels([labels(0)], "inverse_distance", np.array([1.0, 2.0]))
+            vote([labels(0)], "inverse_distance", np.array([1.0, 2.0]))
 
     def test_unknown_weighting(self):
         with pytest.raises(ValidationError):
-            aggregate_labels([labels(0)], "softmax")
+            vote([labels(0)], "softmax")
 
     def test_empty_neighbors_rejected(self):
         with pytest.raises(ValidationError):
-            aggregate_labels([])
+            vote([])
 
 
 class TestTopP:
@@ -177,9 +212,9 @@ def trained_toy_artifacts(seed=0, n=40, d=8, L=7, m=1):
     targets = rng.standard_normal((n, 4))
     targets /= np.linalg.norm(targets, axis=1, keepdims=True)
     mlp = train_embedding_net(
-        xs, targets, d, TrainConfig(epochs=3, rng_seed=seed), hidden_size=6
+        ds.features, targets, d, TrainConfig(epochs=3, rng_seed=seed), hidden_size=6
     )
-    embeds = embed_points(mlp, xs)
+    embeds = embed_points(mlp, ds.features)
     clusters = kmeans(embeds, m, rng_seed=seed)
     return mlp, clusters, embeds, label_sets, xs
 
@@ -187,9 +222,9 @@ def trained_toy_artifacts(seed=0, n=40, d=8, L=7, m=1):
 class TestPredict:
     def test_single_point_training_set(self):
         rng = np.random.default_rng(5)
-        x = SparseVector.from_pairs([(0, 1.0), (2, -0.5)])
+        x = sparse([(0, 1.0), (2, -0.5)])
         mlp = init_model(3, 4, 3, rng)
-        embeds = embed_points(mlp, [x])
+        embeds = embed_points(mlp, rows_of([x]))
         clusters = kmeans(embeds, 1)
         out = predict(mlp, clusters, embeds, [labels(2, 5)], x, k=1, p=5)
         assert out.scores == {2: 1.0, 5: 1.0}
@@ -199,12 +234,10 @@ class TestPredict:
         mlp, clusters, embeds, label_sets, xs = trained_toy_artifacts(m=1)
         rng = np.random.default_rng(6)
         for _ in range(20):
-            q = SparseVector.from_pairs(
-                (i, float(v)) for i, v in enumerate(rng.standard_normal(8))
-            )
+            q = sparse(enumerate(rng.standard_normal(8)))
             got = predict(mlp, clusters, embeds, label_sets, q, k=5, p=5)
             # standalone global k-NN, no clustering involved
-            fx = forward(mlp, q)
+            fx = embed(mlp, q)
             d2 = ((embeds - fx) ** 2).sum(axis=1)
             order = np.lexsort((np.arange(len(xs)), d2))[:5]
             want_scores: dict[int, float] = {}
@@ -219,18 +252,16 @@ class TestPredict:
         mlp, clusters, embeds, label_sets, xs = trained_toy_artifacts(seed=1, m=4)
         rng = np.random.default_rng(7)
         for _ in range(30):
-            q = SparseVector.from_pairs(
-                (i, float(v)) for i, v in enumerate(rng.standard_normal(8))
-            )
-            fx = forward(mlp, q)
+            q = sparse(enumerate(rng.standard_normal(8)))
+            fx = embed(mlp, q)
             ci = int(np.argmin(((clusters.centers - fx) ** 2).sum(axis=1)))
             member_ids = clusters.members[ci]
             k = 6
-            ids, _ = knn_search(embeds[member_ids], fx, k, ids=member_ids)
+            ids, _ = oracle_knn(embeds[member_ids], fx, k, ids=member_ids)
             assert set(ids.tolist()) <= set(member_ids.tolist())
             assert ids.size == min(k, member_ids.size)
             got = predict(mlp, clusters, embeds, label_sets, q, k=k, p=3)
-            want = aggregate_labels([label_sets[i] for i in ids.tolist()])
+            want = reference_vote([label_sets[i] for i in ids.tolist()], "uniform", None)
             assert got.scores == want
 
     def test_m4_matches_global_knn_when_contained(self):
@@ -238,36 +269,34 @@ class TestPredict:
         rng = np.random.default_rng(8)
         checked = 0
         for _ in range(30):
-            q = SparseVector.from_pairs(
-                (i, float(v)) for i, v in enumerate(rng.standard_normal(8))
-            )
-            fx = forward(mlp, q)
-            global_ids, _ = knn_search(embeds, fx, 4)
+            q = sparse(enumerate(rng.standard_normal(8)))
+            fx = embed(mlp, q)
+            global_ids, _ = oracle_knn(embeds, fx, 4)
             ci = int(np.argmin(((clusters.centers - fx) ** 2).sum(axis=1)))
             if not set(global_ids.tolist()) <= set(clusters.members[ci].tolist()):
                 continue
             got = predict(mlp, clusters, embeds, label_sets, q, k=4, p=3)
-            want = aggregate_labels([label_sets[i] for i in global_ids.tolist()])
+            want = reference_vote([label_sets[i] for i in global_ids.tolist()], "uniform", None)
             assert got.scores == want
             checked += 1
         assert checked > 0, "containment case never exercised"
 
     def test_repeat_calls_identical(self):
         mlp, clusters, embeds, label_sets, _ = trained_toy_artifacts(seed=3, m=2)
-        q = SparseVector.from_pairs([(1, 0.3), (4, -1.2)])
+        q = sparse([(1, 0.3), (4, -1.2)])
         a = predict(mlp, clusters, embeds, label_sets, q, k=3, p=2)
         b = predict(mlp, clusters, embeds, label_sets, q, k=3, p=2)
         assert a == b and isinstance(a, Prediction)
 
     def test_feature_index_out_of_range(self):
         mlp, clusters, embeds, label_sets, _ = trained_toy_artifacts(seed=4)
-        bad = SparseVector.from_pairs([(99, 1.0)])
+        bad = sparse([(99, 1.0)])
         with pytest.raises(ValidationError):
             predict(mlp, clusters, embeds, label_sets, bad)
 
     def test_bad_k_p(self):
         mlp, clusters, embeds, label_sets, _ = trained_toy_artifacts(seed=5)
-        q = SparseVector.from_pairs([(0, 1.0)])
+        q = sparse([(0, 1.0)])
         with pytest.raises(ValidationError):
             predict(mlp, clusters, embeds, label_sets, q, k=0)
         with pytest.raises(ValidationError):
@@ -427,7 +456,7 @@ class TestKnnBatch:
 
 def oracle_prediction(mlp, index, embeds, label_sets, x, k, p, weighting):
     """Prediction from the routed full-sort oracle and a plain dict vote."""
-    ids, dists = routed_oracle(index, embeds, forward(mlp, x), k)
+    ids, dists = routed_oracle(index, embeds, embed(mlp, x), k)
     if weighting == "uniform":
         weights = [1.0 / ids.size] * ids.size
     else:
@@ -447,13 +476,10 @@ class TestPredictBatch:
     def test_matches_oracle_and_single_predict(self, m, weighting):
         mlp, clusters, embeds, label_sets, xs = trained_toy_artifacts(seed=11, n=60, m=m)
         rng = np.random.default_rng(12)
-        queries = xs[:10] + [
-            SparseVector.from_pairs((i, float(v)) for i, v in enumerate(rng.standard_normal(8)))
-            for _ in range(15)
-        ]
+        queries = xs[:10] + [sparse(enumerate(rng.standard_normal(8))) for _ in range(15)]
         for k in (1, 4, 25, 100):
             batch = predict_batch(
-                mlp, clusters, embeds, label_sets, queries, k=k, weighting=weighting
+                mlp, clusters, embeds, label_sets, rows_of(queries), k=k, weighting=weighting
             )
             for x, scores in zip(queries, batch):
                 got = predict(mlp, clusters, embeds, label_sets, x, k, 3, weighting)
@@ -464,7 +490,7 @@ class TestPredictBatch:
 
     def test_empty_batch(self):
         mlp, clusters, embeds, label_sets, _ = trained_toy_artifacts(seed=14)
-        assert predict_batch(mlp, clusters, embeds, label_sets, []) == []
+        assert predict_batch(mlp, clusters, embeds, label_sets, rows_of([])) == []
 
 
 # ── the per-model search cache against the per-call reference ────────────────
@@ -474,7 +500,7 @@ def reference_block_neighbors(rows, ids, queries, k):
     """The search with every row norm computed again on each call, as before the cache."""
     n, dim = rows.shape
     if k >= n:
-        return [knn_search(rows, q, k, ids=ids) for q in queries]
+        return [oracle_knn(rows, q, k, ids=ids) for q in queries]
     sq_norms = np.einsum("ij,ij->i", rows, rows)
     approx = queries @ rows.T
     approx *= -2.0
@@ -485,7 +511,7 @@ def reference_block_neighbors(rows, ids, queries, k):
     out = []
     for q, row_keep in zip(queries, keep):
         sel = np.flatnonzero(row_keep)
-        out.append(knn_search(rows[sel], q, k, ids=sel if ids is None else ids[sel]))
+        out.append(oracle_knn(rows[sel], q, k, ids=sel if ids is None else ids[sel]))
     return out
 
 
@@ -559,10 +585,10 @@ class TestSearchCache:
         mlp, clusters, embeds, _, xs = trained_toy_artifacts(seed=21, n=60, m=m)
         label_sets = label_sets_for(np.random.default_rng(22), len(xs))
         queries = xs[:20]
-        fx = embed_points(mlp, queries)
+        fx = embed_points(mlp, rows_of(queries))
         for k in (1, 4, 25, 100):
             want = reference_scores(clusters, embeds, label_sets, fx, k, weighting)
-            got = predict_batch(mlp, clusters, embeds, label_sets, queries, k, weighting)
+            got = predict_batch(mlp, clusters, embeds, label_sets, rows_of(queries), k, weighting)
             same_bits(got, want)
             for x, scores in zip(queries, want):
                 one = predict(mlp, clusters, embeds, label_sets, x, k, 3, weighting)
@@ -573,10 +599,7 @@ class TestSearchCache:
         models = [trained_toy_artifacts(seed=23, n=50, m=1),
                   trained_toy_artifacts(seed=24, n=50, m=3)]
         rng = np.random.default_rng(25)
-        queries = [
-            SparseVector.from_pairs((i, float(v)) for i, v in enumerate(rng.standard_normal(8)))
-            for _ in range(6)
-        ]
+        queries = rows_of([sparse(enumerate(rng.standard_normal(8))) for _ in range(6)])
         for _ in range(3):
             for mlp, clusters, embeds, label_sets, _ in models:
                 fx = embed_points(mlp, queries)
@@ -661,7 +684,7 @@ def float32_and_widened(seed, m, n=50, d=9, H=7, el=4):
     W1 = model.W1.astype(np.float32)
     mlp32 = MlpModel(W1=W1, b1=rng.standard_normal(H), W2=model.W2, b2=rng.standard_normal(el))
     mlp64 = MlpModel(W1=W1.astype(np.float64), b1=mlp32.b1, W2=mlp32.W2, b2=mlp32.b2)
-    embeds = embed_points(mlp64, [sv for sv, _ in ds.points]).astype(np.float32)
+    embeds = embed_points(mlp64, ds.features).astype(np.float32)
     index = kmeans(embeds.astype(np.float64), m, rng_seed=seed)
     twin = ClusterIndex(centers=index.centers, assignments=index.assignments, members=index.members)
     return (mlp32, index, embeds), (mlp64, twin, embeds.astype(np.float64))
@@ -686,10 +709,11 @@ class TestFloat32Model:
         label_sets = label_sets_for(np.random.default_rng(seed + 1), 50)
         xs = sparse_queries(np.random.default_rng(seed + 2), 12)
         for x in xs:
-            assert forward(f32[0], x).tobytes() == forward(f64[0], x).tobytes()
-        assert embed_points(f32[0], xs).tobytes() == embed_points(f64[0], xs).tobytes()
-        want = predict_batch(*f64, label_sets, xs, k, weighting)
-        same_bits(predict_batch(*f32, label_sets, xs, k, weighting), want)
+            assert embed(f32[0], x).tobytes() == embed(f64[0], x).tobytes()
+        rows = rows_of(xs)
+        assert embed_points(f32[0], rows).tobytes() == embed_points(f64[0], rows).tobytes()
+        want = predict_batch(*f64, label_sets, rows, k, weighting)
+        same_bits(predict_batch(*f32, label_sets, rows, k, weighting), want)
         for x, scores in zip(xs[:4], want):
             one = predict(*f32, label_sets, x, k, 3, weighting)
             same_bits([one.scores], [scores])
@@ -724,7 +748,10 @@ class TestFloat32Model:
     def test_sweep_k_same_as_with_the_widened_model(self, tmp_path, capsys, clusters, weighting):
         train = planted_dataset(80, 6, seed=42)
         test = planted_dataset(25, 6, seed=43)
-        test.points[3] = (SparseVector(np.empty(0, dtype=np.int32), np.empty(0)), test.points[3][1])
+        empty = SparseVector(np.empty(0, dtype=np.int32), np.empty(0))
+        test = Dataset(test.num_points, test.num_features, test.num_labels,
+                       [(empty if i == 3 else sv, ls) for i, (sv, ls) in enumerate(test.points)])
+        assert test.indptr[4] == test.indptr[3]  # point 3 has no features
         train_path, test_path = str(tmp_path / "train.txt"), str(tmp_path / "test.txt")
         save_repo_file(train, train_path)
         save_repo_file(test, test_path)
