@@ -6,7 +6,10 @@ matrix and the per-cluster member lists.
 
 One kernel, ``_nearest_rows``, finds the exact k nearest rows for a batch
 of queries: k-means assignment and routing (k=1 over the centers) and the
-k-NN search in ``predictor`` (over a cluster's members) all call it.  A
+k-NN search in ``predictor`` (over a cluster's members) all call it.  It
+has one rule: each query's rows in order of (exact squared distance, id),
+NaN last, returned as ids and distances.  k-means takes each WCSS from the
+distances its assignment search returns, with no pass of its own.  A
 matrix product gives ``|v|^2 - 2 q.v`` for every row v, in the rows' own
 precision: float32 rows (the stored training embeddings) against the query
 rounded to float32, float64 rows in float64.  Every row within twice that
@@ -33,7 +36,6 @@ __all__ = ["ClusterIndex", "kmeans", "nearest_clusters"]
 
 log = logging.getLogger(__name__)
 
-_WCSS_ROWS = 8192  # rows per partial sum of the WCSS; fixed, as the sum's bits depend on it
 _SCREEN_ROWS = 64  # queries per screening product; some unblocked shapes stall BLAS
 _CHUNK_BYTES = 1 << 17  # temporaries per screened block or per chunk of exact row sums
 _EXACT_TABLE = 1 << 15  # queries x rows x dim; an exact table this small beats the screen
@@ -240,8 +242,7 @@ def _nearest_rows(
     row_sq: np.ndarray | None = None,
     max_sq: float | None = None,
     query_sq: np.ndarray | None = None,
-    argmin: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The exact k nearest rows to each float64 query, as (ids, squared distances).
 
     Both are len(queries) x min(k, len(rows)), each query's rows ordered by
@@ -249,46 +250,39 @@ def _nearest_rows(
     default j.  Float32 rows are screened in float32, any others in float64;
     the distances are float64 either way.  ``row_sq`` and ``max_sq`` (from
     ``_screen_norms``) and ``query_sq`` are the squared norms, if the caller
-    keeps them.  With ``argmin`` (k=1) a query takes the row ``np.argmin``
-    over its exact distances would, a NaN distance counting as nearest, and
-    no distances are returned.  Queries are screened in blocks sized to
-    _CHUNK_BYTES; with k at least the row count, or an exact table of at
-    most _EXACT_TABLE elements, that table replaces the screen.
+    keeps them.  Every caller gets this one order: k-means assignment and
+    routing read the first column, and k-means sums the distances into its
+    WCSS.  Queries are screened in blocks sized to _CHUNK_BYTES; with k at
+    least the row count, or an exact table of at most _EXACT_TABLE elements,
+    that table replaces the screen.
     """
     q, (n, dim) = queries.shape[0], rows.shape
     kk = min(k, n)
-    if argmin and n == 1:  # every query's one row: no distance pass
-        return np.zeros((q, 1), dtype=np.int64), None
     nbr = np.empty((q, kk), dtype=np.int64)
-    d2 = None if argmin else np.empty((q, kk), dtype=np.float64)
+    d2 = np.empty((q, kk), dtype=np.float64)
 
     def finish(s: int, qb: np.ndarray, group: np.ndarray | None, pos: np.ndarray,
                pad: np.ndarray | None = None) -> None:
         """Rank rows ``pos[i]`` exactly for query ``group[i]`` of the block ``qb`` (None: all).
 
         The block starts at query ``s``; results go to ``nbr`` and ``d2``.
-        Entries under ``pad`` sort after every row: +inf for argmin, which
-        takes the first minimum, and NaN with the largest id for the
-        (distance, id) order, which puts NaN last.  Every query keeps at
-        least k rows, so no pad is ranked among them.
+        Entries under ``pad`` get NaN and the largest id, so they sort
+        after every row.  Every query keeps at least k rows, so no pad is
+        ranked among them.
         """
         if group is None:
             done, qs = slice(s, s + qb.shape[0]), qb
         else:
             done, qs = s + group, qb[group]
         found = pos if ids is None else ids[pos]
-        if argmin and pos.shape[1] == 1:
-            nbr[done] = found
-            return
         dist = _sq_dists(qs, rows, pos)
         if pad is not None:
-            dist[pad] = np.inf if argmin else np.nan
+            dist[pad] = np.nan
             found = np.where(pad, _PAD_ID, found)
-        order = dist.argmin(1)[:, None] if argmin else np.lexsort((found, dist), axis=1)[:, :kk]
+        order = np.lexsort((found, dist), axis=1)[:, :kk]
         by_query = np.arange(order.shape[0])[:, None]
         nbr[done] = found[by_query, order]
-        if not argmin:
-            d2[done] = dist[by_query, order]
+        d2[done] = dist[by_query, order]
 
     screen = np.float32 if rows.dtype == np.float32 else np.float64
     # Queries per block: whole screening products, as many as fit _CHUNK_BYTES, at least one.
@@ -330,20 +324,6 @@ def _nearest_rows(
     return nbr, d2
 
 
-def _wcss(points: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> float:
-    total = 0.0
-    buf = np.empty((min(points.shape[0], _WCSS_ROWS), points.shape[1]), dtype=np.float64)
-    for s in range(0, points.shape[0], _WCSS_ROWS):
-        block = points[s : s + _WCSS_ROWS]
-        diff = buf[: block.shape[0]]
-        # Ids come from argmin, so "clip" never clips; it spares take's buffered copy.
-        np.take(centers, assign[s : s + _WCSS_ROWS], axis=0, out=diff, mode="clip")
-        np.subtract(block, diff, out=diff)
-        np.multiply(diff, diff, out=diff)
-        total += float(diff.sum())
-    return total
-
-
 def _seed_centers(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++: first seed uniform, then proportional to squared distance."""
     n = points.shape[0]
@@ -371,13 +351,17 @@ def kmeans(
 ) -> ClusterIndex:
     """Cluster rows of ``points`` into ``num_clusters`` groups.
 
-    Deterministic for a fixed seed.  The recorded within-cluster sum of
-    squares is non-increasing across iterations; a cluster that empties is
-    reseeded at the point currently farthest from its assigned center.
+    Deterministic for a fixed seed.  Each assignment is ``_nearest_rows``
+    at k=1 over the centers, and the within-cluster sum of squares recorded
+    for it is the sum of the squared distances that search returns; it is
+    non-increasing across iterations.  A cluster that empties is reseeded at
+    the point currently farthest from its assigned center.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValidationError("points must be a non-empty 2-d array")
+    if not np.isfinite(pts).all():
+        raise ValidationError("points must be finite")
     n = pts.shape[0]
     if num_clusters < 1:
         raise ValidationError("num_clusters must be >= 1")
@@ -388,8 +372,8 @@ def kmeans(
     rng = np.random.default_rng(rng_seed)
     centers = _seed_centers(pts, num_clusters, rng)
     sq_norms = np.einsum("ij,ij->i", pts, pts)
-    assign = _nearest_rows(centers, pts, 1, query_sq=sq_norms, argmin=True)[0][:, 0]
-    history = [_wcss(pts, centers, assign)]
+    ids, d2 = _nearest_rows(centers, pts, 1, query_sq=sq_norms)
+    assign, history = ids[:, 0], [float(d2.sum())]
     for _ in range(max_iters):
         centers = centers.copy()
         empties = []
@@ -406,11 +390,11 @@ def kmeans(
                 centers[c] = pts[far]
                 d_own[far] = -1.0  # one donor per empty cluster
             log.debug("reseeded %d empty clusters", len(empties))
-        new_assign = _nearest_rows(centers, pts, 1, query_sq=sq_norms, argmin=True)[0][:, 0]
-        history.append(_wcss(pts, centers, new_assign))
-        if np.array_equal(new_assign, assign):
+        ids, d2 = _nearest_rows(centers, pts, 1, query_sq=sq_norms)
+        history.append(float(d2.sum()))
+        if np.array_equal(ids[:, 0], assign):
             break
-        assign = new_assign
+        assign = ids[:, 0]
     members = [np.flatnonzero(assign == c) for c in range(num_clusters)]
     if any(m.size == 0 for m in members):
         raise ValidationError(
@@ -424,10 +408,15 @@ def kmeans(
 
 
 def nearest_clusters(index: ClusterIndex, queries: np.ndarray) -> np.ndarray:
-    """Nearest center per row of ``queries``, as in k-means assignment; ties pick the lowest id."""
+    """Nearest center per row of ``queries``: column 0 of ``_nearest_rows`` at k=1.
+
+    A one-center index sends every query to center 0 without a search.
+    """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != index.centers.shape[1]:
         raise ValidationError(
             f"queries shape {queries.shape} does not match center dim {index.centers.shape[1]}"
         )
-    return _nearest_rows(index.centers, queries, 1, argmin=True)[0][:, 0]
+    if index.num_clusters == 1:
+        return np.zeros(queries.shape[0], dtype=np.int64)
+    return _nearest_rows(index.centers, queries, 1)[0][:, 0]

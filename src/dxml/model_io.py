@@ -2,7 +2,8 @@
 
 Layout: the magic bytes ``DXML``, a little-endian u32 format version, a u64
 payload length, the payload, and a trailing sha256 of the payload.  The
-payload is a canonical JSON header (dims, configs, seeds, thread count)
+payload is a canonical JSON header (the array dims plus the caller's
+``meta``, such as the seeds, configs and counts ``dxml train`` records)
 followed by raw little-endian arrays in a fixed order.  Floats are stored as
 32-bit, which keeps desk-scale models at a few megabytes.
 

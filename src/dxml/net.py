@@ -440,12 +440,18 @@ def embed_points(model: MlpModel, x: SparseRows) -> np.ndarray:
     """Eval-mode embeddings, one row per point; a row's bits do not depend on the batch.
 
     Each output row has norm 1 up to 1e-9, or is zero where the network's
-    output before scaling is (the norm is epsilon-guarded).
+    output before scaling is (the norm is epsilon-guarded).  A point whose
+    output before scaling has a squared norm that is not finite in float64
+    raises ``ValidationError``, naming the first such point.
     """
     n = len(x)
-    if n <= _EMBED_ROWS:
-        return _forward_rows(model, x, None)[3]
     out = np.empty((n, model.output_dim), dtype=np.float64)
     for s in range(0, n, _EMBED_ROWS):
-        out[s : s + _EMBED_ROWS] = _forward_rows(model, x, None, s, s + _EMBED_ROWS)[3]
+        F, norms = _forward_rows(model, x, None, s, s + _EMBED_ROWS)[3:5]
+        if not np.isfinite(norms).all():
+            bad = s + int(np.flatnonzero(~np.isfinite(norms))[0])
+            raise ValidationError(
+                f"point {bad}: its network output's squared norm is not finite in float64"
+            )
+        out[s : s + _EMBED_ROWS] = F
     return out

@@ -103,6 +103,20 @@ class TestTrain:
         assert "point 2: its squared feature norm" in err and "gradient" not in err
         assert not model.exists()
 
+    def test_network_output_norm_outside_float64_fails(self, tmp_path, capsys):
+        # Without feature scaling, point 2's output overflows float64; it
+        # used to embed to an all-zero row and the model was saved.
+        path = str(tmp_path / "train.txt")
+        with open(path, "w") as fh:
+            fh.write("3 6 2\n0 0:1.0 1:2.0\n1 2:1.0 3:0.5\n0,1 5:1e200\n")
+        model = tmp_path / "m.dxml"
+        with np.errstate(over="ignore"):  # training's own forward pass overflows too
+            code = main(["train", path, "--model-out", str(model), "--normalize", "none",
+                         *TINY_FLAGS])
+        assert code == 2
+        assert "point 2: its network output's squared norm is not finite" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_missing_input_file(self, tmp_path):
         code = main(["train", str(tmp_path / "nope.txt"),
                      "--model-out", str(tmp_path / "m.dxml")])
@@ -222,6 +236,20 @@ class TestPredict:
         out = tmp_path / "p.txt"
         assert main(["predict", trained_model, bad, "--out", str(out)]) == 2
         assert "point 1: its squared feature norm" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_network_output_norm_outside_float64_fails(self, data_files, tmp_path, capsys):
+        train, _ = data_files
+        model = str(tmp_path / "m.dxml")
+        assert main(["train", train, "--model-out", model, "--normalize", "none",
+                     *TINY_FLAGS]) == 0
+        bad = str(tmp_path / "bad.txt")
+        with open(bad, "w") as fh:
+            fh.write("2 18 6\n0 1:1.0\n1 5:1e200\n")
+        out = tmp_path / "p.txt"
+        with np.errstate(over="ignore"):
+            assert main(["predict", model, bad, "--out", str(out)]) == 2
+        assert "point 1: its network output's squared norm is not finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_corrupt_model_fails(self, trained_model, data_files, tmp_path, capsys):

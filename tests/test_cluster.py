@@ -107,6 +107,14 @@ class TestKmeans:
         with pytest.raises(ValidationError):
             kmeans(np.empty((0, 2)), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.random.default_rng(11).standard_normal((10, 3))
+        pts[7, 1] = bad
+        for m in (1, 2):
+            with pytest.raises(ValidationError, match="finite"):
+                kmeans(pts, m)
+
 
 class TestNearestCluster:
     def index_with_centers(self, centers):
@@ -160,8 +168,8 @@ def broadcast_sq_dists(points, centers):
 
 
 def assign(points, centers):
-    """k-means assignment: the kernel at k=1 with ``np.argmin``'s NaN rule."""
-    return _nearest_rows(centers, points, 1, argmin=True)[0][:, 0]
+    """k-means assignment: the first column of the kernel at k=1."""
+    return _nearest_rows(centers, points, 1)[0][:, 0]
 
 
 def shortlist_lengths(monkeypatch):
@@ -331,12 +339,17 @@ class TestAssign:
             finally:
                 tracemalloc.stop()
             assert got.shape == (n,)
-            beyond_output.append(peak - 8 * n)
+            beyond_output.append(peak - 16 * n)  # the search's ids and distances
         assert beyond_output[1] <= beyond_output[0] + 64 * 1024
 
 
 def reference_assign(points, centers):
-    """k-means assignment as it was before the GEMM screen: exact row sums only."""
+    """k-means assignment as it was before the GEMM screen: exact row sums only.
+
+    Its ``argmin`` takes a NaN distance as nearest, unlike the kernel; the
+    inputs it is compared on never mix NaN and numbers in one query's
+    distances.
+    """
     n, m = points.shape[0], centers.shape[0]
     out = np.empty(n, dtype=np.int64)
     d = np.empty((min(n, 8192), m), dtype=np.float64)
@@ -354,11 +367,7 @@ def reference_assign(points, centers):
 
 
 def reference_wcss(points, centers, assign):
-    total = 0.0
-    for s in range(0, points.shape[0], 8192):
-        block = points[s : s + 8192]
-        total += float(((block - centers[assign[s : s + 8192]]) ** 2).sum())
-    return total
+    return float(((points - centers[assign]) ** 2).sum(axis=1).sum())
 
 
 def reference_kmeans(pts, num_clusters, max_iters=100, rng_seed=0):
@@ -493,21 +502,37 @@ class TestKmeansOracle:
                         assert np.array_equal(nearest_clusters(index, qs), want), name
                         assert [nearest_cluster(index, q) for q in qs] == want.tolist(), name
 
-    def test_nan_center_takes_the_query_as_argmin_does(self):
-        # A NaN distance counts as nearest in k-means assignment and routing,
-        # as np.argmin has it, while the k-NN order puts it last.
+    def test_nan_center_goes_last_as_in_knn(self):
+        # Routing orders centers as the k-NN search orders rows: a NaN
+        # distance counts as farthest, where np.argmin would take it.
         centers = np.array([[0.0, 0.0], [np.nan, 0.0], [1.0, 0.0], [np.inf, 0.0]])
         index = ClusterIndex(centers=centers, assignments=np.arange(4),
                              members=[np.array([c]) for c in range(4)])
         queries = np.array([[0.1, 0.0], [0.9, 0.0], [np.inf, 0.0], [np.nan, 1.0]])
         with np.errstate(invalid="ignore"):
-            want = reference_assign(queries, centers)
-            assert want.tolist() == [1, 1, 1, 0]
+            assert reference_assign(queries, centers).tolist() == [1, 1, 1, 0]
+            want = nearest_oracle(centers, queries, 1)[0][:, 0]
+            assert want.tolist() == [0, 2, 0, 0]
             for screened in (contextlib.nullcontext(), screen_blocks(1)):
                 with screened:
                     assert np.array_equal(nearest_clusters(index, queries), want)
-                    ids, _ = _nearest_rows(centers, queries, 1)
-                    assert ids[:, 0].tolist() == [0, 2, 0, 0]
+                    assert [nearest_cluster(index, q) for q in queries] == want.tolist()
+
+    def test_one_center_routes_without_a_search(self, monkeypatch):
+        import dxml.cluster
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a one-center index needs no search")
+
+        index = ClusterIndex(centers=np.ones((1, 3)), assignments=np.zeros(4, dtype=np.int64),
+                             members=[np.arange(4)])
+        monkeypatch.setattr(dxml.cluster, "_nearest_rows", no_search)
+        queries = np.array([[0.0, 0.0, 0.0], [np.nan, 1.0, 2.0], [np.inf, 0.0, 0.0]])
+        got = nearest_clusters(index, queries)
+        assert got.dtype == np.int64 and got.tolist() == [0, 0, 0]
+        assert nearest_clusters(index, np.empty((0, 3))).shape == (0,)
+        with pytest.raises(ValidationError):
+            nearest_clusters(index, np.zeros((2, 2)))
 
 
 def nearest_oracle(rows, queries, k):
@@ -522,11 +547,11 @@ def assert_float32_rows_match(rows32, queries, ks, blocks=(None, 1, 64)):
     """Float32 rows give the oracle's ids and distance bits, as their float64 widening does."""
     rows64 = rows32.astype(np.float64)
     with np.errstate(all="ignore"):
-        want_argmin = np.argmin(broadcast_sq_dists(queries, rows64), axis=1)
+        want_assign = nearest_oracle(rows64, queries, 1)[0][:, 0]
         wants = {k: nearest_oracle(rows64, queries, k) for k in ks}
         for rows in blocks:
             with screen_blocks(rows) if rows is not None else contextlib.nullcontext():
-                assert np.array_equal(assign(queries, rows32), want_argmin)
+                assert np.array_equal(assign(queries, rows32), want_assign)
                 for k, (want_ids, want_d2) in wants.items():
                     for searched in (rows32, rows64):
                         ids, d2 = _nearest_rows(searched, queries, k)

@@ -535,6 +535,19 @@ class TestForward:
         with pytest.raises(ValidationError):
             embed_one(self.identity_model(), sparse([(5, 1.0)]))
 
+    @pytest.mark.parametrize("block", [None, 2])
+    def test_output_norm_outside_float64_names_the_point(self, block):
+        # 1e154 squares to 1e308, still finite; 1e155 squares past float64.
+        xs = [dense_sv([1.0, 0.0]), dense_sv([1e154, 0.0]), dense_sv([0.0, 2.0]),
+              dense_sv([1e155, 0.0]), dense_sv([1.0, 1.0])]
+        rows = net._EMBED_ROWS if block is None else block
+        with mock.patch.object(net, "_EMBED_ROWS", rows):
+            ok = embed_points(self.identity_model(), rows_of(xs[:3]))
+            assert np.allclose(ok, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], atol=1e-9)
+            with pytest.raises(ValidationError, match="point 3: its network output's squared"):
+                with np.errstate(over="ignore"):
+                    embed_points(self.identity_model(), rows_of(xs))
+
     def test_zero_loss_when_targets_match_outputs(self):
         rng = np.random.default_rng(4)
         model = init_model(6, 5, 4, rng)
