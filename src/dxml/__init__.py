@@ -24,6 +24,7 @@ from .errors import (
     DegenerateTargetError,
     DxmlError,
     ModelFileError,
+    PointError,
     ValidationError,
 )
 from .graph_embed import (
@@ -46,7 +47,6 @@ from .net import (
     loss_and_gradients,
     sgd_step,
     smooth_l1,
-    train,
 )
 from .predictor import (
     Prediction,
@@ -57,7 +57,7 @@ from .predictor import (
     top_p,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "ClusterIndex", "kmeans", "nearest_clusters",
@@ -65,7 +65,7 @@ __all__ = [
     "load_repo_file", "normalize_features", "parse_repo_file",
     "save_repo_file", "write_repo_file",
     "DataFormatError", "DegenerateTargetError", "DxmlError",
-    "ModelFileError", "ValidationError",
+    "ModelFileError", "PointError", "ValidationError",
     "DeepWalkConfig", "EmbeddingMatrix", "WalkCorpus",
     "embed_labels", "generate_walks", "train_skipgram",
     "LabelGraph", "build_label_graph",
@@ -74,7 +74,7 @@ __all__ = [
     "ModelArtifacts", "load_model", "save_model",
     "MlpModel", "OptimizerState", "TrainConfig",
     "init_model", "loss_and_gradients",
-    "sgd_step", "smooth_l1", "train",
+    "sgd_step", "smooth_l1",
     "Prediction", "knn_batch", "predict",
     "predict_batch", "score_neighbors", "top_p",
     "__version__",

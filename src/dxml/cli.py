@@ -24,7 +24,7 @@ import numpy as np
 
 from . import data_io, graph_embed, label_graph, label_projection, net, predictor
 from .cluster import kmeans
-from .errors import DataFormatError, DxmlError, ValidationError
+from .errors import DataFormatError, DxmlError, PointError, ValidationError
 from .metrics import evaluate
 from .model_io import ModelArtifacts, load_model, save_model
 
@@ -267,14 +267,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     embeddings = graph_embed.EmbeddingMatrix(embeddings.values.astype(np.float32))
 
     xs = dataset.features.take(rows)
-    with _stage("network training", timings):
-        mlp = net.train_embedding_net(
-            xs, targets, dataset.num_features, train_cfg, resolved["hidden"]
-        )
-
-    with _stage("clustering", timings):
-        train_embeds = net.embed_points(mlp, xs)
-        clusters = kmeans(train_embeds, resolved["clusters"], rng_seed=resolved["seeds"]["kmeans"])
+    try:  # name a failing point by its place in the file, not among the labeled points
+        with _stage("network training", timings):
+            mlp = net.train_embedding_net(
+                xs, targets, dataset.num_features, train_cfg, resolved["hidden"]
+            )
+        with _stage("clustering", timings):
+            train_embeds = net.embed_points(mlp, xs)
+            clusters = kmeans(
+                train_embeds, resolved["clusters"], rng_seed=resolved["seeds"]["kmeans"]
+            )
+    except PointError as exc:
+        raise exc.renumbered(rows) from None
 
     with _stage("write model", timings):
         artifacts = ModelArtifacts(
@@ -520,10 +524,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--dropout", type=float, dest="net.dropout_rate", metavar="X",
                     help="dropout rate on the output layer")
     tr.add_argument("--batch-size", type=int, dest="net.minibatch_size", metavar="N")
-    tr.add_argument("--loss-mode", choices=("mean", "sum"), dest="net.loss_mode",
-                    help="batch loss reduction")
-    tr.add_argument("--no-bias", action="store_false", dest="net.use_bias", default=None,
-                    help="freeze biases at zero")
     tr.add_argument("--dry-run", action="store_true", help="print the plan and stop")
     _add_label_flags(tr)
     _add_common(tr)

@@ -27,7 +27,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, PointError, ValidationError
 
 __all__ = [
     "SparseVector",
@@ -487,7 +487,7 @@ def normalize_features(dataset: Dataset, scheme: str = "none") -> Dataset:
     'none' is the identity; 'unit_l2' divides each vector by its Euclidean
     norm, leaving vectors with no stored entries untouched.  A point whose
     squared norm underflows to 0 or overflows in float64 has no norm to
-    divide by and raises ValidationError, naming the first such point.  The
+    divide by and raises ``PointError``, naming the first such point.  The
     result shares every array but ``values`` with ``dataset``.
     """
     if scheme not in NORMALIZATION_SCHEMES:
@@ -505,9 +505,8 @@ def normalize_features(dataset: Dataset, scheme: str = "none") -> Dataset:
     if bad.size:
         i = int(bad[0])
         kind = "overflows" if np.isinf(norms[i]) else "underflows to 0"
-        raise ValidationError(
-            f"point {i}: its squared feature norm {kind} in float64, "
-            "so it cannot be scaled to unit L2 norm"
+        raise PointError(
+            i, f"its squared feature norm {kind} in float64, so it cannot be scaled to unit L2 norm"
         )
     return Dataset.from_csr(
         dataset.num_points, dataset.num_features, dataset.num_labels,

@@ -24,6 +24,19 @@ class ValidationError(DxmlError):
     """An input violates a documented precondition."""
 
 
+class PointError(ValidationError):
+    """One point of an input violates a precondition; ``point`` is its row there."""
+
+    def __init__(self, point: int, reason: str):
+        super().__init__(f"point {point}: {reason}")
+        self.point = point
+        self.reason = reason
+
+    def renumbered(self, rows) -> "PointError":
+        """The same error for an input whose row ``rows[i]`` is this input's row ``i``."""
+        return PointError(int(rows[self.point]), self.reason)
+
+
 class DegenerateTargetError(ValidationError):
     """An averaged label embedding collapsed to near-zero norm."""
 

@@ -35,18 +35,15 @@ __all__ = [
     "generate_walks",
     "train_skipgram",
     "fit_skipgram",
-    "negative_sampling_objective",
     "embed_labels",
     "write_embeddings_text",
 ]
 
 log = logging.getLogger(__name__)
 
-# Sub-stream tags so walks, training, and objective evaluation never share
-# a generator state.
+# Sub-stream tags so walks and training never share a generator state.
 _WALK_STREAM = 0
 _TRAIN_STREAM = 1
-_EVAL_STREAM = 2
 
 
 @dataclass(frozen=True)
@@ -87,8 +84,6 @@ class WalkCorpus:
 
     walks: list[np.ndarray]
     num_nodes: int
-    walk_length: int
-    walks_per_node: int
 
     @property
     def total_tokens(self) -> int:
@@ -127,8 +122,6 @@ class SkipgramModel:
 
     node_vectors: np.ndarray
     context_vectors: np.ndarray
-    objective_before: float | None = None
-    objective_after: float | None = None
 
 
 def _walk_rng(seed: int, node: int, walk_idx: int) -> np.random.Generator:
@@ -182,12 +175,7 @@ def generate_walks(
                     cur = int(nbrs[rng.integers(nbrs.size)])
                 walk[step] = cur
             walks.append(walk)
-    return WalkCorpus(
-        walks=walks,
-        num_nodes=graph.num_nodes,
-        walk_length=walk_length,
-        walks_per_node=walks_per_node,
-    )
+    return WalkCorpus(walks=walks, num_nodes=graph.num_nodes)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -324,37 +312,7 @@ def _sgns_update(syn0, syn1, centre, rows, weight, work) -> None:
     _scatter_add(syn0, centre, np.einsum("ck,ckd->cd", g, ctx), flat)
 
 
-def negative_sampling_objective(
-    model: SkipgramModel, corpus: WalkCorpus, config: DeepWalkConfig, rng_seed: int = 0
-) -> float:
-    """Sampled log likelihood of the corpus under the skip-gram model.
-
-    Uses the full window on every position and draws fresh negatives from a
-    generator seeded by ``rng_seed``, so repeated calls are comparable.
-    """
-    rng = _stream_rng(rng_seed, _EVAL_STREAM)
-    flat = _flatten(corpus)
-    window = config.window
-    chunks = _pair_chunks(
-        flat, _corpus_noise_cdf(flat[0], corpus.num_nodes), np.arange(len(corpus.walks)),
-        window, lambda n: np.full(n, window), config.negative_samples, rng,
-    )
-    syn0, syn1 = model.node_vectors, model.context_vectors
-    total = 0.0
-    pairs = 0
-    for _, centre, rows, keep in chunks:
-        scores = np.einsum("cd,ckd->ck", syn0[centre], syn1[rows])
-        scores[:, 1:] *= -1.0
-        total += float(np.sum(keep * np.log(_sigmoid(scores) + 1e-12)))
-        pairs += centre.size
-    return total / max(pairs, 1)
-
-
-def fit_skipgram(
-    corpus: WalkCorpus,
-    config: DeepWalkConfig,
-    track_objective: bool = False,
-) -> SkipgramModel:
+def fit_skipgram(corpus: WalkCorpus, config: DeepWalkConfig) -> SkipgramModel:
     """Train skip-gram with negative sampling on the walk corpus.
 
     Single threaded and deterministic for a fixed config.  Node vectors start
@@ -376,12 +334,6 @@ def fit_skipgram(
     rng = _stream_rng(config.rng_seed, _TRAIN_STREAM)
     syn0 = _init_node_vectors(L, dim, rng)
     syn1 = np.zeros((L, dim), dtype=np.float64)
-    model = SkipgramModel(node_vectors=syn0, context_vectors=syn1)
-    if track_objective:
-        model.objective_before = negative_sampling_objective(
-            model, corpus, config, config.rng_seed
-        )
-
     flat = _flatten(corpus)
     cdf = _corpus_noise_cdf(flat[0], L)
     work = _work_arrays(_CHUNK_PAIRS, config.negative_samples + 1, dim)
@@ -398,11 +350,7 @@ def fit_skipgram(
             lr = np.maximum(lr_min, lr0 * (1.0 - (epoch * n_tokens + step) / total_steps))
             _sgns_update(syn0, syn1, centre, rows, lr[:, None] * keep, work)
         log.debug("skip-gram epoch %d/%d done", epoch + 1, config.epochs)
-    if track_objective:
-        model.objective_after = negative_sampling_objective(
-            model, corpus, config, config.rng_seed
-        )
-    return model
+    return SkipgramModel(node_vectors=syn0, context_vectors=syn1)
 
 
 def train_skipgram(corpus: WalkCorpus, config: DeepWalkConfig) -> EmbeddingMatrix:

@@ -42,10 +42,8 @@ import time
 from dataclasses import dataclass, field
 import numpy as np
 
-from .data_io import Dataset, SparseRows
-from .errors import ValidationError
-from .graph_embed import EmbeddingMatrix
-from .label_projection import project_targets
+from .data_io import SparseRows
+from .errors import PointError, ValidationError
 
 __all__ = [
     "MlpModel",
@@ -56,7 +54,6 @@ __all__ = [
     "smooth_l1",
     "loss_and_gradients",
     "sgd_step",
-    "train",
     "train_embedding_net",
     "embed_points",
 ]
@@ -118,8 +115,6 @@ class TrainConfig:
     dropout_rate: float = 0.5
     epochs: int = 100
     minibatch_size: int = 64
-    loss_mode: str = "mean"
-    use_bias: bool = True
     rng_seed: int = 0
 
     def validate(self) -> None:
@@ -135,8 +130,6 @@ class TrainConfig:
             raise ValidationError("epochs must be >= 0")
         if self.minibatch_size < 1:
             raise ValidationError("minibatch_size must be >= 1")
-        if self.loss_mode not in ("mean", "sum"):
-            raise ValidationError("loss_mode must be 'mean' or 'sum'")
 
 
 @dataclass
@@ -232,36 +225,42 @@ def _forward_rows(
     return Hpre, A, Zd, Zd / guarded[:, None], norms, guarded
 
 
+def _check_norms(norms: np.ndarray, first: int = 0) -> None:
+    """Raise ``PointError`` for the first row, numbered from ``first``, whose norm is not finite."""
+    finite = np.isfinite(norms)
+    if not finite.all():
+        reason = "its network output's squared norm is not finite in float64"
+        raise PointError(first + int(np.argmin(finite)), reason)
+
+
 def loss_and_gradients(
     model: MlpModel,
     batch: tuple[SparseRows, np.ndarray],
     dropout_masks: np.ndarray | None = None,
-    loss_mode: str = "mean",
     dW1: np.ndarray | None = None,
 ) -> tuple[float, Gradients]:
-    """Smooth-L1 batch loss and exact gradients for all four tensors.
+    """Smooth-L1 batch loss, the mean per-point distance, and its exact gradients.
 
     ``batch`` is a pair of CSR rows and a (B, l) target array.
     ``dropout_masks`` is a (B, l) array of pre-scaled mask rows (they carry
-    the inverted-dropout scale 1/(1 - rate)) or None; gradients are for the
-    mean per-point distance ('mean') or the plain sum ('sum').  The W1
-    gradient is compact, one row per distinct feature id of the batch
-    (``Gradients.rows``).
+    the inverted-dropout scale 1/(1 - rate)) or None.  A row whose masked
+    output has a squared norm that is not finite in float64 raises
+    ``PointError`` naming its row in the batch.  The W1 gradient is compact,
+    one row per distinct feature id of the batch (``Gradients.rows``).
     ``dW1``, if given, is a float64 scratch array of H columns and at least
     that many rows; its leading rows are zeroed and hold the gradient, which
     is then a view of it, in place of a new array.
     """
-    if loss_mode not in ("mean", "sum"):
-        raise ValidationError("loss_mode must be 'mean' or 'sum'")
     x, T = batch
     B = len(x)
     if B == 0:
         raise ValidationError("empty batch")
     T = np.asarray(T, dtype=np.float64)
     Hpre, A, Zd, F, norms, guarded = _forward_rows(model, x, dropout_masks)
+    _check_norms(norms)
 
     per_point = smooth_l1(F, T).sum(axis=1)
-    scale = 1.0 / B if loss_mode == "mean" else 1.0
+    scale = 1.0 / B
     loss = float(per_point.sum() * scale)
 
     dF = np.clip(F - T, -1.0, 1.0) * scale
@@ -354,13 +353,12 @@ def sgd_step(
     mu, lr, wd = config.momentum, config.learning_rate, config.weight_decay
     _momentum_rows(model.W1, state.vW1, grads.dW1, mu, lr, wd, grads.rows)
     _momentum_rows(model.W2, state.vW2, grads.dW2, mu, lr, wd)
-    if config.use_bias:
-        state.vb1 *= mu
-        state.vb1 += grads.db1
-        model.b1 -= lr * state.vb1
-        state.vb2 *= mu
-        state.vb2 += grads.db2
-        model.b2 -= lr * state.vb2
+    state.vb1 *= mu
+    state.vb1 += grads.db1
+    model.b1 -= lr * state.vb1
+    state.vb2 *= mu
+    state.vb2 += grads.db2
+    model.b2 -= lr * state.vb2
 
 
 def train_embedding_net(
@@ -371,7 +369,11 @@ def train_embedding_net(
     hidden_size: int,
     record_losses: list[float] | None = None,
 ) -> MlpModel:
-    """Fit the network to precomputed targets; deterministic for a fixed seed."""
+    """Fit the network to precomputed targets; deterministic for a fixed seed.
+
+    A point whose output overflows stops training in the first batch that
+    holds it, with a ``PointError`` naming its row of ``x``.
+    """
     config.validate()
     n = len(x)
     if n == 0:
@@ -399,12 +401,12 @@ def train_embedding_net(
             if rate > 0.0:
                 keep = rng.random((sel.size, model.output_dim)) >= rate
                 masks = keep / (1.0 - rate)
-            batch = x.take(sel)
-            loss, grads = loss_and_gradients(
-                model, (batch, targets[sel]), masks, config.loss_mode, dW1
-            )
+            try:
+                loss, grads = loss_and_gradients(model, (x.take(sel), targets[sel]), masks, dW1=dW1)
+            except PointError as exc:
+                raise exc.renumbered(sel) from None
             sgd_step(model, state, grads, config)
-            total += loss * sel.size if config.loss_mode == "mean" else loss
+            total += loss * sel.size
         epoch_mean = total / n
         if record_losses is not None:
             record_losses.append(epoch_mean)
@@ -418,40 +420,18 @@ def train_embedding_net(
     return model
 
 
-def train(
-    dataset: Dataset,
-    embeddings: EmbeddingMatrix,
-    config: TrainConfig,
-    hidden_size: int,
-    normalize_targets: bool = True,
-    record_losses: list[float] | None = None,
-) -> MlpModel:
-    """Project label targets, then fit the network on all labeled points.
-
-    Unlabeled points are skipped with a counted warning.
-    """
-    targets, rows, _ = project_targets(embeddings, dataset, normalize=normalize_targets)
-    return train_embedding_net(
-        dataset.features.take(rows), targets, dataset.num_features, config, hidden_size, record_losses
-    )
-
-
 def embed_points(model: MlpModel, x: SparseRows) -> np.ndarray:
     """Eval-mode embeddings, one row per point; a row's bits do not depend on the batch.
 
     Each output row has norm 1 up to 1e-9, or is zero where the network's
     output before scaling is (the norm is epsilon-guarded).  A point whose
     output before scaling has a squared norm that is not finite in float64
-    raises ``ValidationError``, naming the first such point.
+    raises ``PointError``, a ``ValidationError``, naming the first such point.
     """
     n = len(x)
     out = np.empty((n, model.output_dim), dtype=np.float64)
     for s in range(0, n, _EMBED_ROWS):
         F, norms = _forward_rows(model, x, None, s, s + _EMBED_ROWS)[3:5]
-        if not np.isfinite(norms).all():
-            bad = s + int(np.flatnonzero(~np.isfinite(norms))[0])
-            raise ValidationError(
-                f"point {bad}: its network output's squared norm is not finite in float64"
-            )
+        _check_norms(norms, s)
         out[s : s + _EMBED_ROWS] = F
     return out

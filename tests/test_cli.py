@@ -104,17 +104,29 @@ class TestTrain:
         assert not model.exists()
 
     def test_network_output_norm_outside_float64_fails(self, tmp_path, capsys):
-        # Without feature scaling, point 2's output overflows float64; it
-        # used to embed to an all-zero row and the model was saved.
+        # Without feature scaling, the last point's output overflows float64;
+        # it used to embed to an all-zero row and the model was saved.  The
+        # error names its place in the file, counting the unlabeled first
+        # point, and comes from the first batch, before an epoch ends.
         path = str(tmp_path / "train.txt")
         with open(path, "w") as fh:
-            fh.write("3 6 2\n0 0:1.0 1:2.0\n1 2:1.0 3:0.5\n0,1 5:1e200\n")
+            fh.write("4 6 2\n 0:1.0\n0 0:1.0 1:2.0\n1 2:1.0 3:0.5\n0,1 5:1e200\n")
         model = tmp_path / "m.dxml"
-        with np.errstate(over="ignore"):  # training's own forward pass overflows too
+        with np.errstate(over="ignore"):  # training's own forward pass overflows
             code = main(["train", path, "--model-out", str(model), "--normalize", "none",
                          *TINY_FLAGS])
         assert code == 2
-        assert "point 2: its network output's squared norm is not finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "point 3: its network output's squared norm is not finite" in err
+        assert "epoch 1/" not in err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("flags", [["--loss-mode", "sum"], ["--no-bias"]])
+    def test_removed_flags_exit_1_naming_them(self, flags, data_files, tmp_path, capsys):
+        train, _ = data_files
+        model = tmp_path / "m.dxml"
+        assert main(["train", train, "--model-out", str(model), *TINY_FLAGS, *flags]) == 1
+        assert flags[0] in capsys.readouterr().err
         assert not model.exists()
 
     def test_missing_input_file(self, tmp_path):
@@ -500,9 +512,9 @@ class TestConfigFile:
                                           "false", "0", "no", "False", "NO"])
     def test_switch_spellings(self, spelling, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"no_bias = {spelling}\nweighted-walks = {spelling}\n")
+        cfg.write_text(f"no_target_norm = {spelling}\nweighted-walks = {spelling}\n")
         given = spelling.lower() in ("true", "1", "yes")
-        switches = ["--no-bias", "--weighted-walks"] if given else []
+        switches = ["--no-target-norm", "--weighted-walks"] if given else []
         base = base_argv("train")
         assert parse(base + ["--config", str(cfg)]) == parse(base + switches)
 
@@ -516,8 +528,10 @@ class TestConfigFile:
     @pytest.mark.parametrize("line,key", [
         ("epochs = many", "epochs"),
         ("weight_decay = -", "weight_decay"),
-        ("loss-mode = max", "loss-mode"),
-        ("no_bias = maybe", "no_bias"),
+        ("normalize = max", "normalize"),
+        ("weighted_walks = maybe", "weighted_walks"),
+        ("loss_mode = mean", "loss_mode"),  # the keys of flags removed in 0.3.0
+        ("no-bias = true", "no-bias"),
         ("train_file = a.txt", "train_file"),
         ("help = true", "help"),
         ("config = other.cfg", "config"),
@@ -616,6 +630,45 @@ class TestBenchmarkClient:
         assert len(tops) == load_repo_file(test).num_points
         for line, pred in zip(tops, Path(files["cli"]).read_text().splitlines()):
             assert line.split() == [pair.split(":")[0] for pair in pred.split("\t")][:5]
+
+
+def readme_sections():
+    """Each subcommand's section of the README's CLI reference, its heading included."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    reference = text.split("\n## CLI reference\n", 1)[1].split("\n## ", 1)[0]
+    return {re.match(r"`dxml ([\w-]+)", part).group(1): part
+            for part in reference.split("\n### ")[1:]}
+
+
+def named_flags(text):
+    """The flags, ``--name`` or ``-k``, named by the text's code spans that are dxml's.
+
+    A span is dxml's if it starts with a flag or with ``dxml``; a span such
+    as ``bench/run.py --seed 1`` names another program's flag.
+    """
+    return {flag for span in re.findall(r"`([^`]+)`", text) if re.match(r"-|dxml ", span)
+            for flag in re.findall(r"(?<![\w-])--?[a-z][\w-]*", span)}
+
+
+class TestReadmeCliReference:
+    """The README's CLI reference and ``_build_parser`` name the same flags."""
+
+    def test_every_subcommand_has_a_section(self):
+        assert sorted(readme_sections()) == sorted(SUBCOMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_named_flags_exist(self, command):
+        missing = named_flags(readme_sections()[command]) - set(
+            SUBCOMMANDS[command]._option_string_actions)
+        assert not missing, f"README names flags that `dxml {command}` lacks: {sorted(missing)}"
+
+    # embed-labels shares train's walk flags and points to its table.
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate", "sweep-k"])
+    def test_every_flag_is_named(self, command):
+        flags = {opt for action in SUBCOMMANDS[command]._actions
+                 if action.dest not in ("help", "config") for opt in action.option_strings}
+        missing = flags - named_flags(readme_sections()[command])
+        assert not missing, f"README does not name these `dxml {command}` flags: {sorted(missing)}"
 
 
 class TestUsage:

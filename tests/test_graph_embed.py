@@ -27,6 +27,33 @@ def two_cliques(size=5):
 SMALL_CFG = DeepWalkConfig(dim=12, walks_per_node=4, walk_length=16, epochs=2, rng_seed=9)
 
 
+def negative_sampling_objective(model, corpus, window, negatives, seed):
+    """Mean sampled log likelihood of every (centre, context) pair at the full window.
+
+    Each pair draws ``negatives`` nodes from the unigram^0.75 distribution of
+    the corpus, from a generator seeded by ``seed``, so two models scored
+    with one seed meet the same negatives; a draw equal to the context counts
+    for nothing, as in training.
+    """
+    centres, contexts = [], []
+    for walk in corpus.walks:
+        for t in range(walk.size):
+            for u in range(max(0, t - window), min(walk.size, t + window + 1)):
+                if u != t:
+                    centres.append(walk[t])
+                    contexts.append(walk[u])
+    centres, contexts = np.array(centres), np.array(contexts)
+    noise = np.bincount(np.concatenate(corpus.walks), minlength=corpus.num_nodes) ** 0.75
+    rng = np.random.default_rng(seed)
+    drawn = rng.choice(corpus.num_nodes, size=(centres.size, negatives), p=noise / noise.sum())
+    v = model.node_vectors[centres]
+    # log sigmoid(s) = -log(1 + exp(-s)): the context's score, and minus each negative's
+    pos = -np.logaddexp(0.0, -np.einsum("pd,pd->p", v, model.context_vectors[contexts]))
+    neg = -np.logaddexp(0.0, np.einsum("pd,pkd->pk", v, model.context_vectors[drawn]))
+    kept = drawn != contexts[:, None]
+    return float(np.mean(pos + (kept * neg).sum(axis=1)))
+
+
 class TestWalks:
     def test_counts_and_lengths(self):
         g = graph_of([{0, 1, 2}, {1, 3}], 5)
@@ -127,8 +154,13 @@ class TestSkipgram:
     def test_objective_improves(self):
         g = graph_of([{0, 1, 2}, {2, 3, 4}, {0, 4}], 5)
         corpus = generate_walks(g, 6, 20, rng_seed=4)
-        model = fit_skipgram(corpus, SMALL_CFG, track_objective=True)
-        assert model.objective_after > model.objective_before
+        start = fit_skipgram(corpus, DeepWalkConfig(**{**SMALL_CFG.__dict__, "epochs": 0}))
+        trained = fit_skipgram(corpus, SMALL_CFG)
+        assert np.all(start.context_vectors == 0.0)  # the initial vectors
+        scores = [negative_sampling_objective(model, corpus, SMALL_CFG.window,
+                                              SMALL_CFG.negative_samples, seed=SMALL_CFG.rng_seed)
+                  for model in (start, trained)]
+        assert scores[1] > scores[0]
 
     def test_window_must_fit_walk(self):
         with pytest.raises(ValidationError):
@@ -180,7 +212,7 @@ class TestChunkedSkipgram:
         # length-1 and length-2 walks, and reaches that run past a walk's end
         walks = [np.array([3]), np.array([1, 2]), np.arange(7), np.array([4]),
                  np.array([0, 5]), np.arange(10, 15)]
-        corpus = WalkCorpus(walks=walks, num_nodes=15, walk_length=7, walks_per_node=1)
+        corpus = WalkCorpus(walks=walks, num_nodes=15)
         tokens, starts, lengths = _flatten(corpus)
         window = 3
         reach = np.random.default_rng(0).integers(1, window + 1, size=tokens.size)

@@ -1,6 +1,7 @@
 """Binary model file round-trips and corruption handling."""
 
 import hashlib
+import io
 import struct
 import tracemalloc
 
@@ -14,10 +15,14 @@ from dxml import (
     ModelArtifacts,
     ModelFileError,
     load_model,
+    predict_batch,
     save_model,
 )
+from dxml.cli import _write_predictions
 from dxml.graph_embed import EmbeddingMatrix
 from dxml.model_io import _READ_CHUNK, FORMAT_VERSION, MAGIC
+
+from conftest import rows_of, sparse
 
 
 def toy_artifacts(seed=0, n=6, m=2):
@@ -137,6 +142,29 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             loaded.train_embeds[0, 0] = 1.0
         assert loaded.mlp.W1.flags.writeable
+
+    def test_train_keys_of_0_2_load_and_predict_the_same(self, tmp_path):
+        # Version 0.2.0 wrote two more keys in the header's train object.
+        train = {"learning_rate": 0.015, "epochs": 3, "rng_seed": 5}
+        rng = np.random.default_rng(9)
+        points = rows_of([sparse(zip(range(5), rng.standard_normal(5))) for _ in range(4)])
+        seen = []
+        for old_keys in ({}, {"loss_mode": "mean", "use_bias": True}):
+            arts = toy_artifacts(9)
+            arts.meta["train"] = {**train, **old_keys}
+            path = str(tmp_path / f"model-{len(old_keys)}.dxml")
+            save_model(arts, path)
+            loaded = load_model(path)
+            assert loaded.meta["train"] == {**train, **old_keys}
+            out = io.StringIO()
+            _write_predictions(predict_batch(
+                loaded.mlp, loaded.clusters, loaded.train_embeds, loaded.train_labels, points,
+                k=3, weighting="inverse_distance",
+            ), out)
+            arrays = (loaded.label_embeddings.values, loaded.mlp.W1, loaded.mlp.b1,
+                      loaded.mlp.W2, loaded.mlp.b2, loaded.clusters.centers, loaded.train_embeds)
+            seen.append(([a.tobytes() for a in arrays], out.getvalue()))
+        assert seen[0] == seen[1] and seen[0][1]
 
     def test_single_cluster_single_point(self, tmp_path):
         arts = toy_artifacts(4, n=1, m=1)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dxml import (
     MlpModel,
     OptimizerState,
+    PointError,
     SparseVector,
     TrainConfig,
     ValidationError,
@@ -20,10 +21,9 @@ from dxml import (
     smooth_l1,
 )
 from dxml import net
-from dxml.graph_embed import EmbeddingMatrix
-from dxml.net import Gradients, embed_points, train, train_embedding_net
+from dxml.net import Gradients, embed_points, train_embedding_net
 
-from conftest import planted_dataset, random_dataset, rows_of, sparse
+from conftest import planted_dataset, rows_of, sparse
 
 
 def dense_sv(values):
@@ -103,12 +103,12 @@ def reference_forward_batch(model, xs, masks):
     return Hpre, np.maximum(Hpre, 0.0), Zd, F, norms, norms + 1e-12
 
 
-def reference_loss_and_gradients(model, batch, masks=None, loss_mode="mean"):
+def reference_loss_and_gradients(model, batch, masks=None):
     xs = [x for x, _ in batch]
     T = np.stack([t for _, t in batch]).astype(np.float64)
     B = len(xs)
     Hpre, A, Zd, F, norms, guarded = reference_forward_batch(model, xs, masks)
-    scale = 1.0 / B if loss_mode == "mean" else 1.0
+    scale = 1.0 / B
     loss = float(smooth_l1(F, T).sum(axis=1).sum() * scale)
     dF = np.clip(F - T, -1.0, 1.0) * scale
     dot = np.einsum("ij,ij->i", Zd, dF)
@@ -142,13 +142,12 @@ def reference_sgd_step(model, state, grads, config):
     state.vW2 *= mu
     state.vW2 += grads.dW2 + wd * model.W2
     model.W2 -= lr * state.vW2
-    if config.use_bias:
-        state.vb1 *= mu
-        state.vb1 += grads.db1
-        model.b1 -= lr * state.vb1
-        state.vb2 *= mu
-        state.vb2 += grads.db2
-        model.b2 -= lr * state.vb2
+    state.vb1 *= mu
+    state.vb1 += grads.db1
+    model.b1 -= lr * state.vb1
+    state.vb2 *= mu
+    state.vb2 += grads.db2
+    model.b2 -= lr * state.vb2
 
 
 def reference_train(xs, targets, num_features, config, hidden_size):
@@ -166,9 +165,9 @@ def reference_train(xs, targets, num_features, config, hidden_size):
                 keep = rng.random((sel.size, model.output_dim)) >= config.dropout_rate
                 masks = keep / (1.0 - config.dropout_rate)
             batch = [(xs[i], targets[i]) for i in sel]
-            loss, grads = reference_loss_and_gradients(model, batch, masks, config.loss_mode)
+            loss, grads = reference_loss_and_gradients(model, batch, masks)
             reference_sgd_step(model, state, grads, config)
-            total += loss * sel.size if config.loss_mode == "mean" else loss
+            total += loss * sel.size
         losses.append(total / len(xs))
     return model, losses
 
@@ -218,19 +217,17 @@ class TestMatchesPerPointReference:
         net_problems,
         st.sampled_from(["one", "three", "n", "more"]),
         st.sampled_from([0.0, 0.5]),
-        st.booleans(),
-        st.sampled_from(["mean", "sum"]),
         st.integers(0, 2),
         st.sampled_from([None, 1, 3]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_train_embedding_net(self, problem, batch, dropout, use_bias, mode, epochs, block):
+    def test_train_embedding_net(self, problem, batch, dropout, epochs, block):
         xs, targets, model = problem
         n, d = len(xs), model.input_dim
         size = {"one": 1, "three": 3, "n": n, "more": n + 5}[batch]
         cfg = TrainConfig(
             learning_rate=0.05, dropout_rate=dropout, epochs=epochs, minibatch_size=size,
-            loss_mode=mode, use_bias=use_bias, rng_seed=d + n,
+            rng_seed=d + n,
         )
         want, want_losses = reference_train(xs, targets, d, cfg, model.hidden_size)
         # block=None keeps the default row block; 1 and 3 rows (d need not be a
@@ -242,16 +239,16 @@ class TestMatchesPerPointReference:
         assert_same_model(got, want)
         assert losses == want_losses
 
-    @given(net_problems, st.booleans(), st.sampled_from(["mean", "sum"]))
+    @given(net_problems, st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_loss_and_gradients(self, problem, dropout, mode):
+    def test_loss_and_gradients(self, problem, dropout):
         xs, targets, model = problem
         rng = np.random.default_rng(len(xs))
         masks = (rng.random(targets.shape) >= 0.5) / 0.5 if dropout else None
         batch = list(zip(xs, targets))
-        want_loss, want = reference_loss_and_gradients(model, batch, masks, mode)
+        want_loss, want = reference_loss_and_gradients(model, batch, masks)
         named = np.unique(np.concatenate([x.indices for x in xs]).astype(np.int64))
-        loss, got = loss_and_gradients(model, (rows_of(xs), targets), masks, mode)
+        loss, got = loss_and_gradients(model, (rows_of(xs), targets), masks)
         assert loss == want_loss
         assert got.rows.tolist() == named.tolist()  # the batch's distinct ids, sorted
         assert got.dW1.shape == (named.size, model.hidden_size)
@@ -547,6 +544,10 @@ class TestForward:
             with pytest.raises(ValidationError, match="point 3: its network output's squared"):
                 with np.errstate(over="ignore"):
                     embed_points(self.identity_model(), rows_of(xs))
+        # The loss names the same row of its batch.
+        with pytest.raises(PointError, match="point 3: its network output's squared"):
+            with np.errstate(over="ignore"):
+                loss_and_gradients(self.identity_model(), (rows_of(xs), np.zeros((5, 2))))
 
     def test_zero_loss_when_targets_match_outputs(self):
         rng = np.random.default_rng(4)
@@ -592,8 +593,7 @@ def finite_difference_check(seed, step=1e-5, tolerance=1e-4):
     masks = None
     if rng.random() < 0.5:
         masks = (rng.random((batch_size, out_dim)) >= 0.3) / 0.7
-    mode = "mean" if rng.random() < 0.5 else "sum"
-    _, grads = loss_and_gradients(model, batch, masks, mode)
+    _, grads = loss_and_gradients(model, batch, masks)
 
     passed = total = 0
     for param, grad in (
@@ -607,9 +607,9 @@ def finite_difference_check(seed, step=1e-5, tolerance=1e-4):
         for i in range(flat_p.size):
             orig = flat_p[i]
             flat_p[i] = orig + step
-            up, _ = loss_and_gradients(model, batch, masks, mode)
+            up, _ = loss_and_gradients(model, batch, masks)
             flat_p[i] = orig - step
-            down, _ = loss_and_gradients(model, batch, masks, mode)
+            down, _ = loss_and_gradients(model, batch, masks)
             flat_p[i] = orig
             numeric = (up - down) / (2 * step)
             # Central differences resolve nothing below ~eps*loss/step, about
@@ -635,19 +635,6 @@ class TestGradients:
         model = init_model(3, 3, 3)
         with pytest.raises(ValidationError):
             loss_and_gradients(model, (rows_of([]), np.empty((0, 3))))
-
-    def test_sum_mode_scales_mean_mode(self):
-        rng = np.random.default_rng(7)
-        model = init_model(5, 4, 3, rng)
-        batch = []
-        for _ in range(4):
-            t = rng.standard_normal(3)
-            batch.append((random_sparse(rng, 5), t / np.linalg.norm(t)))
-        batch = batch_of(batch)
-        mean_loss, mean_g = loss_and_gradients(model, batch, None, "mean")
-        sum_loss, sum_g = loss_and_gradients(model, batch, None, "sum")
-        assert sum_loss == pytest.approx(4 * mean_loss, rel=1e-12)
-        assert np.allclose(sum_g.dW1, 4 * mean_g.dW1, atol=1e-12)
 
 
 class TestSgdStep:
@@ -772,18 +759,18 @@ class TestTraining:
                             record_losses=losses)
         assert losses[-1] < 0.1 * losses[0], f"{losses[0]:.4f} -> {losses[-1]:.4f}"
 
-    def test_no_bias_stays_zero(self):
-        xs, targets, d = self.small_problem(3)
-        cfg = TrainConfig(epochs=3, use_bias=False, rng_seed=0)
-        model = train_embedding_net(rows_of(xs), targets, d, cfg, hidden_size=5)
-        assert np.all(model.b1 == 0.0) and np.all(model.b2 == 0.0)
-
-    def test_train_skips_unlabeled(self):
-        rng = np.random.default_rng(8)
-        ds = random_dataset(rng, n=25, allow_unlabeled=True)
-        V = EmbeddingMatrix(values=rng.standard_normal((4, ds.num_labels)))
-        model = train(ds, V, TrainConfig(epochs=1), hidden_size=5)
-        assert model.input_dim == ds.num_features
+    def test_output_overflow_stops_the_first_batch_naming_the_row(self):
+        # Row 3 overflows; batches of two, so the error comes from inside a
+        # batch and is renumbered to the row of x, before any epoch ends.
+        xs, targets, d = self.small_problem(5, n=7)
+        xs[3] = SparseVector(np.array([0, 4], dtype=np.int32), np.array([1e200, 1e200]))
+        cfg = TrainConfig(epochs=3, minibatch_size=2, dropout_rate=0.0, rng_seed=1)
+        losses = []
+        with pytest.raises(PointError, match="point 3: its network output's squared") as info:
+            with np.errstate(over="ignore", invalid="ignore"):
+                train_embedding_net(rows_of(xs), targets, d, cfg, hidden_size=8,
+                                    record_losses=losses)
+        assert info.value.point == 3 and losses == []
 
     def test_no_labeled_points_rejected(self):
         with pytest.raises(ValidationError):
@@ -808,7 +795,7 @@ class TestConfigValidation:
             {"dropout_rate": 1.0},
             {"epochs": -1},
             {"minibatch_size": 0},
-            {"loss_mode": "max"},
+            {"dropout_rate": -0.1},
         ],
     )
     def test_rejects(self, kwargs):
