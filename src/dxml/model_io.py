@@ -132,7 +132,8 @@ def save_model(artifacts: ModelArtifacts, path: str) -> None:
     """Serialize atomically: write a sibling temp file, then rename over ``path``.
 
     The payload is hashed and written a part at a time, never joined, so
-    saving holds one float32 copy of the arrays and no copy of the file.
+    saving holds no copy of the file, and a float32 copy only of the arrays
+    that are not float32 already: a trained W1 is written as it is.
     """
     parts = _payload_parts(artifacts)
     digest = hashlib.sha256()

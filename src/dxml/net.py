@@ -15,23 +15,27 @@ batch size and the row's place in it, so a point's bits would depend on its
 batch.  Each row's norm is its own dot product, as in ``np.linalg.norm``.  A
 point thus embeds to the same bits alone or in any batch.
 
-W1 may be float32, as ``load_model`` returns it.  ``np.matmul`` then widens
-the gathered rows to float64 before the product; widening is exact, so every
-activation has the same bits as with a float64 W1, and no float64 copy of
-the whole matrix is made.
+W1 and its momentum are float32, the precision the model file stores, in
+training as in a loaded model; ``init_model`` draws W1 a row block at a time,
+so no float64 d x H array ever exists.  ``np.matmul`` widens the gathered
+rows to float64 before the product; widening is exact, so the rest of the
+network runs in float64 with no float64 copy of the whole matrix.  Training
+ends by rounding b1, W2 and b2 through float32, so the trained network is
+the one ``load_model`` returns, bit for bit.
 
-The W1 gradient is compact: ``loss_and_gradients`` accumulates it only for
-the batch's sorted distinct feature ids, one row each, in the same per-point
-order as a dense scatter would, so every sum has the same bits.  No d x H
-gradient exists; the trainer reuses one scratch buffer of at most as many
-rows as a batch can name, and each batch zeroes only the rows it uses.
+The W1 gradient is compact: ``loss_and_gradients`` accumulates it in float64
+only for the batch's sorted distinct feature ids, one row each, in the same
+per-point order as a dense scatter would, so every sum has the same bits.  No
+d x H gradient exists; the trainer reuses one scratch buffer of at most as
+many rows as a batch can name, and each batch zeroes only the rows it uses.
 
 ``sgd_step`` applies the exact dense momentum and decay update in row blocks
 of about 128 KB per array, so each block stays in cache through all of its
 operations; they are elementwise, so the bits do not depend on the block
-size.  Each block's dense W1 gradient is rebuilt in a block scratch from the
-compact rows that fall in it, zeros elsewhere, so adding it gives the bits of
-the dense update, the sign of every zero included.
+size.  The arithmetic runs in the parameter's dtype, float32 for W1.  Each
+block's dense W1 gradient is rebuilt in a float32 block scratch from the
+compact rows that fall in it, rounded once there, zeros elsewhere, so adding
+it gives the bits of the dense update, the sign of every zero included.
 """
 
 from __future__ import annotations
@@ -69,9 +73,9 @@ _EMBED_ROWS = 256  # points embedded together; bounds embed_points' temporaries
 class MlpModel:
     """Two fully connected layers; shapes (d,H), (H,), (H,l), (l,).
 
-    Training builds float64 weights.  A loaded model keeps W1 in float32, as
-    stored; the forward pass widens the rows it gathers, exactly, so its
-    outputs equal those of the float64 model bit for bit.
+    W1 is float32, as trained and as stored, and the small b1, W2 and b2 are
+    float64.  The forward pass widens the rows of W1 it gathers, exactly, so
+    a float64 W1 holding the same values gives the same outputs bit for bit.
     """
 
     W1: np.ndarray
@@ -149,7 +153,7 @@ class Gradients:
 
 @dataclass
 class OptimizerState:
-    """Momentum buffers, one per parameter tensor."""
+    """Momentum buffers, one per parameter tensor, each of its tensor's dtype."""
 
     vW1: np.ndarray
     vb1: np.ndarray
@@ -172,15 +176,25 @@ def init_model(
     output_dim: int,
     rng: int | np.random.Generator = 0,
 ) -> MlpModel:
-    """He-style uniform init for weights, zero biases, seeded."""
+    """He-style uniform init for weights, zero biases, seeded; W1 is float32.
+
+    W1 is drawn a row block at a time and each block rounded to float32, so
+    no float64 d x H array exists.  ``uniform`` draws one double per entry,
+    so the blocks take the generator's stream of one whole draw.
+    """
     if num_features < 1 or hidden_size < 1 or output_dim < 1:
         raise ValidationError("model dimensions must be >= 1")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     lim1 = math.sqrt(6.0 / num_features)
     lim2 = math.sqrt(6.0 / hidden_size)
+    W1 = np.empty((num_features, hidden_size), dtype=np.float32)
+    step = max(1, _UPDATE_BYTES // (hidden_size * 8))
+    for s in range(0, num_features, step):
+        block = W1[s : s + step]
+        block[...] = rng.uniform(-lim1, lim1, size=block.shape)
     return MlpModel(
-        W1=rng.uniform(-lim1, lim1, size=(num_features, hidden_size)),
+        W1=W1,
         b1=np.zeros(hidden_size),
         W2=rng.uniform(-lim2, lim2, size=(hidden_size, output_dim)),
         b2=np.zeros(output_dim),
@@ -307,16 +321,18 @@ def _momentum_rows(
 ) -> None:
     """v <- mu*v + (g + wd*W), then W <- W - lr*v, a cache-sized row block at a time.
 
-    ``g`` is the dense gradient, or with ``rows`` the compact one: ``g[j]``
-    is row ``rows[j]`` (sorted, distinct) and every other row is zero.  Each
-    block's dense rows are then rebuilt in a block scratch, zeros included,
-    and added as a dense block would be: ``t += 0.0`` turns a -0.0 into
-    +0.0, so skipping the zero rows would change bits.  Every operation is
+    ``v`` has ``W``'s dtype, and every operation runs in it.  ``g`` is the
+    dense gradient, of that dtype too, or with ``rows`` the compact one, of
+    any float dtype: ``g[j]`` is row ``rows[j]`` (sorted, distinct) and every
+    other row is zero.  Each block's dense rows are then rebuilt in a block
+    scratch of ``W``'s dtype, which rounds them once, zeros included, and
+    added as a dense block would be: ``t += 0.0`` turns a -0.0 into +0.0, so
+    skipping the zero rows would change bits.  Every operation is
     elementwise, so the bits do not depend on the block.
     """
     n, h = W.shape
     step = max(1, _UPDATE_BYTES // (h * W.itemsize))
-    tmp = np.empty((min(step, n), h))
+    tmp = np.empty((min(step, n), h), dtype=W.dtype)
     if rows is not None:
         dense = np.empty_like(tmp)
         cuts = np.searchsorted(rows, range(0, n + step, step)).tolist()
@@ -343,13 +359,17 @@ def sgd_step(
     """One momentum step, in place.
 
     v <- momentum*v + grad + weight_decay*param for weights (no decay on
-    biases), then param <- param - lr*v.  Non-finite gradients abort before
+    biases), then param <- param - lr*v, in the parameter's dtype.  A
+    gradient that is not finite, or lies beyond its parameter's range (a
+    float64 W1 gradient past float32's largest value), aborts the step before
     anything is written.  The W1 gradient is compact (``Gradients.rows``);
     the update covers every row of W1, named or not.
     """
-    for name, g in (("dW1", grads.dW1), ("db1", grads.db1), ("dW2", grads.dW2), ("db2", grads.db2)):
-        if not np.all(np.isfinite(g)):
-            raise ValidationError(f"non-finite gradient in {name}")
+    for name, g, p in (("dW1", grads.dW1, model.W1), ("db1", grads.db1, model.b1),
+                       ("dW2", grads.dW2, model.W2), ("db2", grads.db2, model.b2)):
+        top = np.finfo(p.dtype).max  # two reductions, no temporary; NaN fails them
+        if g.size and not (-top <= g.min() and g.max() <= top):
+            raise ValidationError(f"gradient in {name} is not finite in {p.dtype}")
     mu, lr, wd = config.momentum, config.learning_rate, config.weight_decay
     _momentum_rows(model.W1, state.vW1, grads.dW1, mu, lr, wd, grads.rows)
     _momentum_rows(model.W2, state.vW2, grads.dW2, mu, lr, wd)
@@ -372,7 +392,10 @@ def train_embedding_net(
     """Fit the network to precomputed targets; deterministic for a fixed seed.
 
     A point whose output overflows stops training in the first batch that
-    holds it, with a ``PointError`` naming its row of ``x``.
+    holds it, with a ``PointError`` naming its row of ``x``.  The model comes
+    back as the model file stores it: W1, trained in float32, as it is, and
+    b1, W2 and b2 rounded through float32, so it embeds a point to the bits
+    its ``load_model`` copy gives.
     """
     config.validate()
     n = len(x)
@@ -417,6 +440,8 @@ def train_embedding_net(
             epoch_mean,
             time.perf_counter() - t0,
         )
+    for name in ("b1", "W2", "b2"):
+        setattr(model, name, getattr(model, name).astype(np.float32).astype(np.float64))
     return model
 
 

@@ -15,8 +15,12 @@ import numpy as np
 import pytest
 
 import dxml
-from dxml import DeepWalkConfig, TrainConfig, load_repo_file
+from dxml import (DeepWalkConfig, TrainConfig, load_model, load_repo_file, normalize_features,
+                  save_repo_file)
 from dxml.cli import _build_parser, _derived_seeds, _int_list, _seed, _write_predictions, main
+from dxml.net import embed_points
+
+from conftest import random_dataset
 
 
 TINY_FLAGS = [
@@ -47,6 +51,21 @@ class TestTrain:
         assert main(["train", train, "--model-out", a, *TINY_FLAGS]) == 0
         assert main(["train", train, "--model-out", b, *TINY_FLAGS]) == 0
         assert read_bytes(a) == read_bytes(b)
+
+    def test_stored_network_embeds_the_stored_train_embeds(self, tmp_path):
+        # The network training returns is the one the file stores, so the
+        # loaded network re-embeds the labeled training points to the stored
+        # train_embeds bit for bit; an unlabeled point is skipped by both.
+        train = str(tmp_path / "train.txt")
+        save_repo_file(random_dataset(np.random.default_rng(3), n=40, allow_unlabeled=True), train)
+        model = str(tmp_path / "model.dxml")
+        assert main(["train", train, "--model-out", model, *TINY_FLAGS]) == 0
+        arts = load_model(model)
+        ds = normalize_features(load_repo_file(train), arts.meta["normalize_features"])
+        labeled = np.flatnonzero(np.diff(ds.label_indptr) > 0)
+        assert 0 < labeled.size < ds.num_points
+        embeds = embed_points(arts.mlp, ds.features.take(labeled))
+        assert embeds.astype(np.float32).tobytes() == arts.train_embeds.tobytes()
 
     def test_seed_changes_model(self, data_files, tmp_path):
         train, _ = data_files

@@ -124,6 +124,21 @@ class TestRoundTrip:
                 a = a.base
             assert isinstance(a, np.ndarray), "an array is a view of a file buffer"
 
+    def test_save_holds_no_copy_of_a_float32_w1(self, tmp_path):
+        # Training hands over W1 in float32, the stored precision: it is
+        # written as it is.
+        arts = toy_artifacts(6, n=40)
+        arts.mlp.W1 = np.random.default_rng(6).standard_normal((20000, 4)).astype(np.float32)
+        path = str(tmp_path / "model.dxml")
+        tracemalloc.start()
+        try:
+            save_model(arts, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < arts.mlp.W1.nbytes / 2
+        assert load_model(path).mlp.W1.tobytes() == arts.mlp.W1.tobytes()
+
     def test_large_arrays_stay_float32(self, tmp_path):
         path = str(tmp_path / "model.dxml")
         save_model(toy_artifacts(8), path)
