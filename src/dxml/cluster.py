@@ -1,8 +1,9 @@
 """K-means partitioning of the embedded training points, and the nearest-row kernel.
 
 Lloyd iterations over k-means++ seeds.  Clusters route test points to a
-small candidate pool for the k-NN stage, so the index keeps both the center
-matrix and the per-cluster member lists.
+small candidate pool for the k-NN stage.  The index stores the center matrix
+and each point's cluster; the per-cluster member lists derive from those
+assignments.
 
 One kernel, ``_nearest_rows``, finds the exact k nearest rows for a batch
 of queries: k-means assignment and routing (k=1 over the centers) and the
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Sequence
 
 import numpy as np
@@ -111,16 +113,16 @@ def gemm_error_bound(
 
 @dataclass(eq=False)
 class ClusterIndex:
-    """Centers (one row each), per-point assignments, per-cluster members.
+    """Centers (one row each) and each point's cluster, ``assignments``.
 
-    ``search_cache`` holds the routed search's per-model data, built and
-    owned by ``predictor``; ``__eq__`` and ``validate`` ignore it.  It is
-    derived from ``members``, which must not change after the first search.
+    ``members`` derives each cluster's point ids from ``assignments`` on
+    first use.  ``search_cache`` holds the routed search's per-model data,
+    built from ``members`` and owned by ``predictor``; ``__eq__`` ignores
+    it.  ``assignments`` must not change after either is built.
     """
 
     centers: np.ndarray
     assignments: np.ndarray
-    members: list[np.ndarray]
     wcss_history: list[float] = field(default_factory=list)
     search_cache: Any = field(default=None, init=False, repr=False)
 
@@ -128,65 +130,44 @@ class ClusterIndex:
     def num_clusters(self) -> int:
         return int(self.centers.shape[0])
 
-    def validate(self) -> None:
-        n = self.assignments.size
-        if self.centers.ndim != 2 or self.num_clusters < 1:
-            raise ValidationError("centers must be a non-empty 2-d array")
-        if len(self.members) != self.num_clusters:
-            raise ValidationError("members list does not match cluster count")
-        if np.any(self.assignments < 0) or np.any(self.assignments >= self.num_clusters):
-            raise ValidationError("assignment outside cluster range")
-        seen = np.concatenate([m for m in self.members]) if self.members else np.empty(0)
-        if seen.size != n or np.unique(seen).size != n:
-            raise ValidationError("members do not partition the points")
-        for c, ids in enumerate(self.members):
-            if ids.size == 0:
-                raise ValidationError(f"cluster {c} is empty")
-            if np.any(self.assignments[ids] != c):
-                raise ValidationError("members inconsistent with assignments")
+    @cached_property
+    def members(self) -> list[np.ndarray]:
+        """Each cluster's point ids, ascending: ``assignments`` sorted stably, cut per cluster."""
+        order = np.argsort(self.assignments, kind="stable")
+        counts = np.bincount(self.assignments, minlength=self.num_clusters)
+        return np.split(order, np.cumsum(counts)[:-1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClusterIndex):
             return NotImplemented
-        return (
-            np.array_equal(self.centers, other.centers)
-            and np.array_equal(self.assignments, other.assignments)
-            and len(self.members) == len(other.members)
-            and all(np.array_equal(a, b) for a, b in zip(self.members, other.members))
+        return np.array_equal(self.centers, other.centers) and np.array_equal(
+            self.assignments, other.assignments
         )
 
 
-def _sq_dists(
-    points: np.ndarray, targets: np.ndarray, which: np.ndarray | None = None
-) -> np.ndarray:
-    """Exact squared distances ``((p - t) ** 2).sum()`` from each point p, summed in float64.
+def _sq_dists(points: np.ndarray, targets: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """Exact squared distances ``((t - p) ** 2).sum()``, summed in float64, in ``which``'s shape.
 
-    Without ``which``, t is ``targets``, one vector, and there is one
-    distance per point.  With ``which``, one row of row ids per point, point
-    i is compared with each ``targets[which[i, j]]``, giving ``which``'s
-    shape.  Float32 inputs are widened before the subtraction, which is
-    exact, so they give the bits of their float64 widening.  Points are
-    taken a few at a time so temporaries stay near _CHUNK_BYTES.  Each
-    distance sums one contiguous row of squared differences, so its bits
-    depend on neither the chunk nor the shapes.
+    ``which`` holds one row of row ids per point: point i is compared with
+    each ``targets[which[i, j]]``.  Float32 inputs are widened before the
+    subtraction, which is exact, so they give the bits of their float64
+    widening.  Points are taken a few at a time so temporaries stay near
+    _CHUNK_BYTES.  Each distance sums one contiguous row of squared
+    differences, so its bits depend on neither the chunk nor the shapes.
     """
     n, dim = points.shape
-    out = np.empty(n if which is None else which.shape, dtype=np.float64)
-    step = max(1, _CHUNK_BYTES // (8 * max(1, dim * (1 if which is None else which.shape[1]))))
-    if which is not None:
-        buf = np.empty((min(step, n), which.shape[1], dim), dtype=np.float64)
-        gathered = buf if targets.dtype == np.float64 else np.empty(buf.shape, targets.dtype)
+    out = np.empty(which.shape, dtype=np.float64)
+    step = max(1, _CHUNK_BYTES // (8 * max(1, dim * which.shape[1])))
+    buf = np.empty((min(step, n), which.shape[1], dim), dtype=np.float64)
+    gathered = buf if targets.dtype == np.float64 else np.empty(buf.shape, targets.dtype)
     for s in range(0, n, step):
-        if which is None:
-            diff = np.subtract(points[s : s + step], targets, dtype=np.float64)
-        else:
-            ids = which[s : s + step]
-            diff = buf[: ids.shape[0]]
-            # Row ids are in range, so "clip" never clips; it spares take's buffered copy.
-            np.take(targets, ids, axis=0, out=gathered[: ids.shape[0]], mode="clip")
-            if gathered is not buf:
-                np.copyto(diff, gathered[: ids.shape[0]])
-            diff -= points[s : s + step, None, :]
+        ids = which[s : s + step]
+        diff = buf[: ids.shape[0]]
+        # Row ids are in range, so "clip" never clips; it spares take's buffered copy.
+        np.take(targets, ids, axis=0, out=gathered[: ids.shape[0]], mode="clip")
+        if gathered is not buf:
+            np.copyto(diff, gathered[: ids.shape[0]])
+        diff -= points[s : s + step, None, :]
         np.multiply(diff, diff, out=diff)
         out[s : s + step] = diff.sum(axis=-1)
     return out
@@ -328,8 +309,12 @@ def _seed_centers(points: np.ndarray, m: int, rng: np.random.Generator) -> np.nd
     """k-means++: first seed uniform, then proportional to squared distance."""
     n = points.shape[0]
     centers = np.empty((m, points.shape[1]), dtype=np.float64)
+
+    def dists_to(c: int) -> np.ndarray:
+        return _sq_dists(points, centers, np.full((n, 1), c))[:, 0]
+
     centers[0] = points[int(rng.integers(n))]
-    d2 = _sq_dists(points, centers[0])
+    d2 = dists_to(0)
     for c in range(1, m):
         total = float(d2.sum())
         if total <= 0.0:
@@ -339,7 +324,7 @@ def _seed_centers(points: np.ndarray, m: int, rng: np.random.Generator) -> np.nd
             idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
             idx = min(idx, n - 1)
         centers[c] = points[idx]
-        np.minimum(d2, _sq_dists(points, centers[c]), out=d2)
+        np.minimum(d2, dists_to(c), out=d2)
     return centers
 
 
@@ -395,16 +380,11 @@ def kmeans(
         if np.array_equal(ids[:, 0], assign):
             break
         assign = ids[:, 0]
-    members = [np.flatnonzero(assign == c) for c in range(num_clusters)]
-    if any(m.size == 0 for m in members):
+    if not np.bincount(assign, minlength=num_clusters).all():
         raise ValidationError(
             "could not form that many non-empty clusters; too many duplicate points"
         )
-    index = ClusterIndex(
-        centers=centers, assignments=assign, members=members, wcss_history=history
-    )
-    index.validate()
-    return index
+    return ClusterIndex(centers=centers, assignments=assign, wcss_history=history)
 
 
 def nearest_clusters(index: ClusterIndex, queries: np.ndarray) -> np.ndarray:

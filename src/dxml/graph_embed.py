@@ -1,6 +1,7 @@
 """Random-walk node embeddings for the label graph.
 
-Truncated random walks over the co-occurrence graph form a corpus; a
+Truncated random walks over the co-occurrence graph form a corpus, held
+flat as one token array and each walk's bounds in it (``WalkCorpus``); a
 skip-gram model with negative sampling trained on that corpus yields one
 embedding column per label.  Both stages are deterministic for a fixed seed:
 walks draw from per-(node, walk) derived generators, so the corpus does not
@@ -80,14 +81,19 @@ class DeepWalkConfig:
 
 @dataclass
 class WalkCorpus:
-    """Walks over node ids; isolated start nodes give length-1 walks."""
+    """Walks over node ids, end to end: walk w is ``tokens[indptr[w]:indptr[w + 1]]``.
 
-    walks: list[np.ndarray]
+    Walk ``p * num_nodes + v`` is the p-th walk from node v; isolated start
+    nodes give length-1 walks.
+    """
+
+    tokens: np.ndarray
+    indptr: np.ndarray
     num_nodes: int
 
     @property
     def total_tokens(self) -> int:
-        return sum(w.size for w in self.walks)
+        return int(self.tokens.size)
 
 
 @dataclass(eq=False)
@@ -150,32 +156,36 @@ def generate_walks(
     """
     if walks_per_node < 1 or walk_length < 1:
         raise ValidationError("walks_per_node and walk_length must be >= 1")
-    cumweights: list[np.ndarray | None] = [None] * graph.num_nodes
-    if weighted:
-        for v in range(graph.num_nodes):
-            w = graph.adj_weights[v]
-            cumweights[v] = np.cumsum(w, dtype=np.float64) if w.size else None
-
-    walks: list[np.ndarray] = []
+    L, nbrs = graph.num_nodes, graph.indices
+    ip = graph.indptr.tolist()
+    # Weights are positive integers, so node v's cumulative weights are
+    # cum[ip[v]:ip[v + 1]] less before[v], the total before them, exactly;
+    # before[v + 1] - before[v] is node v's total.
+    cum = np.cumsum(graph.weights)
+    before = np.concatenate(([0], cum))[graph.indptr].tolist()
+    lengths = np.where(np.diff(graph.indptr) > 0, walk_length, 1)
+    indptr = np.zeros(walks_per_node * L + 1, dtype=np.int64)
+    np.cumsum(np.tile(lengths, walks_per_node), out=indptr[1:])
+    tokens = np.empty(int(indptr[-1]), dtype=np.int32)
+    pos = 0
     for pass_idx in range(walks_per_node):
-        for start in range(graph.num_nodes):
-            if graph.adj[start].size == 0:
-                walks.append(np.array([start], dtype=np.int32))
+        for start in range(L):
+            tokens[pos] = cur = start
+            pos += 1
+            if ip[start] == ip[start + 1]:
                 continue
             rng = _walk_rng(rng_seed, start, pass_idx)
-            walk = np.empty(walk_length, dtype=np.int32)
-            walk[0] = cur = start
-            for step in range(1, walk_length):
-                nbrs = graph.adj[cur]
+            for _ in range(1, walk_length):
                 if weighted:
-                    cw = cumweights[cur]
-                    r = rng.random() * cw[-1]
-                    cur = int(nbrs[np.searchsorted(cw, r, side="right")])
+                    r = rng.random() * float(before[cur + 1] - before[cur])
+                    # The first neighbour whose cumulative weight exceeds r;
+                    # those weights are integers, so comparing with floor(r) is exact.
+                    cur = int(nbrs[cum.searchsorted(before[cur] + int(r), side="right")])
                 else:
-                    cur = int(nbrs[rng.integers(nbrs.size)])
-                walk[step] = cur
-            walks.append(walk)
-    return WalkCorpus(walks=walks, num_nodes=graph.num_nodes)
+                    cur = int(nbrs[rng.integers(ip[cur], ip[cur + 1])])
+                tokens[pos] = cur
+                pos += 1
+    return WalkCorpus(tokens=tokens, indptr=indptr, num_nodes=L)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -203,27 +213,22 @@ _BLOCK_PAIRS = 1 << 16
 _CHUNK_PAIRS = 256
 
 
-def _flatten(corpus: WalkCorpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tokens, starts, lengths): the walks end to end, and where each one sits."""
-    lengths = np.array([w.size for w in corpus.walks], dtype=np.intp)
-    tokens = np.concatenate(corpus.walks) if corpus.walks else np.zeros(0, dtype=np.intp)
-    return tokens.astype(np.intp, copy=False), np.cumsum(lengths) - lengths, lengths
-
-
-def _token_blocks(starts, lengths, order, block_tokens):
+def _token_blocks(indptr, order, block_tokens):
     """Cut the tokens of the walks taken in ``order`` into runs of ``block_tokens``.
 
+    ``indptr`` bounds the walks in the corpus (``WalkCorpus.indptr``).
     Yields ``(step, pos, start, end)`` per run: each token's number in this
-    order, its position in the flattened corpus, and the bounds of its walk
-    there.  A run may start or end inside a walk.
+    order, its position in the corpus, and the bounds of its walk there.  A
+    run may start or end inside a walk.
     """
-    lens = lengths[order]
+    starts = indptr[order]
+    lens = indptr[order + 1] - starts
     ends = np.cumsum(lens)
     total = int(ends[-1]) if ends.size else 0
     for first in range(0, total, block_tokens):
         step = np.arange(first, min(first + block_tokens, total))
         j = np.searchsorted(ends, step, side="right")
-        start = starts[order[j]]
+        start = starts[j]
         yield step, start + step - (ends[j] - lens[j]), start, start + lens[j]
 
 
@@ -241,27 +246,28 @@ def _window_pairs(pos, start, end, reach, window):
     return i, ctx[i, col]
 
 
-def _pair_chunks(flat, cdf, order, window, reach, negatives, rng):
-    """Skip-gram pairs of the walks taken in ``order``, in chunks.
+def _pair_chunks(corpus, cdf, order, window, reach, negatives, rng):
+    """Skip-gram pairs of the walks of ``corpus`` taken in ``order``, in chunks.
 
-    ``flat`` is the corpus as ``_flatten`` returns it and ``cdf`` its noise
-    distribution.  ``reach(n)`` gives the window reach of the next n centre
-    tokens; each pair then draws ``negatives`` nodes from ``cdf``.  Yields
+    ``cdf`` is the corpus's noise distribution.  ``reach(n)`` gives the
+    window reach of the next n centre tokens; each pair then draws
+    ``negatives`` nodes from ``cdf``.  Yields
     ``(step, centre, rows, keep)`` per chunk of at most _CHUNK_PAIRS pairs:
     the centre token's number in this order, the centre node, the context
     node followed by the negatives, and a weight per row that is 0 for a
     negative equal to the context and 1 otherwise.
     """
-    tokens, starts, lengths = flat
+    tokens = corpus.tokens
     block_tokens = max(1, _BLOCK_PAIRS // (2 * window))
-    for step, pos, start, end in _token_blocks(starts, lengths, order, block_tokens):
+    for step, pos, start, end in _token_blocks(corpus.indptr, order, block_tokens):
         i, ctx = _window_pairs(pos, start, end, reach(pos.size), window)
         rows = np.empty((i.size, negatives + 1), dtype=np.intp)
         rows[:, 0] = tokens[ctx]
         rows[:, 1:] = np.searchsorted(cdf, rng.random((i.size, negatives)))
         keep = np.ones(rows.shape)
         keep[:, 1:] = rows[:, 1:] != rows[:, :1]
-        centre, step = tokens[pos[i]], step[i]
+        # intp, as the rows: _scatter_add multiplies node ids by dim.
+        centre, step = tokens[pos[i]].astype(np.intp), step[i]
         for a in range(0, i.size, _CHUNK_PAIRS):
             b = a + _CHUNK_PAIRS
             yield step[a:b], centre[a:b], rows[a:b], keep[a:b]
@@ -334,16 +340,15 @@ def fit_skipgram(corpus: WalkCorpus, config: DeepWalkConfig) -> SkipgramModel:
     rng = _stream_rng(config.rng_seed, _TRAIN_STREAM)
     syn0 = _init_node_vectors(L, dim, rng)
     syn1 = np.zeros((L, dim), dtype=np.float64)
-    flat = _flatten(corpus)
-    cdf = _corpus_noise_cdf(flat[0], L)
+    cdf = _corpus_noise_cdf(corpus.tokens, L)
     work = _work_arrays(_CHUNK_PAIRS, config.negative_samples + 1, dim)
     lr0, lr_min = config.initial_learning_rate, config.min_learning_rate
-    n_tokens = flat[0].size
+    n_tokens = corpus.total_tokens
     total_steps = max(1, config.epochs * n_tokens)
     window = config.window
     for epoch in range(config.epochs):
         chunks = _pair_chunks(
-            flat, cdf, rng.permutation(len(corpus.walks)), window,
+            corpus, cdf, rng.permutation(corpus.indptr.size - 1), window,
             lambda n: rng.integers(1, window + 1, size=n), config.negative_samples, rng,
         )
         for step, centre, rows, keep in chunks:

@@ -3,7 +3,8 @@
 Two labels are connected iff they appear together in at least one training
 point; the edge weight counts how many points contain both.  The graph is
 undirected, has no self loops, and keeps a node for every label id, including
-labels that never occur.
+labels that never occur.  It is held as flat CSR arrays, as ``Dataset``
+holds its points: one neighbour table and one weight table for all nodes.
 """
 
 from __future__ import annotations
@@ -14,40 +15,28 @@ from typing import IO
 import numpy as np
 
 from .data_io import Dataset
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError
 
 __all__ = ["LabelGraph", "build_label_graph", "write_adjacency", "read_adjacency"]
 
 
 @dataclass
 class LabelGraph:
-    """Adjacency of the co-occurrence graph, one sorted neighbor array per node."""
+    """CSR adjacency of the co-occurrence graph.
+
+    Node v's neighbours are ``indices[indptr[v]:indptr[v + 1]]`` (int32,
+    ascending), and the same slice of ``weights`` (int64) holds their
+    co-occurrence counts.  Each undirected edge is stored once per endpoint.
+    """
 
     num_nodes: int
-    adj: list[np.ndarray] = field(repr=False)
-    adj_weights: list[np.ndarray] = field(repr=False)
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
 
     @property
     def num_edges(self) -> int:
-        return sum(a.size for a in self.adj) // 2
-
-    def _check(self, node: int) -> None:
-        if node < 0 or node >= self.num_nodes:
-            raise ValidationError(f"node {node} outside [0, {self.num_nodes})")
-
-    def degree(self, node: int) -> int:
-        self._check(node)
-        return int(self.adj[node].size)
-
-    def neighbors(self, node: int) -> np.ndarray:
-        """Sorted neighbor ids of ``node``."""
-        self._check(node)
-        return self.adj[node]
-
-    def edge_weights(self, node: int) -> np.ndarray:
-        """Co-occurrence counts aligned with ``neighbors(node)``."""
-        self._check(node)
-        return self.adj_weights[node]
+        return self.indices.size // 2
 
 
 def _from_edges(
@@ -58,12 +47,9 @@ def _from_edges(
     dst = np.concatenate([b, a]).astype(np.int32)
     wts = np.concatenate([weights, weights]).astype(np.int64)
     order = np.lexsort((dst, src))
-    cuts = np.searchsorted(src[order], np.arange(1, num_nodes))
-    return LabelGraph(
-        num_nodes=num_nodes,
-        adj=np.split(dst[order], cuts),
-        adj_weights=np.split(wts[order], cuts),
-    )
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
+    return LabelGraph(num_nodes=num_nodes, indptr=indptr, indices=dst[order], weights=wts[order])
 
 
 def build_label_graph(dataset: Dataset) -> LabelGraph:
@@ -83,12 +69,14 @@ def build_label_graph(dataset: Dataset) -> LabelGraph:
 def write_adjacency(graph: LabelGraph, stream: IO[str]) -> None:
     """Write one ``i j weight`` line per undirected edge, i < j, sorted."""
     stream.write(f"{graph.num_nodes}\n")
-    for i in range(graph.num_nodes):
-        nbrs = graph.adj[i]
-        wts = graph.adj_weights[i]
-        for j, w in zip(nbrs.tolist(), wts.tolist()):
-            if i < j:
-                stream.write(f"{i} {j} {w}\n")
+    rows = np.repeat(np.arange(graph.num_nodes), np.diff(graph.indptr))
+    upper = rows < graph.indices
+    stream.writelines(
+        f"{i} {j} {w}\n"
+        for i, j, w in zip(
+            rows[upper].tolist(), graph.indices[upper].tolist(), graph.weights[upper].tolist()
+        )
+    )
 
 
 def read_adjacency(stream: IO[str], num_nodes: int | None = None) -> LabelGraph:

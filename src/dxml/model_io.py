@@ -289,7 +289,6 @@ def _artifacts(header: dict, raw: dict[str, np.ndarray], flat: np.ndarray) -> Mo
     m = dims["num_clusters"]
     if assignments.size and (assignments.min() < 0 or assignments.max() >= m):
         raise ModelFileError("assignment outside cluster range")
-    members = [np.flatnonzero(assignments == c) for c in range(m)]
     meta = {key: value for key, value in header.items() if key != "dims"}
     meta["dims"] = dims
     train_embeds = raw["train_embeds"]
@@ -305,7 +304,6 @@ def _artifacts(header: dict, raw: dict[str, np.ndarray], flat: np.ndarray) -> Mo
         clusters=ClusterIndex(
             centers=raw["centers"].astype(np.float64),
             assignments=assignments,
-            members=members,
         ),
         train_embeds=train_embeds,
         train_labels=labels,

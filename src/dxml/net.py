@@ -259,7 +259,8 @@ def loss_and_gradients(
     ``dropout_masks`` is a (B, l) array of pre-scaled mask rows (they carry
     the inverted-dropout scale 1/(1 - rate)) or None.  A row whose masked
     output has a squared norm that is not finite in float64 raises
-    ``PointError`` naming its row in the batch.  The W1 gradient is compact,
+    ``PointError`` naming its row in the batch; a row whose masked output is
+    exactly zero passes no gradient.  The W1 gradient is compact,
     one row per distinct feature id of the batch (``Gradients.rows``).
     ``dW1``, if given, is a float64 scratch array of H columns and at least
     that many rows; its leading rows are zeroed and hold the gradient, which
@@ -278,11 +279,13 @@ def loss_and_gradients(
     loss = float(per_point.sum() * scale)
 
     dF = np.clip(F - T, -1.0, 1.0) * scale
-    # Through row normalization f = z / (|z| + eps); the second term vanishes
-    # for all-zero rows because Zd is zero there.
+    # Through row normalization f = z / (|z| + eps).  A row with z = 0 (a
+    # point with no features at init, say) passes no gradient: its dF / eps
+    # would be of order 1e12.
     dot = np.einsum("ij,ij->i", Zd, dF)
     safe = np.where(norms > 0.0, norms, 1.0)
     dZd = dF / guarded[:, None] - Zd * (dot / (guarded * guarded * safe))[:, None]
+    dZd[norms == 0.0] = 0.0
     dZ = dZd * dropout_masks if dropout_masks is not None else dZd
 
     dW2 = A.T @ dZ

@@ -284,7 +284,6 @@ def test_10_round_trips_at_benchmark_scale(tmp_path, announce):
             clusters=ClusterIndex(
                 centers=f32(m, el),
                 assignments=np.zeros(n, dtype=np.int64),
-                members=[np.arange(n)],
             ),
             train_embeds=f32(n, el),
             train_labels=[

@@ -100,7 +100,7 @@ class TestKmeans:
 
     def test_duplicate_points_cannot_fill_clusters(self):
         pts = np.ones((5, 2))
-        with pytest.raises(ValidationError, match="duplicate"):
+        with pytest.raises(ValidationError, match="could not form that many non-empty clusters"):
             kmeans(pts, 2, rng_seed=0)
 
     def test_empty_input_rejected(self):
@@ -119,11 +119,7 @@ class TestKmeans:
 class TestNearestCluster:
     def index_with_centers(self, centers):
         m = len(centers)
-        return ClusterIndex(
-            centers=np.asarray(centers, dtype=np.float64),
-            assignments=np.arange(m),
-            members=[np.array([c]) for c in range(m)],
-        )
+        return ClusterIndex(centers=np.asarray(centers, dtype=np.float64), assignments=np.arange(m))
 
     def test_query_at_center(self):
         index = self.index_with_centers([[0.0, 0.0], [3.0, 4.0], [-1.0, 2.0]])
@@ -207,9 +203,10 @@ class TestAssign:
             centers = scale * rng.standard_normal((m, dim))
         want = broadcast_sq_dists(points, centers)
         for c in range(m):  # the distances to one center, as k-means++ seeding takes them
-            assert np.array_equal(_sq_dists(points, centers[c]), want[:, c])
+            assert np.array_equal(_sq_dists(points, centers, np.full((n, 1), c))[:, 0], want[:, c])
         for i in range(n):  # the distances from one point, as the per-query re-rank takes them
-            assert np.array_equal(_sq_dists(centers, points[i]), want[i])
+            assert np.array_equal(_sq_dists(points[i : i + 1], centers, np.arange(m)[None, :])[0],
+                                  want[i])
         every = np.arange(m)[None, :].repeat(n, axis=0)  # the exact table
         assert np.array_equal(_sq_dists(points, centers, every), want)
         picks = np.argsort(-want, axis=1, kind="stable")  # gathered rows, as a shortlist's
@@ -236,8 +233,9 @@ class TestAssign:
         t64 = t32.astype(np.float64)
         for pts in (points, points.astype(np.float32)):
             wide = pts.astype(np.float64)
-            for c in range(m):  # the vector form
-                assert _sq_dists(pts, t32[c]).tobytes() == _sq_dists(wide, t64[c]).tobytes()
+            for c in range(m):  # one center for every point, as k-means++ seeding takes it
+                one = np.full((n, 1), c)
+                assert _sq_dists(pts, t32, one).tobytes() == _sq_dists(wide, t64, one).tobytes()
             every = np.arange(m)[None, :].repeat(n, axis=0)  # the exact table
             assert _sq_dists(pts, t32, every).tobytes() == _sq_dists(wide, t64, every).tobytes()
             picks = rng.integers(m, size=(n, 5))  # gathered rows, as a shortlist's
@@ -327,8 +325,7 @@ class TestAssign:
     def test_assignment_memory_does_not_grow_with_the_point_count(self):
         rng = np.random.default_rng(32)
         centers = rng.standard_normal((64, 16))
-        index = ClusterIndex(centers=centers, assignments=np.arange(64),
-                             members=[np.array([c]) for c in range(64)])
+        index = ClusterIndex(centers=centers, assignments=np.arange(64))
         beyond_output = []
         for n in (5_000, 50_000):
             queries = rng.standard_normal((n, 16))
@@ -482,11 +479,7 @@ class TestKmeansOracle:
             "one": base[:1],
         }
         for name, centers in center_sets.items():
-            index = ClusterIndex(
-                centers=centers,
-                assignments=np.arange(len(centers)),
-                members=[np.array([c]) for c in range(len(centers))],
-            )
+            index = ClusterIndex(centers=centers, assignments=np.arange(len(centers)))
             queries = np.concatenate([
                 centers,
                 centers[:3] + 1e-12,
@@ -506,8 +499,7 @@ class TestKmeansOracle:
         # Routing orders centers as the k-NN search orders rows: a NaN
         # distance counts as farthest, where np.argmin would take it.
         centers = np.array([[0.0, 0.0], [np.nan, 0.0], [1.0, 0.0], [np.inf, 0.0]])
-        index = ClusterIndex(centers=centers, assignments=np.arange(4),
-                             members=[np.array([c]) for c in range(4)])
+        index = ClusterIndex(centers=centers, assignments=np.arange(4))
         queries = np.array([[0.1, 0.0], [0.9, 0.0], [np.inf, 0.0], [np.nan, 1.0]])
         with np.errstate(invalid="ignore"):
             assert reference_assign(queries, centers).tolist() == [1, 1, 1, 0]
@@ -524,8 +516,7 @@ class TestKmeansOracle:
         def no_search(*args, **kwargs):
             raise AssertionError("a one-center index needs no search")
 
-        index = ClusterIndex(centers=np.ones((1, 3)), assignments=np.zeros(4, dtype=np.int64),
-                             members=[np.arange(4)])
+        index = ClusterIndex(centers=np.ones((1, 3)), assignments=np.zeros(4, dtype=np.int64))
         monkeypatch.setattr(dxml.cluster, "_nearest_rows", no_search)
         queries = np.array([[0.0, 0.0, 0.0], [np.nan, 1.0, 2.0], [np.inf, 0.0, 0.0]])
         got = nearest_clusters(index, queries)
@@ -579,8 +570,7 @@ class TestFloat32Screen:
                                   rows64[:4]])
         assert_float32_rows_match(rows32, queries, (1, 3, 10), blocks=(rows,))
         index = kmeans(pts, m, rng_seed=seeds[0])  # rounding to float32 merges offset-1e6 points
-        twin = ClusterIndex(centers=index.centers, assignments=index.assignments,
-                            members=index.members)
+        twin = ClusterIndex(centers=index.centers, assignments=index.assignments)
         with screen_blocks(rows) if rows is not None else contextlib.nullcontext():
             for k in (1, 5, 40):
                 got = knn_batch(index, rows32, queries, k)
@@ -679,30 +669,15 @@ class TestFloat32Screen:
         assert_float32_rows_match(rows32, queries, (9, 10, 50))
 
 
-class TestValidate:
-    def test_empty_member_list_rejected(self):
-        bad = ClusterIndex(
-            centers=np.zeros((2, 2)),
-            assignments=np.zeros(3, dtype=np.int64),
-            members=[np.array([0, 1, 2]), np.array([], dtype=np.int64)],
-        )
-        with pytest.raises(ValidationError, match="empty"):
-            bad.validate()
-
-    def test_non_partition_rejected(self):
-        bad = ClusterIndex(
-            centers=np.zeros((2, 2)),
-            assignments=np.array([0, 1, 1]),
-            members=[np.array([0]), np.array([1])],
-        )
-        with pytest.raises(ValidationError):
-            bad.validate()
-
-    def test_inconsistent_assignment_rejected(self):
-        bad = ClusterIndex(
-            centers=np.zeros((2, 2)),
-            assignments=np.array([0, 0, 1]),
-            members=[np.array([0, 2]), np.array([1])],
-        )
-        with pytest.raises(ValidationError):
-            bad.validate()
+class TestMembers:
+    def test_members_list_each_clusters_ids_ascending(self):
+        rng = np.random.default_rng(40)
+        for m in (1, 3, 7):
+            assignments = rng.integers(m, size=50)
+            assignments[assignments == m - 1] = 0  # with m > 1, the last cluster is empty
+            index = ClusterIndex(centers=np.zeros((m, 2)), assignments=assignments)
+            assert len(index.members) == m
+            for c, ids in enumerate(index.members):
+                assert ids.dtype == np.intp
+                assert np.array_equal(ids, np.flatnonzero(assignments == c))
+            assert index.members is index.members, "built once"

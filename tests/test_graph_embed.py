@@ -6,10 +6,10 @@ import pytest
 from dxml import DeepWalkConfig, ValidationError, embed_labels, generate_walks, train_skipgram
 from dxml import graph_embed
 from dxml.graph_embed import (
-    WalkCorpus, _flatten, _sgns_update, _token_blocks, _window_pairs, _work_arrays, fit_skipgram,
+    WalkCorpus, _sgns_update, _token_blocks, _window_pairs, _work_arrays, fit_skipgram,
 )
 
-from test_label_graph import dataset_from_label_sets
+from test_label_graph import adjacent, dataset_from_label_sets
 from dxml import build_label_graph
 
 
@@ -24,6 +24,50 @@ def two_cliques(size=5):
     return graph_of([first, first, second, second], 2 * size)
 
 
+def walks_of(corpus):
+    """The corpus's walks as a list of arrays, one per walk."""
+    return np.split(corpus.tokens, corpus.indptr[1:-1])
+
+
+def corpus_of(walks, num_nodes):
+    """A flat ``WalkCorpus`` holding ``walks``, in order."""
+    indptr = np.concatenate(([0], np.cumsum([w.size for w in walks]))).astype(np.int64)
+    return WalkCorpus(tokens=np.concatenate(walks).astype(np.int32), indptr=indptr,
+                      num_nodes=num_nodes)
+
+
+def reference_walks(graph, walks_per_node, walk_length, rng_seed, weighted=False):
+    """The walks one at a time, each its own array, from per-node neighbour and weight lists.
+
+    Each (node, pass) draws from a generator seeded by SeedSequence(seed,
+    spawn_key=(0, node, pass)); a step takes a uniform neighbour, or, with
+    ``weighted``, the first whose float64 cumulative weight exceeds
+    ``random() * total``.
+    """
+    adj, weights = zip(*(adjacent(graph, v) for v in range(graph.num_nodes)))
+    cumweights = [np.cumsum(w, dtype=np.float64) for w in weights]
+    walks = []
+    for pass_idx in range(walks_per_node):
+        for start in range(graph.num_nodes):
+            if adj[start].size == 0:
+                walks.append(np.array([start], dtype=np.int32))
+                continue
+            rng = np.random.default_rng(
+                np.random.SeedSequence(rng_seed, spawn_key=(0, start, pass_idx)))
+            walk = np.empty(walk_length, dtype=np.int32)
+            walk[0] = cur = start
+            for step in range(1, walk_length):
+                nbrs = adj[cur]
+                if weighted:
+                    cw = cumweights[cur]
+                    cur = int(nbrs[np.searchsorted(cw, rng.random() * cw[-1], side="right")])
+                else:
+                    cur = int(nbrs[rng.integers(nbrs.size)])
+                walk[step] = cur
+            walks.append(walk)
+    return walks
+
+
 SMALL_CFG = DeepWalkConfig(dim=12, walks_per_node=4, walk_length=16, epochs=2, rng_seed=9)
 
 
@@ -36,14 +80,14 @@ def negative_sampling_objective(model, corpus, window, negatives, seed):
     for nothing, as in training.
     """
     centres, contexts = [], []
-    for walk in corpus.walks:
+    for walk in walks_of(corpus):
         for t in range(walk.size):
             for u in range(max(0, t - window), min(walk.size, t + window + 1)):
                 if u != t:
                     centres.append(walk[t])
                     contexts.append(walk[u])
     centres, contexts = np.array(centres), np.array(contexts)
-    noise = np.bincount(np.concatenate(corpus.walks), minlength=corpus.num_nodes) ** 0.75
+    noise = np.bincount(corpus.tokens, minlength=corpus.num_nodes) ** 0.75
     rng = np.random.default_rng(seed)
     drawn = rng.choice(corpus.num_nodes, size=(centres.size, negatives), p=noise / noise.sum())
     v = model.node_vectors[centres]
@@ -58,42 +102,42 @@ class TestWalks:
     def test_counts_and_lengths(self):
         g = graph_of([{0, 1, 2}, {1, 3}], 5)
         corpus = generate_walks(g, walks_per_node=3, walk_length=10, rng_seed=1)
-        assert len(corpus.walks) == 3 * g.num_nodes
-        for walk in corpus.walks:
-            start = walk[0]
-            expected = 1 if g.degree(int(start)) == 0 else 10
+        walks = walks_of(corpus)
+        assert len(walks) == 3 * g.num_nodes and corpus.indptr[-1] == corpus.total_tokens
+        for walk in walks:
+            expected = 1 if adjacent(g, int(walk[0]))[0].size == 0 else 10
             assert walk.size == expected
 
     def test_every_node_starts_its_walks(self):
         g = graph_of([{0, 1}, {1, 2}], 4)
         corpus = generate_walks(g, walks_per_node=4, walk_length=6, rng_seed=0)
-        starts = [int(w[0]) for w in corpus.walks]
+        starts = corpus.tokens[corpus.indptr[:-1]].tolist()
         for node in range(g.num_nodes):
             assert starts.count(node) == 4
 
     def test_steps_follow_edges(self):
         g = graph_of([{0, 1, 2}, {2, 3}], 4)
         corpus = generate_walks(g, walks_per_node=5, walk_length=12, rng_seed=3)
-        for walk in corpus.walks:
+        for walk in walks_of(corpus):
             for a, b in zip(walk[:-1], walk[1:]):
-                assert int(b) in g.neighbors(int(a)).tolist()
+                assert int(b) in adjacent(g, int(a))[0].tolist()
 
     def test_path_graph_alternates(self):
         g = graph_of([{0, 1}], 2)
         corpus = generate_walks(g, walks_per_node=2, walk_length=7, rng_seed=5)
-        for walk in corpus.walks:
+        for walk in walks_of(corpus):
             assert walk.tolist() == [walk[0], 1 - walk[0]] * 3 + [walk[0]]
 
     def test_isolated_nodes_yield_singletons(self):
         g = graph_of([{0, 1}], 4)
         corpus = generate_walks(g, walks_per_node=2, walk_length=9, rng_seed=0)
-        singles = [w for w in corpus.walks if w.size == 1]
+        singles = [w for w in walks_of(corpus) if w.size == 1]
         assert sorted(int(w[0]) for w in singles) == [2, 2, 3, 3]
 
     def test_walks_stay_in_component(self):
         g = two_cliques(3)
         corpus = generate_walks(g, walks_per_node=4, walk_length=20, rng_seed=2)
-        for walk in corpus.walks:
+        for walk in walks_of(corpus):
             side = int(walk[0]) // 3
             assert all(int(x) // 3 == side for x in walk)
 
@@ -102,15 +146,15 @@ class TestWalks:
         a = generate_walks(g, 5, 15, rng_seed=11)
         b = generate_walks(g, 5, 15, rng_seed=11)
         c = generate_walks(g, 5, 15, rng_seed=12)
-        assert all(np.array_equal(x, y) for x, y in zip(a.walks, b.walks))
-        assert any(not np.array_equal(x, y) for x, y in zip(a.walks, c.walks))
+        assert np.array_equal(a.tokens, b.tokens) and np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indptr, c.indptr) and not np.array_equal(a.tokens, c.tokens)
 
     def test_weighted_walks_prefer_heavy_edges(self):
         # node 0 co-occurs with 1 in 50 points and with 2 in a single point
         sets = [{0, 1}] * 50 + [{0, 2}]
         g = graph_of(sets, 3)
         corpus = generate_walks(g, walks_per_node=40, walk_length=8, rng_seed=7, weighted=True)
-        from_zero = [int(w[1]) for w in corpus.walks if int(w[0]) == 0]
+        from_zero = [int(w[1]) for w in walks_of(corpus) if int(w[0]) == 0]
         assert from_zero.count(1) / len(from_zero) > 0.9
 
     def test_bad_params(self):
@@ -119,6 +163,35 @@ class TestWalks:
             generate_walks(g, 0, 10)
         with pytest.raises(ValidationError):
             generate_walks(g, 1, 0)
+
+
+def oracle_graphs():
+    """Random graphs with isolated nodes, a path, weights 50 and 1, and no edges at all."""
+    for seed in range(4):
+        # Labels 9-11 never occur and label 8 only alone: four isolated nodes.
+        # Repeated sets give edges weights above 1.
+        rng = np.random.default_rng(seed)
+        sets = [set(rng.choice(8, size=int(rng.integers(1, 5)), replace=False).tolist())
+                for _ in range(12)]
+        yield graph_of(sets + sets[:5] + [{8}], 12)
+    yield graph_of([{0, 1}, {1, 2}, {2, 3}, {2, 3}], 5)  # nodes of degree 1, node 4 isolated
+    yield graph_of([{0, 1}] * 50 + [{0, 2}, {1, 2}], 3)
+    yield graph_of([{0}, {1}], 3)
+
+
+class TestWalkOracle:
+    """The flat corpus equals the per-walk reference token for token."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("walk_length", [1, 2, 9])
+    def test_corpus_matches_reference(self, weighted, walk_length):
+        for seed, g in enumerate(oracle_graphs()):
+            corpus = generate_walks(g, 3, walk_length, rng_seed=seed, weighted=weighted)
+            want = reference_walks(g, 3, walk_length, seed, weighted)
+            assert corpus.num_nodes == g.num_nodes
+            assert corpus.tokens.dtype == np.int32 and corpus.indptr.dtype == np.int64
+            assert corpus.indptr.tolist() == np.cumsum([0] + [w.size for w in want]).tolist()
+            assert corpus.tokens.tobytes() == np.concatenate(want).tobytes()
 
 
 class TestSkipgram:
@@ -144,7 +217,7 @@ class TestSkipgram:
         # All labels isolated: no positive pairs, so no updates can happen.
         g = graph_of([{0}, {1}, {2}], 3)
         corpus = generate_walks(g, 4, 10, rng_seed=1)
-        assert all(w.size == 1 for w in corpus.walks)
+        assert np.array_equal(corpus.indptr, np.arange(4 * 3 + 1))
         model = fit_skipgram(corpus, SMALL_CFG)
         assert np.all(model.context_vectors == 0.0)
         bound = 0.5 / SMALL_CFG.dim
@@ -212,16 +285,15 @@ class TestChunkedSkipgram:
         # length-1 and length-2 walks, and reaches that run past a walk's end
         walks = [np.array([3]), np.array([1, 2]), np.arange(7), np.array([4]),
                  np.array([0, 5]), np.arange(10, 15)]
-        corpus = WalkCorpus(walks=walks, num_nodes=15)
-        tokens, starts, lengths = _flatten(corpus)
+        corpus = corpus_of(walks, 15)
         window = 3
-        reach = np.random.default_rng(0).integers(1, window + 1, size=tokens.size)
+        reach = np.random.default_rng(0).integers(1, window + 1, size=corpus.total_tokens)
         reach[:4] = window
         for order in (np.arange(len(walks)), np.array([4, 2, 0, 5, 1, 3])):
             expected = reference_pairs(walks, order, reach)
-            for block_tokens in (1, 2, 5, tokens.size):
+            for block_tokens in (1, 2, 5, corpus.total_tokens):
                 got = []
-                for step, pos, start, end in _token_blocks(starts, lengths, order, block_tokens):
+                for step, pos, start, end in _token_blocks(corpus.indptr, order, block_tokens):
                     i, ctx = _window_pairs(pos, start, end, reach[step], window)
                     got += zip(pos[i].tolist(), ctx.tolist())
                 assert got == expected, (order, block_tokens)

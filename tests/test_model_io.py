@@ -37,7 +37,6 @@ def toy_artifacts(seed=0, n=6, m=2):
     clusters = ClusterIndex(
         centers=f32(m, 3),
         assignments=assignments.astype(np.int64),
-        members=[np.flatnonzero(assignments == c) for c in range(m)],
     )
     labels = [LabelSet.from_iterable(rng.choice(9, size=rng.integers(0, 4), replace=False)) for _ in range(n)]
     return ModelArtifacts(
@@ -115,7 +114,7 @@ class TestRoundTrip:
         arrays = [
             loaded.label_embeddings.values, loaded.mlp.W1, loaded.mlp.b1, loaded.mlp.W2,
             loaded.mlp.b2, loaded.clusters.centers, loaded.clusters.assignments,
-            *loaded.clusters.members, loaded.train_embeds, loaded.train_labels[0].ids.base,
+            loaded.train_embeds, loaded.train_labels[0].ids.base,
         ]
         # A file buffer or a float64 copy of W1 would add at least 320 KB.
         assert peak < sum(a.nbytes for a in arrays) + _READ_CHUNK
@@ -291,6 +290,14 @@ class TestCorruption:
         write_payload(path, cut, None if valid_checksum else b"\0" * 32)
         match = "payload ends inside array W1" if valid_checksum else "checksum mismatch"
         with pytest.raises(ModelFileError, match=match):
+            load_model(path)
+
+    def test_assignment_outside_the_clusters(self, tmp_path):
+        arts = toy_artifacts(5, n=6, m=2)
+        arts.clusters.assignments[4] = 2  # a third cluster the model does not have
+        path = str(tmp_path / "model.dxml")
+        save_model(arts, path)
+        with pytest.raises(ModelFileError, match="assignment outside cluster range"):
             load_model(path)
 
     def test_label_table_disagreeing_with_payload(self, tmp_path):

@@ -115,6 +115,7 @@ def reference_loss_and_gradients(model, batch, masks=None):
     dot = np.einsum("ij,ij->i", Zd, dF)
     safe = np.where(norms > 0.0, norms, 1.0)
     dZd = dF / guarded[:, None] - Zd * (dot / (guarded * guarded * safe))[:, None]
+    dZd[norms == 0.0] = 0.0  # an all-zero output passes no gradient
     dZ = dZd * masks if masks is not None else dZd
     dH = (dZ @ model.W2.T) * (Hpre > 0.0)
     dW1 = np.zeros(model.W1.shape)
@@ -828,6 +829,31 @@ class TestTraining:
         rows = embed_points(model, rows_of(xs))
         norms = np.linalg.norm(rows, axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-9)
+
+
+class TestFeaturelessPoints:
+    def test_zero_output_passes_no_gradient(self):
+        # At init b1 and b2 are zero, so a point with no features outputs 0.
+        rng = np.random.default_rng(8)
+        model = init_model(6, 5, 3, rng)
+        targets = np.array([[1.0, 0.0, 0.0]])
+        _, grads = loss_and_gradients(model, (rows_of([sparse([])]), targets))
+        for g in (grads.db1, grads.dW2, grads.db2):
+            assert not g.any()
+
+    def test_a_few_featureless_points_do_not_take_over_training(self):
+        # 5 of 60 points have no features.  Dividing their gradient by the
+        # guarded norm 1e-12 once sent max |b2| to 7e10 and made every
+        # embedding the same (mean cosine 1.0000); without those points
+        # max |b2| is 0.1 and the mean cosine 0.42.
+        xs, targets, _ = net_problem(21, n=60, d=80, hidden=32, out=8, empty_share=0.1)
+        assert sum(sv.indices.size == 0 for sv in xs) == 5
+        cfg = TrainConfig(epochs=1, learning_rate=0.05, minibatch_size=8)
+        model = train_embedding_net(rows_of(xs), targets, 80, cfg, hidden_size=32)
+        assert np.abs(model.b2).max() < 1.0
+        rows = embed_points(model, rows_of(xs))
+        cosines = (rows @ rows.T)[np.triu_indices(len(xs), 1)]
+        assert cosines.mean() < 0.8
 
 
 class TestFloat32State:

@@ -65,21 +65,23 @@ def knn_one(vectors, query, k, ids=None):
     vectors = np.asarray(vectors, dtype=np.float64)
     n, dim = vectors.shape
     if ids is None:
-        embeds, members = vectors, np.arange(n)
+        embeds, assignments = vectors, np.zeros(n, dtype=int)
     else:
         embeds = np.zeros((int(np.max(ids)) + 1, dim))
         embeds[ids] = vectors
-        members = np.sort(ids)
-    index = ClusterIndex(centers=np.zeros((1, dim)), assignments=np.zeros(len(embeds), dtype=int),
-                         members=[members])
+        assignments = np.ones(len(embeds), dtype=int)
+        assignments[ids] = 0
+    # With ids, the other points form cluster 1, whose center ties with
+    # cluster 0's: a tie routes to the lower id, so every query meets the rows.
+    index = ClusterIndex(centers=np.zeros((int(assignments.max(initial=0)) + 1, dim)),
+                         assignments=assignments)
     return knn_batch(index, embeds, np.asarray(query, dtype=np.float64)[None, :], k)[0]
 
 
 def vote(neighbor_labels, weighting="uniform", distances=None):
     """``score_neighbors`` for one query whose neighbors, in order, hold ``neighbor_labels``."""
     n = len(neighbor_labels)
-    index = ClusterIndex(centers=np.zeros((1, 1)), assignments=np.zeros(n, dtype=int),
-                         members=[np.arange(n)])
+    index = ClusterIndex(centers=np.zeros((1, 1)), assignments=np.zeros(n, dtype=int))
     return score_neighbors(index, neighbor_labels, [(np.arange(n), distances)], weighting)[0]
 
 
@@ -336,9 +338,8 @@ def engine_case(seed, n, dim, m, kind, query_kind, num_queries):
         rows = rng.standard_normal((n, dim))
     m = min(m, n)
     assign = rng.permutation(np.concatenate([np.arange(m), rng.integers(m, size=n - m)]))
-    members = [np.flatnonzero(assign == c) for c in range(m)]
-    centers = np.stack([rows[ids].mean(axis=0) for ids in members])
-    index = ClusterIndex(centers=centers, assignments=assign, members=members)
+    centers = np.stack([rows[assign == c].mean(axis=0) for c in range(m)])
+    index = ClusterIndex(centers=centers, assignments=assign)
     if query_kind == "train_rows":
         queries = rows[rng.integers(n, size=num_queries)]
     else:
@@ -441,8 +442,7 @@ class TestKnnBatch:
     def test_query_routed_to_an_empty_cluster(self):
         rows = np.zeros((4, 2))
         index = ClusterIndex(centers=np.array([[0.0, 0.0], [5.0, 5.0]]),
-                             assignments=np.zeros(4, dtype=np.int64),
-                             members=[np.arange(4), np.empty(0, dtype=np.int64)])
+                             assignments=np.zeros(4, dtype=np.int64))
         with pytest.raises(ValidationError, match="no members"):
             knn_batch(index, rows, np.array([[5.0, 5.0]]), 2)
 
@@ -632,15 +632,12 @@ class TestSearchCache:
         knn_batch(index, as_f32.copy(), queries, 3)
         assert index.search_cache.rows[1] is not built, "another object must rebuild"
 
-    def test_cache_is_ignored_by_equality_and_validate(self):
+    def test_cache_is_ignored_by_equality(self):
         rows, index, queries = engine_case(29, 30, 3, 2, "gaussian", "random", 3)
-        twin = ClusterIndex(
-            centers=index.centers, assignments=index.assignments, members=index.members
-        )
+        twin = ClusterIndex(centers=index.centers, assignments=index.assignments)
         knn_batch(index, rows, queries, 3)
         assert index.search_cache is not None and twin.search_cache is None
         assert index == twin
-        index.validate()
 
     @pytest.mark.parametrize("weighting", ["uniform", "inverse_distance"])
     def test_sweep_k_matches_reference(self, tmp_path, weighting):
@@ -686,7 +683,7 @@ def float32_and_widened(seed, m, n=50, d=9, H=7, el=4):
     mlp64 = MlpModel(W1=W1.astype(np.float64), b1=mlp32.b1, W2=mlp32.W2, b2=mlp32.b2)
     embeds = embed_points(mlp64, ds.features).astype(np.float32)
     index = kmeans(embeds.astype(np.float64), m, rng_seed=seed)
-    twin = ClusterIndex(centers=index.centers, assignments=index.assignments, members=index.members)
+    twin = ClusterIndex(centers=index.centers, assignments=index.assignments)
     return (mlp32, index, embeds), (mlp64, twin, embeds.astype(np.float64))
 
 
@@ -724,9 +721,8 @@ class TestFloat32Model:
         embeds = np.random.default_rng(42).standard_normal((n, dim)).astype(np.float32)
         queries = np.ones((2, dim))
         for m in (1, 3):
-            assignments = np.arange(n) % m
-            index = ClusterIndex(centers=np.eye(m, dim), assignments=assignments,
-                                 members=[np.flatnonzero(assignments == c) for c in range(m)])
+            index = ClusterIndex(centers=np.eye(m, dim), assignments=np.arange(n) % m)
+            index.members  # the model's member lists, built once, are not the search's memory
             tracemalloc.start()
             try:
                 knn_batch(index, embeds, queries, 5)
