@@ -57,7 +57,7 @@ from .predictor import (
     top_p,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "ClusterIndex", "kmeans", "nearest_clusters",

@@ -23,7 +23,7 @@ from typing import IO, Any, Sequence
 import numpy as np
 
 from . import data_io, graph_embed, label_graph, label_projection, net, predictor
-from .cluster import kmeans
+from .cluster import ClusterIndex, kmeans
 from .errors import DataFormatError, DxmlError, PointError, ValidationError
 from .metrics import evaluate
 from .model_io import ModelArtifacts, load_model, save_model
@@ -279,6 +279,16 @@ def cmd_train(args: argparse.Namespace) -> int:
             )
     except PointError as exc:
         raise exc.renumbered(rows) from None
+    # Store the points grouped by cluster, so the search reads each cluster's
+    # rows as one block of train_embeds.  The sort is stable: a cluster keeps
+    # its points' relative order, and with it the search's (distance, id)
+    # ranking and every prediction.  Sorted assignments (one cluster) keep
+    # their order, and the model its bytes.
+    if np.any(clusters.assignments[1:] < clusters.assignments[:-1]):
+        order = np.argsort(clusters.assignments, kind="stable")
+        train_embeds, rows = train_embeds[order], rows[order]
+        clusters = ClusterIndex(clusters.centers, clusters.assignments[order],
+                                clusters.wcss_history)
 
     with _stage("write model", timings):
         artifacts = ModelArtifacts(
@@ -317,10 +327,9 @@ def _load_test_for_model(artifacts: ModelArtifacts, path: str) -> data_io.Datase
         raise ValidationError(
             f"test file has {test.num_features} features, model expects {artifacts.mlp.input_dim}"
         )
-    if test.num_labels != artifacts.label_embeddings.count:
-        raise ValidationError(
-            f"test file has {test.num_labels} labels, model expects {artifacts.label_embeddings.count}"
-        )
+    num_labels = artifacts.meta["dims"]["num_labels"]  # the label vectors may not be loaded
+    if test.num_labels != num_labels:
+        raise ValidationError(f"test file has {test.num_labels} labels, model expects {num_labels}")
     return data_io.normalize_features(test, artifacts.meta.get("normalize_features", "none"))
 
 
@@ -334,7 +343,7 @@ def _write_predictions(preds: Sequence[dict[int, float]], stream: IO[str]) -> No
 def cmd_predict(args: argparse.Namespace) -> int:
     if args.k < 1 or args.threads < 1:  # threads is checked, then unused: the search is one thread
         raise _UsageError("k and threads must be >= 1")
-    artifacts = load_model(args.model)
+    artifacts = load_model(args.model, label_vectors=False)
     test = _load_test_for_model(artifacts, args.test_file)
     t0 = time.perf_counter()
     preds = predictor.predict_batch(
@@ -408,7 +417,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_sweep_k(args: argparse.Namespace) -> int:
     grid, ks = args.k_grid, args.ks
-    artifacts = load_model(args.model)
+    artifacts = load_model(args.model, label_vectors=False)
     test = _load_test_for_model(artifacts, args.validation_file)
 
     # One search at max k; each smaller k reads a prefix of the neighbors.

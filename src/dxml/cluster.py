@@ -342,7 +342,7 @@ def kmeans(
     non-increasing across iterations.  A cluster that empties is reseeded at
     the point currently farthest from its assigned center.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = np.ascontiguousarray(points, dtype=np.float64)  # the layout of a gathered pts[mask]
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValidationError("points must be a non-empty 2-d array")
     if not np.isfinite(pts).all():
@@ -364,7 +364,9 @@ def kmeans(
         empties = []
         for c in range(num_clusters):
             mask = assign == c
-            if mask.any():
+            if mask.all():  # the same sums, without a copy of every point
+                centers[c] = pts.mean(axis=0)
+            elif mask.any():
                 centers[c] = pts[mask].mean(axis=0)
             else:
                 empties.append(c)

@@ -11,8 +11,12 @@ Loading streams the file into one buffer per array, so its peak memory is
 the returned arrays plus one read chunk.  ``W1``, the label embeddings and
 ``train_embeds``, which grow with d, L and n, stay float32 as stored; the
 code that reads them widens the rows it uses, which is exact.  The small
-``b1``, ``W2``, ``b2`` and ``centers`` are widened to float64 on load.  Save
--> load -> save reproduces the file byte for byte.
+``b1``, ``W2``, ``b2`` and ``centers`` are widened to float64 on load.
+Prediction never reads the label embeddings, so ``load_model(path,
+label_vectors=False)`` hashes their block without keeping it.  ``dxml
+train`` stores the training points grouped by cluster (see ``cli``), so
+each cluster's rows are one contiguous block of ``train_embeds``.  Save ->
+load -> save reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -44,9 +48,14 @@ _READ_CHUNK = 1 << 16  # bytes per read while the rest of a malformed payload is
 
 @dataclass(eq=False)
 class ModelArtifacts:
-    """Everything prediction needs: embeddings, network, index, label sets."""
+    """A trained model: label vectors, network, cluster index, training points.
 
-    label_embeddings: EmbeddingMatrix
+    Prediction reads the network, the index, ``train_embeds`` and
+    ``train_labels``; ``label_embeddings`` is None when the model was
+    loaded without its label vectors, and such artifacts cannot be saved.
+    """
+
+    label_embeddings: EmbeddingMatrix | None
     mlp: MlpModel
     clusters: ClusterIndex
     train_embeds: np.ndarray
@@ -85,6 +94,8 @@ def _array_specs(dims: dict[str, int]) -> list[tuple[str, str, tuple[int, ...]]]
 
 def _payload_parts(artifacts: ModelArtifacts) -> list:
     """The payload as buffers in file order: header length, header, arrays, label table."""
+    if artifacts.label_embeddings is None:
+        raise ModelFileError("cannot save a model loaded without its label vectors")
     n = artifacts.train_embeds.shape[0]
     dims = {
         "num_features": artifacts.mlp.input_dim,
@@ -154,11 +165,14 @@ def save_model(artifacts: ModelArtifacts, path: str) -> None:
         raise
 
 
-def load_model(path: str) -> ModelArtifacts:
+def load_model(path: str, *, label_vectors: bool = True) -> ModelArtifacts:
     """Read and verify a model file; raises ModelFileError on any corruption.
 
     The file is streamed: each stored array is read straight into its own
     buffer and hashed on the way, so no copy of the file is ever held.
+    With ``label_vectors=False`` the dim x L label-vector block is hashed a
+    bounded chunk at a time and not kept, and ``label_embeddings`` is None:
+    prediction does not read it, and the checksum still covers it.
     ``W1``, the label embeddings and ``train_embeds`` stay float32, as stored;
     the small ``b1``, ``W2``, ``b2`` and ``centers`` are widened to float64.
     ``train_embeds`` comes back read-only: the predictor caches data derived
@@ -192,7 +206,7 @@ def load_model(path: str) -> ModelArtifacts:
             )
         reader = _PayloadReader(fh, payload_len)
         try:
-            parsed = _read_payload(reader)
+            parsed = _read_payload(reader, label_vectors)
         except ModelFileError:
             reader.skip_rest()
             reader.verify()  # a corrupt file reports the checksum, not the symptom
@@ -237,11 +251,19 @@ class _PayloadReader:
         self._fill(arr.reshape(-1).view(np.uint8))
         return arr
 
+    def skip(self, nbytes: int, overrun: str) -> None:
+        """Hash the next ``nbytes`` of the payload a bounded chunk at a time, keeping none."""
+        if nbytes > self.left:
+            raise ModelFileError(overrun)
+        chunk = bytearray(min(_READ_CHUNK, nbytes))
+        while nbytes:
+            step = min(len(chunk), nbytes)
+            self._fill(memoryview(chunk)[:step])
+            nbytes -= step
+
     def skip_rest(self) -> None:
         """Hash what is left of the payload, a bounded chunk at a time."""
-        chunk = bytearray(min(_READ_CHUNK, self.left))
-        while self.left:
-            self._fill(memoryview(chunk)[: min(len(chunk), self.left)])
+        self.skip(self.left, "")
 
     def verify(self) -> None:
         """Compare the stored checksum with the hash of the whole payload."""
@@ -249,8 +271,13 @@ class _PayloadReader:
             raise ModelFileError("checksum mismatch: model file is corrupt")
 
 
-def _read_payload(reader: _PayloadReader) -> tuple[dict, dict[str, np.ndarray], np.ndarray]:
-    """The header, the fixed-order arrays and the label table, as stored."""
+def _read_payload(
+    reader: _PayloadReader, label_vectors: bool
+) -> tuple[dict, dict[str, np.ndarray], np.ndarray]:
+    """The header, the fixed-order arrays and the label table, as stored.
+
+    Without ``label_vectors`` the label-vector block is hashed, not kept.
+    """
     (header_len,) = struct.unpack("<I", reader.read_bytes(4, "payload too short for header"))
     header_bytes = reader.read_bytes(header_len, "declared header overruns payload")
     try:
@@ -264,10 +291,13 @@ def _read_payload(reader: _PayloadReader) -> tuple[dict, dict[str, np.ndarray], 
     ):
         raise ModelFileError("header is missing integer dims")
 
-    raw = {
-        name: reader.read_array(dtype, shape, f"payload ends inside array {name}")
-        for name, dtype, shape in _array_specs(dims)
-    }
+    raw = {}
+    for name, dtype, shape in _array_specs(dims):
+        overrun = f"payload ends inside array {name}"
+        if name == "label_embeddings" and not label_vectors:
+            reader.skip(math.prod(shape) * np.dtype(dtype).itemsize, overrun)
+        else:
+            raw[name] = reader.read_array(dtype, shape, overrun)
     offsets = raw["label_offsets"].astype(np.int64)
     if offsets[0] != 0 or np.any(np.diff(offsets) < 0):
         raise ModelFileError("label offsets are not monotone from zero")
@@ -293,8 +323,9 @@ def _artifacts(header: dict, raw: dict[str, np.ndarray], flat: np.ndarray) -> Mo
     meta["dims"] = dims
     train_embeds = raw["train_embeds"]
     train_embeds.flags.writeable = False
+    vectors = raw.get("label_embeddings")
     return ModelArtifacts(
-        label_embeddings=EmbeddingMatrix(values=raw["label_embeddings"]),
+        label_embeddings=None if vectors is None else EmbeddingMatrix(values=vectors),
         mlp=MlpModel(
             W1=raw["W1"],
             b1=raw["b1"].astype(np.float64),

@@ -66,7 +66,7 @@ log = logging.getLogger(__name__)
 
 _NORM_EPS = 1e-12
 _UPDATE_BYTES = 1 << 17  # per array in one row block of the momentum step
-_EMBED_ROWS = 256  # points embedded together; bounds embed_points' temporaries
+_EMBED_BYTES = 1 << 17  # per temporary of embed_points: sets how many points embed together
 
 
 @dataclass(eq=False)
@@ -455,11 +455,15 @@ def embed_points(model: MlpModel, x: SparseRows) -> np.ndarray:
     output before scaling is (the norm is epsilon-guarded).  A point whose
     output before scaling has a squared norm that is not finite in float64
     raises ``PointError``, a ``ValidationError``, naming the first such point.
+    Points go through the network in chunks whose widest float64 temporary
+    (H or l values per point) takes about ``_EMBED_BYTES``, 32 points at
+    H = 512, so the memory beyond the output does not grow with the batch.
     """
     n = len(x)
     out = np.empty((n, model.output_dim), dtype=np.float64)
-    for s in range(0, n, _EMBED_ROWS):
-        F, norms = _forward_rows(model, x, None, s, s + _EMBED_ROWS)[3:5]
+    step = max(1, _EMBED_BYTES // (8 * max(model.hidden_size, model.output_dim)))
+    for s in range(0, n, step):
+        F, norms = _forward_rows(model, x, None, s, s + step)[3:5]
         _check_norms(norms, s)
-        out[s : s + _EMBED_ROWS] = F
+        out[s : s + step] = F
     return out

@@ -15,10 +15,13 @@ contiguous array, their squared norms for the screen (``cluster._screen_norms``)
 and the largest of them, and each training point's label ids as a Python
 list.  Rows keep the float32 of the ``train_embeds`` that ``load_model``
 returns, so the kernel screens them in float32 and widens only the rows it
-re-ranks; a cluster that holds every training point uses ``train_embeds``
-itself, not a copy, so with one cluster the cache holds no rows of its own.
-Embeddings of any other dtype are widened to float64, a cluster's rows
-after they are gathered.  The cache keeps the ``train_embeds`` and
+re-ranks.  ``dxml train`` stores the training points grouped by cluster, so
+each cluster's members form one range of ids and its rows are a view of
+``train_embeds``, not a copy: the cache holds no rows of its own.  Only a
+model whose clusters interleave (a file written by version 0.5.0 or
+earlier) has its clusters' rows gathered into copies.  Embeddings of any
+other dtype are widened to float64, a cluster's rows after they are
+gathered.  The cache keeps the ``train_embeds`` and
 ``train_labels`` objects it was built from and is rebuilt whenever a call
 passes any other object, so those arrays and lists must not be changed in
 place after the first search.
@@ -122,10 +125,12 @@ def _search_cache(clusters: ClusterIndex) -> _SearchCache:
 def _cluster_rows(clusters: ClusterIndex, train_embeds: np.ndarray) -> list[_ClusterRows]:
     """Each cluster's rows and norms, built once per ``train_embeds`` object.
 
-    Float32 rows stay float32; rows of any other dtype are gathered from the
-    caller's array and then widened to float64, so no whole-array float64
-    temporary is built.  Keyed on the caller's object, not on a converted
-    form, so a list input still hits the cache.
+    A cluster whose members are one range of ids ``lo:hi`` reads the view
+    ``train_embeds[lo:hi]``; any other cluster's rows are gathered.  Float32
+    rows stay float32; rows of any other dtype are widened to float64 after
+    the view or gather, so no whole-array float64 temporary is built.  Keyed
+    on the caller's object, not on a converted form, so a list input still
+    hits the cache.
     """
     cache = _search_cache(clusters)
     cached = cache.rows
@@ -134,11 +139,13 @@ def _cluster_rows(clusters: ClusterIndex, train_embeds: np.ndarray) -> list[_Clu
         dtype = np.float32 if embeds.dtype == np.float32 else np.float64
         built = []
         for members in clusters.members:
-            if members.size == embeds.shape[0]:
-                rows, ids = embeds, None
+            lo, hi = (int(members[0]), int(members[-1]) + 1) if members.size else (0, 0)
+            if hi - lo == members.size:  # ascending distinct ids: all of lo:hi, read in place
+                rows = embeds if hi - lo == embeds.shape[0] else embeds[lo:hi]
+                ids = None if lo == 0 else members  # None: row positions
             else:
                 rows, ids = embeds[members], members
-            rows = rows.astype(dtype, copy=False)  # a whole array of that dtype is not copied
+            rows = rows.astype(dtype, copy=False)  # rows already of that dtype are not copied
             built.append(_ClusterRows(rows, ids, *_screen_norms(rows)))
         cached = (train_embeds, built)
         cache.rows = cached

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import dxml
-from dxml import (DeepWalkConfig, TrainConfig, load_model, load_repo_file, normalize_features,
-                  save_repo_file)
+from dxml import (ClusterIndex, DeepWalkConfig, TrainConfig, load_model, load_repo_file,
+                  nearest_clusters, normalize_features, save_model, save_repo_file)
 from dxml.cli import _build_parser, _derived_seeds, _int_list, _seed, _write_predictions, main
 from dxml.net import embed_points
 
@@ -66,6 +66,23 @@ class TestTrain:
         assert 0 < labeled.size < ds.num_points
         embeds = embed_points(arts.mlp, ds.features.take(labeled))
         assert embeds.astype(np.float32).tobytes() == arts.train_embeds.tobytes()
+
+    def test_stored_points_are_grouped_by_cluster(self, tmp_path):
+        # With several clusters the file stores the labeled training points
+        # sorted stably by cluster: each cluster's points in file order.
+        train = str(tmp_path / "train.txt")
+        save_repo_file(random_dataset(np.random.default_rng(4), n=60, allow_unlabeled=True), train)
+        model = str(tmp_path / "model.dxml")
+        assert main(["train", train, "--model-out", model, *TINY_FLAGS, "--clusters", "3"]) == 0
+        arts = load_model(model)
+        ds = normalize_features(load_repo_file(train), arts.meta["normalize_features"])
+        labeled = np.flatnonzero(np.diff(ds.label_indptr) > 0)
+        embeds = embed_points(arts.mlp, ds.features.take(labeled))
+        order = np.argsort(nearest_clusters(arts.clusters, embeds), kind="stable")
+        assert not np.array_equal(order, np.arange(labeled.size))
+        assert np.all(np.diff(arts.clusters.assignments) >= 0)
+        assert embeds[order].astype(np.float32).tobytes() == arts.train_embeds.tobytes()
+        assert arts.train_labels == ds.label_sets(labeled[order])
 
     def test_seed_changes_model(self, data_files, tmp_path):
         train, _ = data_files
@@ -252,6 +269,17 @@ class TestPredict:
         assert main(["predict", trained_model, test, "--out", b, "--threads", "4"]) == 0
         assert read_bytes(a) == read_bytes(b)
 
+    @pytest.mark.parametrize("command", ["predict", "sweep-k"])
+    def test_label_count_mismatch_fails(self, trained_model, tmp_path, capsys, command):
+        # The count comes from the header: these commands load no label vectors.
+        bad = str(tmp_path / "bad.txt")
+        dims = load_model(trained_model).meta["dims"]
+        with open(bad, "w") as fh:
+            fh.write(f"1 {dims['num_features']} {dims['num_labels'] + 1}\n0 5:1.0\n")
+        extra = ["--k-grid", "1"] if command == "sweep-k" else []
+        assert main([command, trained_model, bad, *extra]) == 2
+        assert f"labels, model expects {dims['num_labels']}" in capsys.readouterr().err
+
     def test_dimension_mismatch_fails(self, trained_model, tmp_path, capsys):
         bad = str(tmp_path / "bad.txt")
         with open(bad, "w") as fh:
@@ -323,6 +351,40 @@ class TestPredict:
         stream = io.StringIO()
         _write_predictions(preds, stream)
         assert stream.getvalue() == sorted_form(preds)
+
+
+class TestInterleavedModel:
+    """A model whose clusters interleave, as files written by 0.5.0 and earlier store them."""
+
+    def test_same_bytes_as_the_cluster_major_model(self, data_files, tmp_path, capsys):
+        train, test = data_files
+        model = str(tmp_path / "model.dxml")
+        assert main(["-q", "train", train, "--model-out", model, *TINY_FLAGS,
+                     "--clusters", "3"]) == 0
+        arts = load_model(model)
+        assign = arts.clusters.assignments
+        rank = np.arange(assign.size) - np.searchsorted(assign, assign)  # place in its cluster
+        order = np.lexsort((assign, rank))  # round robin, each cluster's order kept
+        assert not np.array_equal(order, np.arange(assign.size))
+        twin = str(tmp_path / "twin.dxml")
+        save_model(dataclasses.replace(
+            arts, clusters=ClusterIndex(arts.clusters.centers, assign[order]),
+            train_embeds=arts.train_embeds[order],
+            train_labels=[arts.train_labels[i] for i in order]), twin)
+        outputs = []
+        for path in (model, twin):
+            out = []
+            for flags in (["-k", "10"], ["-k", "100", "--weighting", "inverse_distance"]):
+                pred = str(tmp_path / "pred.txt")
+                assert main(["-q", "predict", path, test, "--out", pred, *flags]) == 0
+                out.append(read_bytes(pred))
+            best = str(tmp_path / "best.txt")
+            capsys.readouterr()
+            assert main(["-q", "sweep-k", path, test, "--k-grid", "1,10,100",
+                         "--weighting", "inverse_distance", "--out", best]) == 0
+            out += [capsys.readouterr().out.encode(), read_bytes(best)]
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
 
 class TestEvaluate:

@@ -34,6 +34,28 @@ class TestKmeans:
         assert np.array_equal(index.centers[0], pts.mean(axis=0))
         assert np.all(index.assignments == 0)
 
+    def test_one_cluster_holds_no_copy_of_the_points(self):
+        # The center of a cluster that holds every point is the mean of the
+        # points themselves, with the bits of the mean of their gathered copy.
+        pts = np.random.default_rng(1).standard_normal((50000, 100))
+        tracemalloc.start()
+        try:
+            index = kmeans(pts, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pts.nbytes / 4
+        assert index.centers[0].tobytes() == pts[np.ones(len(pts), bool)].mean(axis=0).tobytes()
+
+    def test_strided_points_give_the_bits_of_contiguous_ones(self):
+        pts = np.random.default_rng(2).standard_normal((300, 7))
+        for m in (1, 3):
+            want = kmeans(pts, m, rng_seed=5)
+            got = kmeans(np.asfortranarray(pts), m, rng_seed=5)
+            assert got.centers.tobytes() == want.centers.tobytes()
+            assert np.array_equal(got.assignments, want.assignments)
+            assert got.wcss_history == want.wcss_history
+
     def test_two_separated_pairs(self):
         pts = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 0.0], [10.1, 0.0]])
         index = kmeans(pts, 2, rng_seed=1)

@@ -196,6 +196,79 @@ def write_payload(path, payload, digest=None):
         fh.write(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(payload)) + bytes(payload) + digest)
 
 
+class TestWithoutLabelVectors:
+    """``load_model(path, label_vectors=False)``: what prediction reads, and the same checks."""
+
+    def saved(self, tmp_path, arts=None):
+        path = str(tmp_path / "model.dxml")
+        save_model(toy_artifacts(5) if arts is None else arts, path)
+        return path
+
+    def test_everything_but_the_label_vectors(self, tmp_path):
+        path = self.saved(tmp_path)
+        full, lean = load_model(path), load_model(path, label_vectors=False)
+        assert lean.label_embeddings is None
+        assert lean.meta["dims"]["num_labels"] == full.label_embeddings.count == 9
+        lean.label_embeddings = full.label_embeddings
+        assert lean == full
+        assert not lean.train_embeds.flags.writeable
+
+    def test_holds_no_label_vector_array(self, tmp_path):
+        arts = toy_artifacts(6, n=40)
+        vectors = np.random.default_rng(6).standard_normal((3, 40000)).astype(np.float32)
+        arts.label_embeddings = EmbeddingMatrix(values=vectors)  # 480 KB stored
+        path = self.saved(tmp_path, arts)
+        tracemalloc.start()
+        try:
+            loaded = load_model(path, label_vectors=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = [
+            loaded.mlp.W1, loaded.mlp.b1, loaded.mlp.W2, loaded.mlp.b2, loaded.clusters.centers,
+            loaded.clusters.assignments, loaded.train_embeds, loaded.train_labels[0].ids.base,
+        ]
+        assert peak < sum(a.nbytes for a in arrays) + 2 * _READ_CHUNK < vectors.nbytes / 2
+
+    @pytest.mark.parametrize("label_vectors", [True, False])
+    def test_flipped_label_vector_byte_is_a_checksum_mismatch(self, tmp_path, label_vectors):
+        path = self.saved(tmp_path)
+        with open(path, "rb") as fh:
+            payload = bytearray(fh.read())[16:-32]
+        digest = hashlib.sha256(payload).digest()
+        payload[4 + struct.unpack_from("<I", payload, 0)[0] + 7] ^= 0x01  # inside 3 x 9 float32
+        write_payload(path, payload, digest)
+        with pytest.raises(ModelFileError, match="checksum mismatch"):
+            load_model(path, label_vectors=label_vectors)
+
+    @pytest.mark.parametrize("valid_checksum", [True, False])
+    def test_payload_cut_inside_the_label_vectors(self, tmp_path, valid_checksum):
+        path = self.saved(tmp_path)
+        with open(path, "rb") as fh:
+            payload = fh.read()[16:-32]
+        cut = payload[: 4 + struct.unpack_from("<I", payload, 0)[0] + 50]  # 108 bytes stored
+        write_payload(path, cut, None if valid_checksum else b"\0" * 32)
+        match = "ends inside array label_embeddings" if valid_checksum else "checksum mismatch"
+        with pytest.raises(ModelFileError, match=match):
+            load_model(path, label_vectors=False)
+
+    def test_truncated_file(self, tmp_path):
+        path = self.saved(tmp_path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(blob[: len(blob) // 2])
+        with pytest.raises(ModelFileError, match="checksum"):
+            load_model(path, label_vectors=False)
+
+    def test_save_refuses_artifacts_without_label_vectors(self, tmp_path):
+        lean = load_model(self.saved(tmp_path), label_vectors=False)
+        out = tmp_path / "resaved.dxml"
+        with pytest.raises(ModelFileError, match="without its label vectors"):
+            save_model(lean, str(out))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.dxml"]
+
+
 class TestCorruption:
     def saved(self, tmp_path):
         path = str(tmp_path / "model.dxml")

@@ -1,5 +1,6 @@
 """Embedding network: forward pass, loss, gradients, optimizer, training."""
 
+import contextlib
 import math
 import tracemalloc
 from unittest import mock
@@ -45,6 +46,12 @@ def embed_one(model, x, dropout_mask=None):
     if dropout_mask is None:
         return embed_points(model, rows_of([x]))[0]
     return net._forward_rows(model, rows_of([x]), np.asarray(dropout_mask)[None])[3][0]
+
+
+def embed_chunk(model, rows):
+    """Set ``embed_points``' byte budget so that it embeds ``rows`` points at a time."""
+    width = max(model.hidden_size, model.output_dim)
+    return mock.patch.object(net, "_EMBED_BYTES", rows * 8 * width)
 
 
 def embed_distance(fx, fy):
@@ -283,13 +290,12 @@ class TestMatchesPerPointReference:
                      (got.dW2, want.dW2), (got.db2, want.db2)):
             assert a.tobytes() == b.tobytes()
 
-    @given(net_problems, st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 2, 5]))
+    @given(net_problems, st.integers(0, 2**32 - 1), st.one_of(st.none(), st.integers(1, 21)))
     @settings(max_examples=200, deadline=None)
     def test_embed_points_rows_do_not_depend_on_the_batch(self, problem, seed, block):
         xs, _, model = problem
         want = reference_embed_points(model, xs)
-        rows = net._EMBED_ROWS if block is None else block
-        with mock.patch.object(net, "_EMBED_ROWS", rows):
+        with contextlib.nullcontext() if block is None else embed_chunk(model, block):
             assert embed_points(model, rows_of(xs)).tobytes() == want.tobytes()
             rng = np.random.default_rng(seed)
             perm = rng.permutation(len(xs))
@@ -524,6 +530,23 @@ class TestForward:
             W1=np.eye(2), b1=np.zeros(2), W2=np.eye(2), b2=np.zeros(2)
         )
 
+    def test_embed_points_chunk_is_sized_by_bytes(self):
+        # About 128 KB per temporary: 32 points at H = 512, whatever the batch.
+        rng = np.random.default_rng(32)
+        model = init_model(40, 512, 300, rng)
+        xs = rows_of([random_sparse(rng, 40) for _ in range(300)])
+        with mock.patch.object(net, "_forward_rows", wraps=net._forward_rows) as spy:
+            out = embed_points(model, xs)
+        starts = range(0, 300, 32)
+        assert [call.args[3:5] for call in spy.call_args_list] == [(s, s + 32) for s in starts]
+        tracemalloc.start()
+        try:
+            embed_points(model, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 8 * net._EMBED_BYTES
+
     def test_identity_weights_normalize(self):
         out = embed_one(self.identity_model(), dense_sv([3.0, 4.0]))
         assert np.allclose(out, [0.6, 0.8], atol=1e-9)
@@ -571,8 +594,8 @@ class TestForward:
         # 1e154 squares to 1e308, still finite; 1e155 squares past float64.
         xs = [dense_sv([1.0, 0.0]), dense_sv([1e154, 0.0]), dense_sv([0.0, 2.0]),
               dense_sv([1e155, 0.0]), dense_sv([1.0, 1.0])]
-        rows = net._EMBED_ROWS if block is None else block
-        with mock.patch.object(net, "_EMBED_ROWS", rows):
+        model = self.identity_model()
+        with contextlib.nullcontext() if block is None else embed_chunk(model, block):
             ok = embed_points(self.identity_model(), rows_of(xs[:3]))
             assert np.allclose(ok, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], atol=1e-9)
             with pytest.raises(ValidationError, match="point 3: its network output's squared"):

@@ -739,6 +739,54 @@ class TestFloat32Model:
             norms = 12 * n  # float32 screen norms, and the float64 ones they are rounded from
             assert peak < copy + tables + norms, m
 
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_cluster_major_rows_are_views_of_train_embeds(self, m):
+        # Points stored grouped by cluster, as ``dxml train`` writes them: each
+        # cluster's rows are read in place, with no gathered copy.
+        n, dim = 30000, 8
+        embeds = np.random.default_rng(43).standard_normal((n, dim)).astype(np.float32)
+        index = ClusterIndex(centers=np.eye(m, dim), assignments=np.arange(n) * m // n)
+        index.members
+        tracemalloc.start()
+        try:
+            knn_batch(index, embeds, np.ones((2, dim)), 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        built = index.search_cache.rows[1]
+        assert len(built) == m
+        for members, cr in zip(index.members, built):
+            assert np.shares_memory(cr.rows, embeds)
+            assert cr.rows.tobytes() == embeds[members].tobytes()
+            assert (cr.ids is None) if members[0] == 0 else (cr.ids is members)
+        tables = 2 * 4 * 2 * n  # float32 screen values and their partition, at most
+        norms = 12 * n  # float32 screen norms, and the float64 ones they are rounded from
+        assert peak < tables + norms < 4 * n * dim  # a gathered copy of the rows
+
+    def test_interleaved_clusters_give_the_cluster_major_bits(self):
+        # A model whose clusters interleave (written before the stored order
+        # grouped them) takes the gather path and finds the same neighbors, as
+        # long as each cluster keeps the order of its points.
+        mlp, clusters, embeds, _, xs = trained_toy_artifacts(seed=44, n=60, m=3)
+        label_sets = label_sets_for(np.random.default_rng(45), 60)
+        major = np.argsort(clusters.assignments, kind="stable")
+        assign = clusters.assignments[major]
+        rank = np.arange(60) - np.searchsorted(assign, assign)  # place inside the cluster
+        twin = np.lexsort((assign, rank))  # round robin over the clusters
+        assert not np.array_equal(twin, np.arange(60))
+        models = []
+        for order in (major, major[twin]):
+            index = ClusterIndex(centers=clusters.centers, assignments=clusters.assignments[order])
+            models.append((index, embeds[order], [label_sets[i] for i in order]))
+        queries = rows_of(xs[:20])
+        for k, weighting in ((1, "uniform"), (4, "uniform"), (100, "inverse_distance")):
+            got = [predict_batch(mlp, index, rows, sets, queries, k, weighting)
+                   for index, rows, sets in models]
+            same_bits(got[1], got[0])
+        views = [[np.shares_memory(cr.rows, rows) for cr in index.search_cache.rows[1]]
+                 for index, rows, _ in models]
+        assert views == [[True] * 3, [False] * 3]
+
     @pytest.mark.parametrize("clusters", ["1", "3"])
     @pytest.mark.parametrize("weighting", ["uniform", "inverse_distance"])
     def test_sweep_k_same_as_with_the_widened_model(self, tmp_path, capsys, clusters, weighting):
@@ -758,10 +806,9 @@ class TestFloat32Model:
                          "--clusters", clusters]) == 0
         assert load_model(model).mlp.W1.dtype == np.float32
 
-        def widened(path):
-            art = load_model(path)
+        def widened(path, **kwargs):
+            art = load_model(path, **kwargs)
             art.mlp.W1 = art.mlp.W1.astype(np.float64)
-            art.label_embeddings.values = art.label_embeddings.values.astype(np.float64)
             art.train_embeds = art.train_embeds.astype(np.float64)
             return art
 
