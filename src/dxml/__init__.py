@@ -29,11 +29,9 @@ from .errors import (
 )
 from .graph_embed import (
     DeepWalkConfig,
-    EmbeddingMatrix,
     WalkCorpus,
     embed_labels,
     generate_walks,
-    train_skipgram,
 )
 from .label_graph import LabelGraph, build_label_graph
 from .label_projection import project_targets
@@ -57,7 +55,7 @@ from .predictor import (
     top_p,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "ClusterIndex", "kmeans", "nearest_clusters",
@@ -66,8 +64,8 @@ __all__ = [
     "save_repo_file", "write_repo_file",
     "DataFormatError", "DegenerateTargetError", "DxmlError",
     "ModelFileError", "PointError", "ValidationError",
-    "DeepWalkConfig", "EmbeddingMatrix", "WalkCorpus",
-    "embed_labels", "generate_walks", "train_skipgram",
+    "DeepWalkConfig", "WalkCorpus",
+    "embed_labels", "generate_walks",
     "LabelGraph", "build_label_graph",
     "project_targets",
     "MetricReport", "evaluate",

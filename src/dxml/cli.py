@@ -264,7 +264,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ValidationError("training file has no labeled points")
     # The float64 label vectors have served their purpose: keep them as the
     # float32 the model file stores (the same bytes), at half the memory.
-    embeddings = graph_embed.EmbeddingMatrix(embeddings.values.astype(np.float32))
+    embeddings = embeddings.astype(np.float32)
 
     xs = dataset.features.take(rows)
     try:  # name a failing point by its place in the file, not among the labeled points

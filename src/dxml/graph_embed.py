@@ -20,7 +20,7 @@ learning-rate schedule and the noise distribution.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
@@ -31,10 +31,7 @@ from .label_graph import LabelGraph
 __all__ = [
     "DeepWalkConfig",
     "WalkCorpus",
-    "EmbeddingMatrix",
-    "SkipgramModel",
     "generate_walks",
-    "train_skipgram",
     "fit_skipgram",
     "embed_labels",
     "write_embeddings_text",
@@ -94,40 +91,6 @@ class WalkCorpus:
     @property
     def total_tokens(self) -> int:
         return int(self.tokens.size)
-
-
-@dataclass(eq=False)
-class EmbeddingMatrix:
-    """Dense (dim x count) matrix, one column per embedded object."""
-
-    values: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def count(self) -> int:
-        return int(self.values.shape[1])
-
-    def validate(self) -> None:
-        if self.values.ndim != 2 or self.dim < 1:
-            raise ValidationError("embedding matrix must be 2-d with dim >= 1")
-        if not np.all(np.isfinite(self.values)):
-            raise ValidationError("embedding matrix contains non-finite entries")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EmbeddingMatrix):
-            return NotImplemented
-        return np.array_equal(self.values, other.values)
-
-
-@dataclass
-class SkipgramModel:
-    """Input (node) and output (context) vectors, one row per node."""
-
-    node_vectors: np.ndarray
-    context_vectors: np.ndarray
 
 
 def _walk_rng(seed: int, node: int, walk_idx: int) -> np.random.Generator:
@@ -318,8 +281,10 @@ def _sgns_update(syn0, syn1, centre, rows, weight, work) -> None:
     _scatter_add(syn0, centre, np.einsum("ck,ckd->cd", g, ctx), flat)
 
 
-def fit_skipgram(corpus: WalkCorpus, config: DeepWalkConfig) -> SkipgramModel:
+def fit_skipgram(corpus: WalkCorpus, config: DeepWalkConfig) -> tuple[np.ndarray, np.ndarray]:
     """Train skip-gram with negative sampling on the walk corpus.
+
+    Returns (node_vectors, context_vectors), each (num_nodes x dim) float64.
 
     Single threaded and deterministic for a fixed config.  Node vectors start
     uniform in [-0.5/dim, 0.5/dim]; context vectors start at zero.  Each
@@ -355,17 +320,14 @@ def fit_skipgram(corpus: WalkCorpus, config: DeepWalkConfig) -> SkipgramModel:
             lr = np.maximum(lr_min, lr0 * (1.0 - (epoch * n_tokens + step) / total_steps))
             _sgns_update(syn0, syn1, centre, rows, lr[:, None] * keep, work)
         log.debug("skip-gram epoch %d/%d done", epoch + 1, config.epochs)
-    return SkipgramModel(node_vectors=syn0, context_vectors=syn1)
+    return syn0, syn1
 
 
-def train_skipgram(corpus: WalkCorpus, config: DeepWalkConfig) -> EmbeddingMatrix:
-    """Train on the corpus and return the (dim x num_nodes) embedding matrix."""
-    model = fit_skipgram(corpus, config)
-    return EmbeddingMatrix(values=np.ascontiguousarray(model.node_vectors.T))
+def embed_labels(graph: LabelGraph, config: DeepWalkConfig) -> np.ndarray:
+    """The (dim x num_nodes) label vectors: walks plus skip-gram, bit-identical for a fixed seed.
 
-
-def embed_labels(graph: LabelGraph, config: DeepWalkConfig) -> EmbeddingMatrix:
-    """Walks plus skip-gram in one call; bit-identical for a fixed seed."""
+    Column j is label j's node vector from ``fit_skipgram``.
+    """
     config.validate()
     corpus = generate_walks(
         graph,
@@ -374,11 +336,12 @@ def embed_labels(graph: LabelGraph, config: DeepWalkConfig) -> EmbeddingMatrix:
         rng_seed=config.rng_seed,
         weighted=config.weighted_walks,
     )
-    return train_skipgram(corpus, config)
+    node_vectors, _ = fit_skipgram(corpus, config)
+    return np.ascontiguousarray(node_vectors.T)
 
 
-def write_embeddings_text(matrix: EmbeddingMatrix, stream: IO[str]) -> None:
-    """One ``index v1 v2 ... v_dim`` line per column."""
-    for j in range(matrix.count):
-        col = " ".join(repr(float(v)) for v in matrix.values[:, j])
+def write_embeddings_text(vectors: np.ndarray, stream: IO[str]) -> None:
+    """One ``index v1 v2 ... v_dim`` line per column of the (dim x count) ``vectors``."""
+    for j in range(vectors.shape[1]):
+        col = " ".join(repr(float(v)) for v in vectors[:, j])
         stream.write(f"{j} {col}\n")

@@ -12,7 +12,6 @@ import numpy as np
 
 from .data_io import Dataset
 from .errors import DegenerateTargetError, ValidationError
-from .graph_embed import EmbeddingMatrix
 
 __all__ = ["project_targets"]
 
@@ -23,10 +22,11 @@ _GATHER_FLOATS = 1 << 18  # floats per block of gathered label columns
 
 
 def project_targets(
-    embeddings: EmbeddingMatrix, dataset: Dataset, normalize: bool = True
+    embeddings: np.ndarray, dataset: Dataset, normalize: bool = True
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Targets for every labeled point of ``dataset``, the training data of the network.
 
+    ``embeddings`` is the (dim x L) label vectors, one column per label.
     Returns (targets, rows, skipped): ``targets[i]`` belongs to point
     ``rows[i]`` and has the bits of the mean of its labels' embedding
     columns, ``E[:, ids].mean(axis=1)``, divided with ``normalize`` by its
@@ -40,10 +40,10 @@ def project_targets(
     if skipped:
         log.warning("skipped %d unlabeled training points", skipped)
     ids = dataset.label_ids
-    if ids.size and (ids.min() < 0 or ids.max() >= embeddings.count):
-        raise ValidationError(f"label id outside [0, {embeddings.count})")
-    E = embeddings.values
-    targets = np.empty((rows.size, embeddings.dim), dtype=np.float64)
+    E = embeddings
+    if ids.size and (ids.min() < 0 or ids.max() >= E.shape[1]):
+        raise ValidationError(f"label id outside [0, {E.shape[1]})")
+    targets = np.empty((rows.size, E.shape[0]), dtype=np.float64)
     starts, counts = dataset.label_indptr[rows], counts[rows]
     # Points with m labels are averaged together as a (dim, points, m) gather
     # whose mean runs over the same m contiguous values, in the same order, as

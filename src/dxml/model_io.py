@@ -33,9 +33,8 @@ from typing import Any, BinaryIO
 import numpy as np
 
 from .cluster import ClusterIndex
-from .data_io import LabelSet
-from .errors import ModelFileError
-from .graph_embed import EmbeddingMatrix
+from .data_io import LabelSet, _check_rows
+from .errors import ModelFileError, ValidationError
 from .net import MlpModel
 
 __all__ = ["ModelArtifacts", "save_model", "load_model", "MAGIC", "FORMAT_VERSION"]
@@ -51,11 +50,12 @@ class ModelArtifacts:
     """A trained model: label vectors, network, cluster index, training points.
 
     Prediction reads the network, the index, ``train_embeds`` and
-    ``train_labels``; ``label_embeddings`` is None when the model was
-    loaded without its label vectors, and such artifacts cannot be saved.
+    ``train_labels``.  ``label_embeddings`` is the (dim x L) label vectors,
+    or None when the model was loaded without them; such artifacts cannot
+    be saved.
     """
 
-    label_embeddings: EmbeddingMatrix | None
+    label_embeddings: np.ndarray | None
     mlp: MlpModel
     clusters: ClusterIndex
     train_embeds: np.ndarray
@@ -66,13 +66,17 @@ class ModelArtifacts:
         if not isinstance(other, ModelArtifacts):
             return NotImplemented
         return (
-            self.label_embeddings == other.label_embeddings
+            _same_or_none(self.label_embeddings, other.label_embeddings)
             and self.mlp == other.mlp
             and self.clusters == other.clusters
             and np.array_equal(self.train_embeds, other.train_embeds)
             and self.train_labels == other.train_labels
             and self.meta == other.meta
         )
+
+
+def _same_or_none(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    return a is b or (a is not None and b is not None and np.array_equal(a, b))
 
 
 def _array_specs(dims: dict[str, int]) -> list[tuple[str, str, tuple[int, ...]]]:
@@ -101,7 +105,7 @@ def _payload_parts(artifacts: ModelArtifacts) -> list:
         "num_features": artifacts.mlp.input_dim,
         "hidden": artifacts.mlp.hidden_size,
         "embed_dim": artifacts.mlp.output_dim,
-        "num_labels": artifacts.label_embeddings.count,
+        "num_labels": artifacts.label_embeddings.shape[1],
         "num_clusters": artifacts.clusters.num_clusters,
         "num_train": n,
     }
@@ -119,7 +123,7 @@ def _payload_parts(artifacts: ModelArtifacts) -> list:
     )
 
     arrays = {
-        "label_embeddings": artifacts.label_embeddings.values,
+        "label_embeddings": artifacts.label_embeddings,
         "W1": artifacts.mlp.W1,
         "b1": artifacts.mlp.b1,
         "W2": artifacts.mlp.W2,
@@ -179,7 +183,9 @@ def load_model(path: str, *, label_vectors: bool = True) -> ModelArtifacts:
     from it (see ``predictor``), so an in-place write would make the two
     disagree.  A payload that does not parse is hashed to its end before the
     error is chosen, so a corrupt file reports a checksum mismatch, and only a
-    file whose checksum holds reports what is structurally wrong with it.
+    file whose checksum holds reports what is structurally wrong with it: no
+    clusters, an assignment outside them, or a training point's label ids not
+    strictly increasing in [0, L).
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -313,19 +319,24 @@ def _read_payload(
 def _artifacts(header: dict, raw: dict[str, np.ndarray], flat: np.ndarray) -> ModelArtifacts:
     """Artifacts from a verified payload, built on the arrays as read."""
     dims = header["dims"]
+    try:  # the vote writes these ids out, so each must name one of the model's labels
+        _check_rows(raw["label_offsets"], flat, dims["num_labels"], "training label")
+    except ValidationError as exc:
+        raise ModelFileError(str(exc)) from None
     offs = raw["label_offsets"].tolist()
     labels = [LabelSet(flat[a:b]) for a, b in zip(offs, offs[1:])]
     assignments = raw["assignments"].astype(np.int64)
     m = dims["num_clusters"]
+    if m < 1:
+        raise ModelFileError("model has no clusters")
     if assignments.size and (assignments.min() < 0 or assignments.max() >= m):
         raise ModelFileError("assignment outside cluster range")
     meta = {key: value for key, value in header.items() if key != "dims"}
     meta["dims"] = dims
     train_embeds = raw["train_embeds"]
     train_embeds.flags.writeable = False
-    vectors = raw.get("label_embeddings")
     return ModelArtifacts(
-        label_embeddings=None if vectors is None else EmbeddingMatrix(values=vectors),
+        label_embeddings=raw.get("label_embeddings"),
         mlp=MlpModel(
             W1=raw["W1"],
             b1=raw["b1"].astype(np.float64),

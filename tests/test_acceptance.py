@@ -30,7 +30,6 @@ from dxml import (
     write_repo_file,
 )
 from dxml.cli import main
-from dxml.graph_embed import EmbeddingMatrix
 
 from conftest import _benchmark_paths, random_dataset, sparse
 from test_cli import TINY_FLAGS, read_bytes
@@ -209,7 +208,7 @@ def test_07_knn_exact_and_m1_reduction(announce):
 def test_08_walk_embedding_separates_cliques(announce):
     with criterion(announce, 8, "two 5-cliques separate in embedding space"):
         graph = two_cliques(5)
-        vectors = embed_labels(graph, DeepWalkConfig(rng_seed=0)).values.T
+        vectors = embed_labels(graph, DeepWalkConfig(rng_seed=0)).T
         unit = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
         sims = unit @ unit.T
         first = np.arange(5)
@@ -279,7 +278,7 @@ def test_10_round_trips_at_benchmark_scale(tmp_path, announce):
 
         n, d, H, el, L, m = 2440, 1836, 256, 100, 159, 1
         artifacts = ModelArtifacts(
-            label_embeddings=EmbeddingMatrix(values=f32(el, L)),
+            label_embeddings=f32(el, L),
             mlp=MlpModel(W1=f32(d, H), b1=f32(H), W2=f32(H, el), b2=f32(el)),
             clusters=ClusterIndex(
                 centers=f32(m, el),

@@ -321,6 +321,35 @@ class TestPredict:
         assert main(["predict", broken, test, "--out", str(tmp_path / "p.txt")]) == 2
         assert "checksum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_id", ["num_labels", -3])
+    def test_stored_label_outside_the_labels_fails(self, trained_model, data_files, tmp_path,
+                                                   capsys, bad_id):
+        # A checksum-valid file whose label table names a label the model does not have.
+        _, test = data_files
+        arts = load_model(trained_model)
+        ids = arts.train_labels[0].ids
+        bad_id = arts.label_embeddings.shape[1] if bad_id == "num_labels" else bad_id
+        arts.train_labels[0] = dxml.LabelSet(np.sort(np.append(ids, bad_id)).astype(np.int32))
+        model = str(tmp_path / "bad.dxml")
+        save_model(arts, model)
+        out = tmp_path / "p.txt"
+        assert main(["predict", model, test, "--out", str(out)]) == 2
+        assert "training label index out of range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_without_clusters_fails(self, trained_model, data_files, tmp_path, capsys):
+        _, test = data_files
+        arts = load_model(trained_model)
+        dim = arts.train_embeds.shape[1]
+        arts.clusters = ClusterIndex(np.empty((0, dim)), np.empty(0, np.int64))
+        arts.train_embeds, arts.train_labels = np.empty((0, dim), np.float32), []
+        model = str(tmp_path / "empty.dxml")
+        save_model(arts, model)
+        out = tmp_path / "p.txt"
+        assert main(["predict", model, test, "--out", str(out)]) == 2
+        assert "model has no clusters" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_k_is_usage_error(self, trained_model, data_files, tmp_path):
         _, test = data_files
         assert main(["predict", trained_model, test, "-k", "0",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dxml import DeepWalkConfig, ValidationError, embed_labels, generate_walks, train_skipgram
+from dxml import DeepWalkConfig, ValidationError, embed_labels, generate_walks
 from dxml import graph_embed
 from dxml.graph_embed import (
     WalkCorpus, _sgns_update, _token_blocks, _window_pairs, _work_arrays, fit_skipgram,
@@ -71,7 +71,7 @@ def reference_walks(graph, walks_per_node, walk_length, rng_seed, weighted=False
 SMALL_CFG = DeepWalkConfig(dim=12, walks_per_node=4, walk_length=16, epochs=2, rng_seed=9)
 
 
-def negative_sampling_objective(model, corpus, window, negatives, seed):
+def negative_sampling_objective(vectors, corpus, window, negatives, seed):
     """Mean sampled log likelihood of every (centre, context) pair at the full window.
 
     Each pair draws ``negatives`` nodes from the unigram^0.75 distribution of
@@ -90,10 +90,11 @@ def negative_sampling_objective(model, corpus, window, negatives, seed):
     noise = np.bincount(corpus.tokens, minlength=corpus.num_nodes) ** 0.75
     rng = np.random.default_rng(seed)
     drawn = rng.choice(corpus.num_nodes, size=(centres.size, negatives), p=noise / noise.sum())
-    v = model.node_vectors[centres]
+    node_vectors, context_vectors = vectors
+    v = node_vectors[centres]
     # log sigmoid(s) = -log(1 + exp(-s)): the context's score, and minus each negative's
-    pos = -np.logaddexp(0.0, -np.einsum("pd,pd->p", v, model.context_vectors[contexts]))
-    neg = -np.logaddexp(0.0, np.einsum("pd,pkd->pk", v, model.context_vectors[drawn]))
+    pos = -np.logaddexp(0.0, -np.einsum("pd,pd->p", v, context_vectors[contexts]))
+    neg = -np.logaddexp(0.0, np.einsum("pd,pkd->pk", v, context_vectors[drawn]))
     kept = drawn != contexts[:, None]
     return float(np.mean(pos + (kept * neg).sum(axis=1)))
 
@@ -198,53 +199,54 @@ class TestSkipgram:
     def test_shape_and_finiteness(self):
         g = graph_of([{0, 1, 2}, {1, 2, 3}], 5)
         V = embed_labels(g, SMALL_CFG)
-        assert (V.dim, V.count) == (12, 5)
-        assert np.all(np.isfinite(V.values))
+        assert V.shape == (12, 5) and V.dtype == np.float64 and V.flags.c_contiguous
+        assert np.all(np.isfinite(V))
 
     def test_bit_identical_for_seed(self):
         g = graph_of([{0, 1, 2}, {2, 3}], 4)
         a = embed_labels(g, SMALL_CFG)
         b = embed_labels(g, SMALL_CFG)
-        assert np.array_equal(a.values, b.values)
+        assert a.tobytes() == b.tobytes()
 
     def test_seed_changes_result(self):
         g = graph_of([{0, 1, 2}, {2, 3}], 4)
         a = embed_labels(g, SMALL_CFG)
         b = embed_labels(g, DeepWalkConfig(**{**SMALL_CFG.__dict__, "rng_seed": 10}))
-        assert not np.array_equal(a.values, b.values)
+        assert not np.array_equal(a, b)
 
     def test_singleton_corpus_keeps_initialization(self):
         # All labels isolated: no positive pairs, so no updates can happen.
         g = graph_of([{0}, {1}, {2}], 3)
         corpus = generate_walks(g, 4, 10, rng_seed=1)
         assert np.array_equal(corpus.indptr, np.arange(4 * 3 + 1))
-        model = fit_skipgram(corpus, SMALL_CFG)
-        assert np.all(model.context_vectors == 0.0)
+        node_vectors, context_vectors = fit_skipgram(corpus, SMALL_CFG)
+        assert np.all(context_vectors == 0.0)
         bound = 0.5 / SMALL_CFG.dim
-        assert np.all(np.abs(model.node_vectors) <= bound)
-        assert np.any(model.node_vectors != 0.0)
+        assert np.all(np.abs(node_vectors) <= bound)
+        assert np.any(node_vectors != 0.0)
 
     def test_objective_improves(self):
         g = graph_of([{0, 1, 2}, {2, 3, 4}, {0, 4}], 5)
         corpus = generate_walks(g, 6, 20, rng_seed=4)
         start = fit_skipgram(corpus, DeepWalkConfig(**{**SMALL_CFG.__dict__, "epochs": 0}))
         trained = fit_skipgram(corpus, SMALL_CFG)
-        assert np.all(start.context_vectors == 0.0)  # the initial vectors
-        scores = [negative_sampling_objective(model, corpus, SMALL_CFG.window,
+        assert np.all(start[1] == 0.0)  # the initial vectors
+        scores = [negative_sampling_objective(vectors, corpus, SMALL_CFG.window,
                                               SMALL_CFG.negative_samples, seed=SMALL_CFG.rng_seed)
-                  for model in (start, trained)]
+                  for vectors in (start, trained)]
         assert scores[1] > scores[0]
 
     def test_window_must_fit_walk(self):
         with pytest.raises(ValidationError):
             DeepWalkConfig(window=40, walk_length=40).validate()
 
-    def test_train_skipgram_matches_fit(self):
+    def test_embed_labels_matches_fit(self):
         g = graph_of([{0, 1}, {1, 2}], 3)
-        corpus = generate_walks(g, 3, 12, rng_seed=2)
-        V = train_skipgram(corpus, SMALL_CFG)
-        model = fit_skipgram(corpus, SMALL_CFG)
-        assert np.array_equal(V.values, model.node_vectors.T)
+        corpus = generate_walks(g, SMALL_CFG.walks_per_node, SMALL_CFG.walk_length,
+                                rng_seed=SMALL_CFG.rng_seed)
+        node_vectors, _ = fit_skipgram(corpus, SMALL_CFG)
+        V = embed_labels(g, SMALL_CFG)
+        assert V.tobytes() == np.ascontiguousarray(node_vectors.T).tobytes()
 
 
 def reference_pairs(walks, order, reach):
@@ -320,13 +322,12 @@ class TestChunkedSkipgram:
         corpus = generate_walks(g, 3, 12, rng_seed=1)
         a = fit_skipgram(corpus, SMALL_CFG)
         b = fit_skipgram(corpus, SMALL_CFG)
-        assert np.all(np.isfinite(a.node_vectors)) and np.all(np.isfinite(a.context_vectors))
-        assert a.node_vectors.tobytes() == b.node_vectors.tobytes()
-        assert a.context_vectors.tobytes() == b.context_vectors.tobytes()
+        assert all(np.all(np.isfinite(x)) for x in a)
+        assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
 
 
 def pairwise_cosines(V, nodes):
-    cols = [V.values[:, j] / np.linalg.norm(V.values[:, j]) for j in nodes]
+    cols = [V[:, j] / np.linalg.norm(V[:, j]) for j in nodes]
     return [
         float(cols[i] @ cols[j])
         for i in range(len(nodes))
@@ -340,9 +341,9 @@ class TestCliqueSeparation:
         intra = pairwise_cosines(V, range(5)) + pairwise_cosines(V, range(5, 10))
         inter = [
             float(
-                V.values[:, i]
-                @ V.values[:, j]
-                / (np.linalg.norm(V.values[:, i]) * np.linalg.norm(V.values[:, j]))
+                V[:, i]
+                @ V[:, j]
+                / (np.linalg.norm(V[:, i]) * np.linalg.norm(V[:, j]))
             )
             for i in range(5)
             for j in range(5, 10)

@@ -5,14 +5,13 @@ import pytest
 
 from dxml import Dataset, DegenerateTargetError, LabelSet, ValidationError
 from dxml import label_projection
-from dxml.graph_embed import EmbeddingMatrix
 from dxml.label_projection import project_targets
 
 from conftest import random_dataset, sparse
 
 
 def matrix(cols):
-    return EmbeddingMatrix(values=np.array(cols, dtype=np.float64).T)
+    return np.array(cols, dtype=np.float64).T
 
 
 def dataset_from_label_sets(label_sets, L):
@@ -26,7 +25,7 @@ def project_label_vector(embeddings, labels, normalize=True):
     The mean of the named embedding columns, divided by its Euclidean norm
     with ``normalize``; a norm below 1e-12 is degenerate.
     """
-    mean = embeddings.values[:, labels.ids].mean(axis=1)
+    mean = embeddings[:, labels.ids].mean(axis=1)
     if not normalize:
         return mean
     nrm = float(np.linalg.norm(mean))
@@ -37,7 +36,7 @@ def project_label_vector(embeddings, labels, normalize=True):
 
 def project(embeddings, labels, normalize=True):
     """``project_targets`` of a dataset whose one point holds ``labels``."""
-    ds = dataset_from_label_sets([labels], embeddings.count)
+    ds = dataset_from_label_sets([labels], embeddings.shape[1])
     return project_targets(embeddings, ds, normalize=normalize)[0][0]
 
 
@@ -76,14 +75,14 @@ class TestProjection:
 
     def test_order_invariant(self):
         rng = np.random.default_rng(0)
-        V = EmbeddingMatrix(values=rng.standard_normal((8, 10)))
+        V = rng.standard_normal((8, 10))
         a = project(V, LabelSet.from_iterable([7, 2, 4]))
         b = project(V, LabelSet.from_iterable([4, 7, 2]))
         assert np.array_equal(a, b)
 
     def test_unit_norm_property(self):
         rng = np.random.default_rng(1)
-        V = EmbeddingMatrix(values=rng.standard_normal((6, 12)))
+        V = rng.standard_normal((6, 12))
         for _ in range(100):
             size = int(rng.integers(1, 5))
             labels = LabelSet.from_iterable(rng.choice(12, size=size, replace=False).tolist())
@@ -92,10 +91,10 @@ class TestProjection:
 
     def test_mean_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
-        V = EmbeddingMatrix(values=rng.standard_normal((5, 9)))
+        V = rng.standard_normal((5, 9))
         labels = LabelSet.from_iterable([1, 3, 8])
         raw = project(V, labels, normalize=False)
-        manual = sum(V.values[:, j] for j in [1, 3, 8]) / 3
+        manual = sum(V[:, j] for j in [1, 3, 8]) / 3
         assert np.allclose(raw, manual, atol=1e-15)
 
 
@@ -103,7 +102,7 @@ class TestProjectTargets:
     def test_skips_unlabeled_with_count(self):
         rng = np.random.default_rng(3)
         ds = random_dataset(rng, n=30, allow_unlabeled=True)
-        V = EmbeddingMatrix(values=rng.standard_normal((4, ds.num_labels)))
+        V = rng.standard_normal((4, ds.num_labels))
         targets, ids, skipped = project_targets(V, ds)
         unlabeled = sum(1 for _, ls in ds.points if len(ls) == 0)
         assert skipped == unlabeled
@@ -113,7 +112,7 @@ class TestProjectTargets:
     def test_targets_align_with_points(self):
         rng = np.random.default_rng(4)
         ds = random_dataset(rng, n=20)
-        V = EmbeddingMatrix(values=rng.standard_normal((4, ds.num_labels)))
+        V = rng.standard_normal((4, ds.num_labels))
         targets, ids, _ = project_targets(V, ds)
         for row, i in zip(targets, ids):
             assert np.array_equal(row, project_label_vector(V, ds.points[i][1]))
@@ -128,7 +127,7 @@ class TestProjectTargetsBitwise:
         rng = np.random.default_rng(dim)
         # Up to 20 labels a point: numpy's pairwise sum switches at 8 terms.
         ds = random_dataset(rng, n=120, L=24, max_labels=20, allow_unlabeled=True)
-        V = EmbeddingMatrix(values=rng.standard_normal((dim, ds.num_labels)) * 10.0)
+        V = rng.standard_normal((dim, ds.num_labels)) * 10.0
         targets, rows, skipped = project_targets(V, ds, normalize=normalize)
         want_rows = [i for i, (_, ls) in enumerate(ds.points) if len(ls)]
         assert rows.tolist() == want_rows and skipped == ds.num_points - len(want_rows)
@@ -139,7 +138,7 @@ class TestProjectTargetsBitwise:
     def test_blocks_of_the_gather(self, monkeypatch):
         rng = np.random.default_rng(5)
         ds = random_dataset(rng, n=40, L=10, max_labels=6)
-        V = EmbeddingMatrix(values=rng.standard_normal((3, ds.num_labels)))
+        V = rng.standard_normal((3, ds.num_labels))
         whole = project_targets(V, ds)[0]
         monkeypatch.setattr(label_projection, "_GATHER_FLOATS", 1)
         assert project_targets(V, ds)[0].tobytes() == whole.tobytes()

@@ -19,7 +19,6 @@ from dxml import (
     save_model,
 )
 from dxml.cli import _write_predictions
-from dxml.graph_embed import EmbeddingMatrix
 from dxml.model_io import _READ_CHUNK, FORMAT_VERSION, MAGIC
 
 from conftest import rows_of, sparse
@@ -40,7 +39,7 @@ def toy_artifacts(seed=0, n=6, m=2):
     )
     labels = [LabelSet.from_iterable(rng.choice(9, size=rng.integers(0, 4), replace=False)) for _ in range(n)]
     return ModelArtifacts(
-        label_embeddings=EmbeddingMatrix(values=f32(3, 9)),
+        label_embeddings=f32(3, 9),
         mlp=MlpModel(W1=f32(5, 4), b1=f32(4), W2=f32(4, 3), b2=f32(3)),
         clusters=clusters,
         train_embeds=embeds,
@@ -55,7 +54,7 @@ class TestRoundTrip:
         path = str(tmp_path / "model.dxml")
         save_model(arts, path)
         loaded = load_model(path)
-        assert loaded.label_embeddings == arts.label_embeddings
+        assert np.array_equal(loaded.label_embeddings, arts.label_embeddings)
         assert loaded.mlp == arts.mlp
         assert loaded.clusters == arts.clusters
         assert np.array_equal(loaded.train_embeds, arts.train_embeds)
@@ -112,7 +111,7 @@ class TestRoundTrip:
         finally:
             tracemalloc.stop()
         arrays = [
-            loaded.label_embeddings.values, loaded.mlp.W1, loaded.mlp.b1, loaded.mlp.W2,
+            loaded.label_embeddings, loaded.mlp.W1, loaded.mlp.b1, loaded.mlp.W2,
             loaded.mlp.b2, loaded.clusters.centers, loaded.clusters.assignments,
             loaded.train_embeds, loaded.train_labels[0].ids.base,
         ]
@@ -143,7 +142,7 @@ class TestRoundTrip:
         save_model(toy_artifacts(8), path)
         loaded = load_model(path)
         assert loaded.mlp.W1.dtype == np.float32 and loaded.mlp.W1.flags.writeable
-        assert loaded.label_embeddings.values.dtype == np.float32
+        assert loaded.label_embeddings.dtype == np.float32
         assert loaded.train_embeds.dtype == np.float32
         assert not loaded.train_embeds.flags.writeable
         for small in (loaded.mlp.b1, loaded.mlp.W2, loaded.mlp.b2, loaded.clusters.centers):
@@ -175,7 +174,7 @@ class TestRoundTrip:
                 loaded.mlp, loaded.clusters, loaded.train_embeds, loaded.train_labels, points,
                 k=3, weighting="inverse_distance",
             ), out)
-            arrays = (loaded.label_embeddings.values, loaded.mlp.W1, loaded.mlp.b1,
+            arrays = (loaded.label_embeddings, loaded.mlp.W1, loaded.mlp.b1,
                       loaded.mlp.W2, loaded.mlp.b2, loaded.clusters.centers, loaded.train_embeds)
             seen.append(([a.tobytes() for a in arrays], out.getvalue()))
         assert seen[0] == seen[1] and seen[0][1]
@@ -208,7 +207,7 @@ class TestWithoutLabelVectors:
         path = self.saved(tmp_path)
         full, lean = load_model(path), load_model(path, label_vectors=False)
         assert lean.label_embeddings is None
-        assert lean.meta["dims"]["num_labels"] == full.label_embeddings.count == 9
+        assert lean.meta["dims"]["num_labels"] == full.label_embeddings.shape[1] == 9
         lean.label_embeddings = full.label_embeddings
         assert lean == full
         assert not lean.train_embeds.flags.writeable
@@ -216,7 +215,7 @@ class TestWithoutLabelVectors:
     def test_holds_no_label_vector_array(self, tmp_path):
         arts = toy_artifacts(6, n=40)
         vectors = np.random.default_rng(6).standard_normal((3, 40000)).astype(np.float32)
-        arts.label_embeddings = EmbeddingMatrix(values=vectors)  # 480 KB stored
+        arts.label_embeddings = vectors  # 480 KB stored
         path = self.saved(tmp_path, arts)
         tracemalloc.start()
         try:
@@ -372,6 +371,32 @@ class TestCorruption:
         save_model(arts, path)
         with pytest.raises(ModelFileError, match="assignment outside cluster range"):
             load_model(path)
+
+    @pytest.mark.parametrize("ids, match", [
+        ([9], "index out of range"),  # num_labels is 9
+        ([-3], "index out of range"),  # stored as u4 4294967293, read back as int32 -3
+        ([-(2**31)], "index out of range"),  # u4 2**31
+        ([5, 2], "indices not strictly increasing"),
+        ([4, 4], "indices not strictly increasing"),
+    ])
+    @pytest.mark.parametrize("label_vectors", [True, False])
+    def test_bad_training_label_ids(self, tmp_path, ids, match, label_vectors):
+        arts = toy_artifacts(5)
+        arts.train_labels[3] = LabelSet(np.array(ids, dtype=np.int32))
+        path = str(tmp_path / "model.dxml")
+        save_model(arts, path)  # the checksum holds
+        with pytest.raises(ModelFileError, match=f"training label {match}"):
+            load_model(path, label_vectors=label_vectors)
+
+    @pytest.mark.parametrize("label_vectors", [True, False])
+    def test_model_without_clusters(self, tmp_path, label_vectors):
+        arts = toy_artifacts(5)
+        arts.clusters = ClusterIndex(centers=np.empty((0, 3)), assignments=np.empty(0, np.int64))
+        arts.train_embeds, arts.train_labels = np.empty((0, 3)), []
+        path = str(tmp_path / "model.dxml")
+        save_model(arts, path)  # the checksum holds
+        with pytest.raises(ModelFileError, match="model has no clusters"):
+            load_model(path, label_vectors=label_vectors)
 
     def test_label_table_disagreeing_with_payload(self, tmp_path):
         path, payload = self.payload(tmp_path)
