@@ -11,18 +11,23 @@ empty, in which case the line starts with a space.  Feature indices are
 CRLF line endings.
 
 A ``Dataset`` keeps its points as CSR arrays.  Files are parsed a block of
-lines at a time: each block is split into label and feature fields, its
-tokens are converted by ``int`` and ``float`` through ``np.fromiter``, and
-every check is one array operation over the block.
+lines at a time, by one of two readers with the same result.  A clean
+block, whose feature text is printable ASCII with one colon in each token
+and whose tokens all convert and pass their checks, takes the array path:
+its tokens are converted by ``int`` and ``float`` through ``np.fromiter``
+and every check is one array operation over the block.  Every other block
+is read one line and one token at a time, and that reader, the grammar,
+raises every DataFormatError.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, islice, repeat
+from itertools import islice, repeat
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -45,11 +50,9 @@ NORMALIZATION_SCHEMES = ("none", "unit_l2")
 
 _BLOCK_LINES = 64  # data lines parsed together; bounds the parser's temporaries
 _INDEX_MAX = int(np.iinfo(np.int32).max)  # feature indices and label ids are int32
-_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-# A block's feature fields are joined by newlines, then split into parts at
-# every space, newline and colon.
-_FEATURE_SEPARATORS = str.maketrans(":\n", "  ")
-_SPACE, _NEWLINE, _COLON = ord(" "), ord("\n"), ord(":")
+# Deletes every ASCII character but colon and space: what is left of a clean
+# block's feature text alternates colon and space.
+_NOT_COLON_OR_SPACE = dict.fromkeys(c for c in range(128) if chr(c) not in ": ")
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,117 +276,96 @@ def _parse_header(line: str, lineno: int) -> tuple[int, int, int]:
     return n, d, L
 
 
-def _numbers(convert, dtype, tokens: list[str]) -> tuple[np.ndarray, int]:
-    """``convert`` of the tokens before the first one it rejects, and that position.
+def _parse_lines(lines: list[str], num_features: int, num_labels: int, lineno: int):
+    """CSR pieces of data lines (line ends stripped), the first numbered ``lineno``.
 
-    The position is ``len(tokens)`` when every token converts.  Integers
-    saturate at the int64 range: as indices they are out of range either way.
+    The grammar, read one line and one token at a time.  Returns (nonzeros
+    per line, indices, values, labels per line, label ids): explicit zeros
+    dropped, each line's labels sorted and de-duplicated.  A malformed line
+    raises its DataFormatError; within a line the first bad token is
+    reported, labels before features.
     """
-    try:
-        return np.fromiter(map(convert, tokens), dtype, len(tokens)), len(tokens)
-    except (ValueError, OverflowError):
-        pass
-    good = []
-    for tok in tokens:
-        try:
-            good.append(convert(tok))
-        except ValueError:
-            break
-    if dtype is np.int64:
-        good = [min(max(v, _INT64_MIN), _INT64_MAX) for v in good]
-    return np.array(good, dtype=dtype), len(good)
+    nnz, indices, values, label_counts, label_ids = [], [], [], [], []
+    for lineno, line in enumerate(lines, lineno):
+        head, _, tail = line.partition(" ")
+        labels = set()
+        for tok in head.split(",") if head else ():
+            try:
+                label = int(tok)
+            except ValueError:
+                raise DataFormatError(f"malformed label token {tok!r}", line=lineno) from None
+            if not 0 <= label < num_labels:
+                raise DataFormatError(f"label index {label} outside [0, {num_labels})", line=lineno)
+            labels.add(label)
+        label_counts.append(len(labels))
+        label_ids += sorted(labels)
+        last, kept = -1, len(indices)
+        for tok in tail.split(" "):
+            if not tok:
+                continue
+            idx_s, sep, val_s = tok.partition(":")
+            try:
+                if not sep:
+                    raise ValueError
+                idx, val = int(idx_s), float(val_s)
+            except ValueError:
+                raise DataFormatError(f"malformed feature token {tok!r}", line=lineno) from None
+            if not 0 <= idx < num_features:
+                raise DataFormatError(
+                    f"feature index {idx} outside [0, {num_features})", line=lineno
+                )
+            if idx <= last:
+                raise DataFormatError(f"feature index {idx} not strictly increasing", line=lineno)
+            last = idx
+            if not math.isfinite(val):
+                raise DataFormatError(f"non-finite feature value {val_s!r}", line=lineno)
+            if val != 0.0:
+                indices.append(idx)
+                values.append(val)
+        nnz.append(len(indices) - kept)
+    return (
+        np.array(nnz, np.int64), np.array(indices, np.int32), np.array(values, np.float64),
+        np.array(label_counts, np.int64), np.array(label_ids, np.int32),
+    )
 
 
-def _first(flags: np.ndarray, stop: int) -> int:
-    """Position of the first set flag, or ``stop`` if it comes first."""
-    hits = np.flatnonzero(flags[:stop])
-    return int(hits[0]) if hits.size else stop
+def _parse_arrays(lines: list[str], num_features: int, num_labels: int):
+    """What ``_parse_lines`` returns for a clean block, as array code; None for any other.
 
-
-def _label_error(tok: str, num_labels: int, lineno: int) -> DataFormatError:
-    try:
-        label = int(tok)
-    except ValueError:
-        return DataFormatError(f"malformed label token {tok!r}", line=lineno)
-    return DataFormatError(f"label index {label} outside [0, {num_labels})", line=lineno)
-
-
-def _feature_error(tok: str, last: int, num_features: int, lineno: int) -> DataFormatError:
-    """The error for a bad feature token; ``last`` is the line's previous index or -1."""
-    idx_s, sep, val_s = tok.partition(":")
-    try:
-        if not sep:
-            raise ValueError
-        idx = int(idx_s)
-        float(val_s)
-    except ValueError:
-        return DataFormatError(f"malformed feature token {tok!r}", line=lineno)
-    if idx < 0 or idx >= num_features:
-        return DataFormatError(f"feature index {idx} outside [0, {num_features})", line=lineno)
-    if idx <= last:
-        return DataFormatError(f"feature index {idx} not strictly increasing", line=lineno)
-    return DataFormatError(f"non-finite feature value {val_s!r}", line=lineno)
-
-
-def _parse_block(lines: list[str], num_features: int, num_labels: int, lineno: int):
-    """CSR pieces of consecutive data lines, the first of them numbered ``lineno``.
-
-    Returns (nonzeros per line, indices, values, labels per line, label ids).
-    A malformed block raises the DataFormatError of its first bad line, and
-    within that line of its first bad token, labels before features: the
-    error a line-by-line reading meets first.
+    A clean block's feature text is printable ASCII with exactly one colon in
+    each space-separated token, and every token converts and passes its
+    checks.  Its tokens are converted by ``int`` and ``float`` through
+    ``np.fromiter`` and every check is one array operation.
     """
-    lines = list(map(str.rstrip, lines, repeat("\r\n")))
     heads, _, tails = zip(*map(str.partition, lines, repeat(" ")))
     rows = len(lines)
+    text = " ".join(tails)
+    if not (text.isascii() and text.isprintable()):
+        return None
+    spaced = " ".join(text.split())  # one space between tokens
+    count = spaced.count(" ") + 1 if spaced else 0  # feature tokens in the block
+    if spaced.translate(_NOT_COLON_OR_SPACE) != " ".join(repeat(":", count)):
+        return None
+    parts = spaced.replace(":", " ").split(" ") if count else []  # index, value, index, ...
 
     # Labels: the field before the first space, comma-separated; may be empty.
     filled = np.fromiter(map(len, heads), np.int64, rows) > 0
     per_line = np.fromiter(map(str.count, heads, repeat(",")), np.int64, rows) + 1
     label_toks = ",".join(filter(None, heads)).split(",") if filled.any() else []
     label_row = np.repeat(np.arange(rows), np.where(filled, per_line, 0))
-    labels, label_stop = _numbers(int, np.int64, label_toks)
-    label_bad = _first((labels < 0) | (labels >= num_labels), label_stop)
-
-    # Features: the rest of each line, split on spaces; empty tokens are
-    # skipped and each token is split at its one colon.  Token bounds, lines
-    # and colon counts come from the block's bytes.
-    text = "\n".join(tails)
-    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    seps = np.flatnonzero((raw == _SPACE) | (raw == _NEWLINE))
-    starts = np.concatenate(([0], seps + 1))
-    ends = np.append(seps, raw.size)
-    token_row = np.concatenate(([0], np.cumsum(raw[seps] == _NEWLINE)))
-    colons = np.bincount(np.searchsorted(seps, np.flatnonzero(raw == _COLON)), minlength=ends.size)
-    first_part = np.cumsum(colons + 1) - (colons + 1)  # a token makes colons + 1 parts
-    kept = ends > starts
-    starts, ends, token_row, colons, first_part = (
-        a[kept] for a in (starts, ends, token_row, colons, first_part)
-    )
-    shaped = _first(colons != 1, colons.size)  # tokens before it have one colon
-    parts = text.translate(_FEATURE_SEPARATORS).split(" ")
-    idx_part = np.zeros(len(parts), dtype=bool)
-    idx_part[first_part[:shaped]] = True
-    val_part = np.zeros(len(parts), dtype=bool)
-    val_part[first_part[:shaped] + 1] = True
-    indices, idx_stop = _numbers(int, np.int64, list(compress(parts, idx_part)))
-    values, val_stop = _numbers(float, np.float64, list(compress(parts, val_part)))
-    well_formed = min(shaped, idx_stop, val_stop)  # the first malformed token, if any
-    indices, values = indices[:well_formed], values[:well_formed]
-    row = token_row[:well_formed]
+    # Features: each line has one token per colon.
+    colons = np.fromiter(map(str.count, tails, repeat(":")), np.int64, rows)
+    token_row = np.repeat(np.arange(rows), colons)
+    try:
+        labels = np.fromiter(map(int, label_toks), np.int64, len(label_toks))
+        indices = np.fromiter(map(int, parts[0::2]), np.int64, count)
+        values = np.fromiter(map(float, parts[1::2]), np.float64, count)
+    except (ValueError, OverflowError):
+        return None
     flags = (indices < 0) | (indices >= num_features) | ~np.isfinite(values)
-    flags[1:] |= (row[1:] == row[:-1]) & (indices[1:] <= indices[:-1])
-    feature_bad = _first(flags, well_formed)
-
-    label_line = int(label_row[label_bad]) if label_bad < len(label_toks) else rows
-    feature_line = int(token_row[feature_bad]) if feature_bad < colons.size else rows
-    if label_line < rows and label_line <= feature_line:
-        raise _label_error(label_toks[label_bad], num_labels, lineno + label_line)
-    if feature_line < rows:
-        j = feature_bad
-        tok = raw[starts[j] : ends[j]].tobytes().decode("utf-8", "surrogatepass")
-        last = int(indices[j - 1]) if j and token_row[j - 1] == token_row[j] else -1
-        raise _feature_error(tok, last, num_features, lineno + feature_line)
+    flags[1:] |= (token_row[1:] == token_row[:-1]) & (indices[1:] <= indices[:-1])
+    if flags.any() or np.any((labels < 0) | (labels >= num_labels)):
+        return None
 
     nonzero = values != 0.0
     codes = np.sort(label_row * num_labels + labels)  # sorts each line's labels
@@ -395,13 +377,6 @@ def _parse_block(lines: list[str], num_features: int, num_labels: int, lineno: i
         np.bincount(codes // num_labels, minlength=rows),
         (codes % num_labels).astype(np.int32),
     )
-
-
-# What _parse_block returns, for no lines.
-_EMPTY_BLOCK = (
-    np.empty(0, np.int64), np.empty(0, np.int32), np.empty(0, np.float64),
-    np.empty(0, np.int64), np.empty(0, np.int32),
-)
 
 
 def parse_repo_file(source: IO[str] | str) -> Dataset:
@@ -421,13 +396,13 @@ def parse_repo_file(source: IO[str] | str) -> Dataset:
         raise DataFormatError("empty file, missing header", line=1) from None
     n, d, L = _parse_header(first.rstrip("\r\n"), 1)
 
-    blocks = [_EMPTY_BLOCK]
+    blocks = [_parse_lines([], d, L, 2)]
     read = 0
     while read < n:
         want = min(_BLOCK_LINES, n - read)
-        block = list(islice(lines, want))
+        block = list(map(str.rstrip, islice(lines, want), repeat("\r\n")))
         if block:
-            blocks.append(_parse_block(block, d, L, read + 2))
+            blocks.append(_parse_arrays(block, d, L) or _parse_lines(block, d, L, read + 2))
         read += len(block)
         if len(block) < want:
             raise DataFormatError(f"expected {n} data lines, found {read}", line=read + 2)

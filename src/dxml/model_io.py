@@ -96,6 +96,26 @@ def _array_specs(dims: dict[str, int]) -> list[tuple[str, str, tuple[int, ...]]]
     ]
 
 
+def _check_structure(
+    dims: dict[str, int], label_offsets: np.ndarray, label_ids: np.ndarray, assignments: np.ndarray
+) -> None:
+    """Raise ModelFileError for a model that load refuses and save must not write.
+
+    The model needs a cluster, every assignment must name one, and each
+    training point's label ids must strictly increase in [0, L).  Load and
+    save both run these checks, so a saved file always passes them on load.
+    """
+    try:  # the vote writes these ids out, so each must name one of the model's labels
+        _check_rows(label_offsets, label_ids, dims["num_labels"], "training label")
+    except ValidationError as exc:
+        raise ModelFileError(str(exc)) from None
+    m = dims["num_clusters"]
+    if m < 1:
+        raise ModelFileError("model has no clusters")
+    if assignments.size and (assignments.min() < 0 or assignments.max() >= m):
+        raise ModelFileError("assignment outside cluster range")
+
+
 def _payload_parts(artifacts: ModelArtifacts) -> list:
     """The payload as buffers in file order: header length, header, arrays, label table."""
     if artifacts.label_embeddings is None:
@@ -121,6 +141,7 @@ def _payload_parts(artifacts: ModelArtifacts) -> list:
         if n and offsets[-1] > 0
         else np.empty(0, dtype=np.int32)
     )
+    _check_structure(dims, offsets, flat, artifacts.clusters.assignments)
 
     arrays = {
         "label_embeddings": artifacts.label_embeddings,
@@ -149,6 +170,9 @@ def save_model(artifacts: ModelArtifacts, path: str) -> None:
     The payload is hashed and written a part at a time, never joined, so
     saving holds no copy of the file, and a float32 copy only of the arrays
     that are not float32 already: a trained W1 is written as it is.
+    Artifacts that ``load_model`` would refuse (no clusters, an assignment
+    outside them, training label ids not strictly increasing in [0, L))
+    raise ModelFileError before any file is created.
     """
     parts = _payload_parts(artifacts)
     digest = hashlib.sha256()
@@ -319,18 +343,10 @@ def _read_payload(
 def _artifacts(header: dict, raw: dict[str, np.ndarray], flat: np.ndarray) -> ModelArtifacts:
     """Artifacts from a verified payload, built on the arrays as read."""
     dims = header["dims"]
-    try:  # the vote writes these ids out, so each must name one of the model's labels
-        _check_rows(raw["label_offsets"], flat, dims["num_labels"], "training label")
-    except ValidationError as exc:
-        raise ModelFileError(str(exc)) from None
+    assignments = raw["assignments"].astype(np.int64)
+    _check_structure(dims, raw["label_offsets"], flat, assignments)
     offs = raw["label_offsets"].tolist()
     labels = [LabelSet(flat[a:b]) for a, b in zip(offs, offs[1:])]
-    assignments = raw["assignments"].astype(np.int64)
-    m = dims["num_clusters"]
-    if m < 1:
-        raise ModelFileError("model has no clusters")
-    if assignments.size and (assignments.min() < 0 or assignments.max() >= m):
-        raise ModelFileError("assignment outside cluster range")
     meta = {key: value for key, value in header.items() if key != "dims"}
     meta["dims"] = dims
     train_embeds = raw["train_embeds"]

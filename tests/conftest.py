@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import json
+import math
 import os
+import struct
 from pathlib import Path
 from unittest import mock
 
@@ -11,6 +15,7 @@ import numpy as np
 import pytest
 
 from dxml import Dataset, LabelSet, SparseRows, SparseVector
+from dxml.model_io import FORMAT_VERSION, MAGIC, _array_specs
 
 
 def pytest_configure(config):
@@ -32,6 +37,48 @@ def rows_of(xs) -> SparseRows:
         return SparseRows(indptr, np.empty(0, dtype=np.int32), np.empty(0))
     return SparseRows(indptr, np.concatenate([x.indices for x in xs]).astype(np.int32),
                       np.concatenate([x.values for x in xs]).astype(np.float64))
+
+
+# ── model files that pass the checksum and fail the structural checks ──
+
+
+def read_payload(path) -> bytearray:
+    """A model file's payload: what lies between its 16-byte prefix and its checksum."""
+    with open(path, "rb") as fh:
+        return bytearray(fh.read())[16:-32]
+
+
+def write_payload(path, payload, digest=None):
+    """A model file around ``payload``, with its true checksum unless ``digest`` is given."""
+    digest = hashlib.sha256(payload).digest() if digest is None else digest
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(payload)) + bytes(payload) + digest)
+
+
+def stored_array(payload: bytearray, name: str) -> tuple[int, np.ndarray]:
+    """The offset of a stored array in ``payload`` and a writable view of it.
+
+    Any name not in the fixed-order arrays gives the label table after them.
+    """
+    pos = 4 + struct.unpack_from("<I", payload, 0)[0]
+    for array, dtype, shape in _array_specs(json.loads(bytes(payload[4:pos]))["dims"]):
+        if array == name:
+            break
+        pos += math.prod(shape) * np.dtype(dtype).itemsize
+    else:
+        dtype, shape = "<i4", ((len(payload) - pos) // 4,)
+    return pos, np.frombuffer(payload, dtype, math.prod(shape), pos).reshape(shape)
+
+
+def without_clusters(payload: bytearray) -> bytes:
+    """``payload`` with no clusters and no training points; the network is kept."""
+    end = 4 + struct.unpack_from("<I", payload, 0)[0]
+    header = json.loads(bytes(payload[4:end]))
+    header["dims"].update(num_clusters=0, num_train=0)
+    header_bytes = json.dumps(header).encode()
+    network = payload[end : stored_array(payload, "centers")[0]]
+    offsets = np.zeros(1, "<u8").tobytes()  # one point boundary, no label ids after it
+    return struct.pack("<I", len(header_bytes)) + header_bytes + network + offsets
 
 
 def random_dataset(

@@ -20,7 +20,7 @@ from dxml import (ClusterIndex, DeepWalkConfig, TrainConfig, load_model, load_re
 from dxml.cli import _build_parser, _derived_seeds, _int_list, _seed, _write_predictions, main
 from dxml.net import embed_points
 
-from conftest import random_dataset
+from conftest import random_dataset, read_payload, stored_array, without_clusters, write_payload
 
 
 TINY_FLAGS = [
@@ -326,12 +326,15 @@ class TestPredict:
                                                    capsys, bad_id):
         # A checksum-valid file whose label table names a label the model does not have.
         _, test = data_files
-        arts = load_model(trained_model)
-        ids = arts.train_labels[0].ids
-        bad_id = arts.label_embeddings.shape[1] if bad_id == "num_labels" else bad_id
-        arts.train_labels[0] = dxml.LabelSet(np.sort(np.append(ids, bad_id)).astype(np.int32))
+        payload = read_payload(trained_model)
+        offsets = stored_array(payload, "label_offsets")[1]
+        ids = stored_array(payload, "label ids")[1][offsets[0] : offsets[1]]  # one or more
+        if bad_id == "num_labels":
+            ids[-1] = load_model(trained_model).label_embeddings.shape[1]
+        else:
+            ids[0] = bad_id  # the ids still increase
         model = str(tmp_path / "bad.dxml")
-        save_model(arts, model)
+        write_payload(model, payload)
         out = tmp_path / "p.txt"
         assert main(["predict", model, test, "--out", str(out)]) == 2
         assert "training label index out of range" in capsys.readouterr().err
@@ -339,12 +342,8 @@ class TestPredict:
 
     def test_model_without_clusters_fails(self, trained_model, data_files, tmp_path, capsys):
         _, test = data_files
-        arts = load_model(trained_model)
-        dim = arts.train_embeds.shape[1]
-        arts.clusters = ClusterIndex(np.empty((0, dim)), np.empty(0, np.int64))
-        arts.train_embeds, arts.train_labels = np.empty((0, dim), np.float32), []
         model = str(tmp_path / "empty.dxml")
-        save_model(arts, model)
+        write_payload(model, without_clusters(read_payload(trained_model)))
         out = tmp_path / "p.txt"
         assert main(["predict", model, test, "--out", str(out)]) == 2
         assert "model has no clusters" in capsys.readouterr().err

@@ -354,6 +354,22 @@ def render(n, d, L, lines, eol="\n", trailer=""):
     st.sampled_from(BLOCK_SIZES),
 )
 def test_block_parser_equals_reference_on_valid_files(spec, eol, trailer, block):
+    check_valid_file(spec, eol, trailer, block)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    repo_lines(),
+    st.sampled_from(["\n", "\r\n"]),
+    st.sampled_from(["", "\n", "\n  \n", "\r\n"]),
+    st.sampled_from(BLOCK_SIZES),
+)
+def test_line_reader_equals_reference_on_valid_files(spec, eol, trailer, block):
+    with mock.patch.object(data_io, "_parse_arrays", return_value=None):
+        check_valid_file(spec, eol, trailer, block)
+
+
+def check_valid_file(spec, eol, trailer, block):
     d, L, lines = spec
     text = render(len(lines), d, L, lines, eol, trailer)
     got = block_parse(block)(text)
@@ -447,6 +463,40 @@ class TestBlocks:
         lines[2] = "x" + lines[2]
         lines[6] = "9 0:1.0"
         assert self.check(lines)[:2] == ("error", 4)
+
+
+class TestReaders:
+    """Which reader takes a block: the array path for clean text, the per-line reader otherwise."""
+
+    def lines_read(self, text):
+        """The outcome of parsing ``text``, and how many data lines reached ``_parse_lines``."""
+        with mock.patch.object(data_io, "_parse_lines", wraps=data_io._parse_lines) as spy:
+            got = outcome(parse_repo_file, text)
+        return got, sum(len(call.args[0]) for call in spy.call_args_list)
+
+    @pytest.mark.parametrize("line,per_line", [
+        ("0 0:1.0\t", True),  # a tab after a value
+        ("0,2 ٣:1.0 5:2.0", True),  # a non-ASCII digit
+        ("1 0:1.0\r 2:2.0", True),  # a CR inside a line
+        ("0\t 0:1.0", False),  # the label field is not feature text
+        ("2 1_0:2.5 11:1", False),  # int accepts an underscore; printable ASCII
+    ])
+    def test_unclean_valid_tokens_equal_the_reference(self, line, per_line):
+        text = render(3, 12, 3, ["1 4:0.5", line, " 7:1.0"])
+        got, read = self.lines_read(text)
+        assert isinstance(got, Dataset) and got == reference_parse(text)
+        assert read == (3 if per_line else 0)
+
+    def test_clean_files_never_reach_the_line_reader(self):
+        for seed in range(10):
+            ds = random_dataset(np.random.default_rng(seed), allow_unlabeled=True, n=150)
+            got, read = self.lines_read(write_repo_file(ds))
+            assert got == ds and read == 0
+
+    def test_a_declined_block_reports_through_the_line_reader(self):
+        got, read = self.lines_read(render(2, 4, 3, ["0 0:1.0", "1 3:1.0 2:2.0"]))
+        assert got == ("error", 3, "line 3: feature index 2 not strictly increasing")
+        assert read == 2
 
 
 # ── Dataset as CSR ───────────────────────────────────────────────────────────

@@ -21,7 +21,7 @@ from dxml import (
 from dxml.cli import _write_predictions
 from dxml.model_io import _READ_CHUNK, FORMAT_VERSION, MAGIC
 
-from conftest import rows_of, sparse
+from conftest import rows_of, sparse, stored_array, without_clusters, write_payload
 
 
 def toy_artifacts(seed=0, n=6, m=2):
@@ -188,13 +188,6 @@ class TestRoundTrip:
         assert loaded.train_embeds.shape == (1, 3)
 
 
-def write_payload(path, payload, digest=None):
-    """A model file around ``payload``, with its true checksum unless ``digest`` is given."""
-    digest = hashlib.sha256(payload).digest() if digest is None else digest
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(payload)) + bytes(payload) + digest)
-
-
 class TestWithoutLabelVectors:
     """``load_model(path, label_vectors=False)``: what prediction reads, and the same checks."""
 
@@ -268,15 +261,57 @@ class TestWithoutLabelVectors:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.dxml"]
 
 
-class TestCorruption:
-    def saved(self, tmp_path):
+def no_clusters():
+    arts = toy_artifacts(5)
+    arts.clusters = ClusterIndex(centers=np.empty((0, 3)), assignments=np.empty(0, np.int64))
+    arts.train_embeds, arts.train_labels = np.empty((0, 3)), []
+    return arts
+
+
+class TestSaveRefusesWhatLoadRefuses:
+    def check_refused(self, tmp_path, arts, match):
+        with pytest.raises(ModelFileError, match=match):
+            save_model(arts, str(tmp_path / "model.dxml"))
+        assert list(tmp_path.iterdir()) == []  # not even the temp file
+
+    @pytest.mark.parametrize("label_ids, assignment, match", [
+        ([9], 0, "training label index out of range"),  # num_labels is 9
+        ([-3], 0, "training label index out of range"),
+        ([5, 2], 0, "training label indices not strictly increasing"),
+        ([4, 4], 0, "training label indices not strictly increasing"),
+        ([1, 2], 3, "assignment outside cluster range"),  # one cluster
+        ([1, 2], -1, "assignment outside cluster range"),
+    ])
+    def test_save_raises_and_leaves_no_file(self, tmp_path, label_ids, assignment, match):
+        arts = toy_artifacts(5, m=1)
+        arts.train_labels[3] = LabelSet(np.array(label_ids, dtype=np.int32))
+        arts.clusters.assignments[2] = assignment
+        self.check_refused(tmp_path, arts, match)
+
+    def test_save_refuses_a_model_without_clusters(self, tmp_path):
+        self.check_refused(tmp_path, no_clusters(), "model has no clusters")
+
+    def test_refused_save_keeps_the_file_it_would_replace(self, tmp_path):
         path = str(tmp_path / "model.dxml")
         save_model(toy_artifacts(5), path)
         with open(path, "rb") as fh:
+            before = fh.read()
+        with pytest.raises(ModelFileError):
+            save_model(no_clusters(), path)
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.dxml"]
+
+
+class TestCorruption:
+    def saved(self, tmp_path, arts=None):
+        path = str(tmp_path / "model.dxml")
+        save_model(toy_artifacts(5) if arts is None else arts, path)
+        with open(path, "rb") as fh:
             return path, bytearray(fh.read())
 
-    def payload(self, tmp_path):
-        path, blob = self.saved(tmp_path)
+    def payload(self, tmp_path, arts=None):
+        path, blob = self.saved(tmp_path, arts)
         return path, blob[16:-32]
 
     def header_end(self, payload):
@@ -365,10 +400,9 @@ class TestCorruption:
             load_model(path)
 
     def test_assignment_outside_the_clusters(self, tmp_path):
-        arts = toy_artifacts(5, n=6, m=2)
-        arts.clusters.assignments[4] = 2  # a third cluster the model does not have
-        path = str(tmp_path / "model.dxml")
-        save_model(arts, path)
+        path, payload = self.payload(tmp_path, toy_artifacts(5, n=6, m=2))
+        stored_array(payload, "assignments")[1][4] = 2  # a third cluster the model does not have
+        write_payload(path, payload)
         with pytest.raises(ModelFileError, match="assignment outside cluster range"):
             load_model(path)
 
@@ -382,19 +416,18 @@ class TestCorruption:
     @pytest.mark.parametrize("label_vectors", [True, False])
     def test_bad_training_label_ids(self, tmp_path, ids, match, label_vectors):
         arts = toy_artifacts(5)
-        arts.train_labels[3] = LabelSet(np.array(ids, dtype=np.int32))
-        path = str(tmp_path / "model.dxml")
-        save_model(arts, path)  # the checksum holds
+        arts.train_labels[3] = LabelSet(np.arange(len(ids), dtype=np.int32))
+        path, payload = self.payload(tmp_path, arts)
+        offsets = stored_array(payload, "label_offsets")[1]
+        stored_array(payload, "label ids")[1][offsets[3] : offsets[4]] = ids
+        write_payload(path, payload)  # the checksum holds
         with pytest.raises(ModelFileError, match=f"training label {match}"):
             load_model(path, label_vectors=label_vectors)
 
     @pytest.mark.parametrize("label_vectors", [True, False])
     def test_model_without_clusters(self, tmp_path, label_vectors):
-        arts = toy_artifacts(5)
-        arts.clusters = ClusterIndex(centers=np.empty((0, 3)), assignments=np.empty(0, np.int64))
-        arts.train_embeds, arts.train_labels = np.empty((0, 3)), []
-        path = str(tmp_path / "model.dxml")
-        save_model(arts, path)  # the checksum holds
+        path, payload = self.payload(tmp_path)
+        write_payload(path, without_clusters(payload))  # the checksum holds
         with pytest.raises(ModelFileError, match="model has no clusters"):
             load_model(path, label_vectors=label_vectors)
 
