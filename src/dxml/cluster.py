@@ -16,11 +16,11 @@ precision: float32 rows (the stored training embeddings) against the query
 rounded to float32, float64 rows in float64.  Every row within twice that
 precision's error bound (``gemm_error_bound``) of the k-th smallest value
 joins the query's shortlist, which provably holds the exact k nearest.
-Exact float64 row sums then rank a block's shortlists together: those of
-exactly k rows as one table, the longer ones as one table padded to the
-longest.  The screen only decides which rows the exact sums see, so
-results are the exact ones bit for bit, whatever the rows' dtype, the
-block size or the BLAS thread count.
+Each kept (query, row) pair then gets its exact float64 row sum, and one
+sort by (query, distance, id) ranks the whole block; each query's first k
+pairs are its result.  The screen only decides which pairs the exact sums
+see, so results are the exact ones bit for bit, whatever the rows' dtype,
+the block size or the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ _GEMM_SLACK = 16.0
 _EPS = float(np.finfo(np.float64).eps)
 _U32 = float(np.finfo(np.float32).eps) / 2  # float32 unit roundoff, 2**-24
 _TINY32 = float(np.finfo(np.float32).tiny)  # smallest normal float32, 2**-126
-_PAD_ID = np.iinfo(np.int64).max  # the id of a padding entry in a shortlist table
 # M + Q past which the screen's arithmetic could overflow (see gemm_error_bound).
 _SCREEN_LIMIT = {np.float32: float(np.finfo(np.float32).max) / 4,
                  np.float64: float(np.finfo(np.float64).max) / 4}
@@ -145,31 +144,37 @@ class ClusterIndex:
         )
 
 
-def _sq_dists(points: np.ndarray, targets: np.ndarray, which: np.ndarray) -> np.ndarray:
-    """Exact squared distances ``((t - p) ** 2).sum()``, summed in float64, in ``which``'s shape.
+def _sq_dists(
+    points: np.ndarray, targets: np.ndarray, which: np.ndarray | None, cols: np.ndarray
+) -> np.ndarray:
+    """Exact squared distances of (point, target) pairs, summed in float64.
 
-    ``which`` holds one row of row ids per point: point i is compared with
-    each ``targets[which[i, j]]``.  Float32 inputs are widened before the
+    Pair j compares point ``which[j]`` (``which`` None: point j) with
+    ``targets[cols[j]]``.  Float32 inputs are widened before the
     subtraction, which is exact, so they give the bits of their float64
-    widening.  Points are taken a few at a time so temporaries stay near
+    widening.  Pairs are taken a few at a time so temporaries stay near
     _CHUNK_BYTES.  Each distance sums one contiguous row of squared
-    differences, so its bits depend on neither the chunk nor the shapes.
+    differences, so its bits depend on neither the chunk nor the pairing.
     """
-    n, dim = points.shape
-    out = np.empty(which.shape, dtype=np.float64)
-    step = max(1, _CHUNK_BYTES // (8 * max(1, dim * which.shape[1])))
-    buf = np.empty((min(step, n), which.shape[1], dim), dtype=np.float64)
+    p, dim = cols.shape[0], targets.shape[1]
+    out = np.empty(p, dtype=np.float64)
+    step = max(1, _CHUNK_BYTES // (8 * max(1, dim)))
+    buf = np.empty((min(step, p), dim), dtype=np.float64)
     gathered = buf if targets.dtype == np.float64 else np.empty(buf.shape, targets.dtype)
-    for s in range(0, n, step):
-        ids = which[s : s + step]
-        diff = buf[: ids.shape[0]]
-        # Row ids are in range, so "clip" never clips; it spares take's buffered copy.
-        np.take(targets, ids, axis=0, out=gathered[: ids.shape[0]], mode="clip")
+    own = None if which is None else np.empty(buf.shape, points.dtype)
+    for s in range(0, p, step):
+        t = cols[s : s + step]
+        diff = buf[: t.size]
+        # Ids are in range, so "clip" never clips; it spares take's buffered copy.
+        np.take(targets, t, axis=0, out=gathered[: t.size], mode="clip")
         if gathered is not buf:
-            np.copyto(diff, gathered[: ids.shape[0]])
-        diff -= points[s : s + step, None, :]
+            np.copyto(diff, gathered[: t.size])
+        if which is None:
+            diff -= points[s : s + step]
+        else:
+            diff -= np.take(points, which[s : s + step], axis=0, out=own[: t.size], mode="clip")
         np.multiply(diff, diff, out=diff)
-        out[s : s + step] = diff.sum(axis=-1)
+        out[s : s + step] = diff.sum(axis=1)
     return out
 
 
@@ -182,37 +187,6 @@ def _screen_norms(rows: np.ndarray) -> tuple[np.ndarray, float]:
     """
     sq = np.einsum("ij,ij->i", rows, rows, dtype=np.float64)
     return sq.astype(rows.dtype, copy=False), float(sq.max()) if sq.size else 0.0
-
-
-def _shortlists(
-    keep: np.ndarray, k: int
-) -> list[tuple[np.ndarray | None, np.ndarray, np.ndarray | None]]:
-    """Each query's kept rows, in row order, as tables for the exact re-rank.
-
-    Returns (group, positions, pad) per table, ``group`` indexing the
-    block's queries (None: all of them): the queries whose lists hold exactly k rows as
-    one k-column table, then the longer lists as one table padded to the
-    longest.  ``pad`` marks the entries past a query's own list, whose
-    positions are 0; it is None when the table has none.
-    """
-    b, n = keep.shape
-    if b == 1:
-        return [(None, np.flatnonzero(keep)[None, :], None)]
-    which, cols = np.divmod(np.flatnonzero(keep), n)
-    if cols.size == k * b:  # every list holds exactly k rows, as none holds fewer
-        return [(None, cols.reshape(b, k), None)]
-    counts = np.bincount(which, minlength=b)
-    longer = counts > k
-    in_longer = np.repeat(longer, counts)
-    tables = []
-    if not longer.all():
-        tables.append((np.flatnonzero(~longer), cols[~in_longer].reshape(-1, k), None))
-    counts = counts[longer]
-    pad = np.arange(counts.max()) >= counts[:, None]
-    pos = np.zeros(pad.shape, dtype=np.int64)
-    pos[~pad] = cols[in_longer]  # row-major, as flatnonzero gave them
-    tables.append((np.flatnonzero(longer), pos, pad))
-    return tables
 
 
 def _nearest_rows(
@@ -235,73 +209,58 @@ def _nearest_rows(
     routing read the first column, and k-means sums the distances into its
     WCSS.  Queries are screened in blocks sized to _CHUNK_BYTES; with k at
     least the row count, or an exact table of at most _EXACT_TABLE elements,
-    that table replaces the screen.
+    every query keeps every row instead.
     """
     q, (n, dim) = queries.shape[0], rows.shape
     kk = min(k, n)
     nbr = np.empty((q, kk), dtype=np.int64)
     d2 = np.empty((q, kk), dtype=np.float64)
-
-    def finish(s: int, qb: np.ndarray, group: np.ndarray | None, pos: np.ndarray,
-               pad: np.ndarray | None = None) -> None:
-        """Rank rows ``pos[i]`` exactly for query ``group[i]`` of the block ``qb`` (None: all).
-
-        The block starts at query ``s``; results go to ``nbr`` and ``d2``.
-        Entries under ``pad`` get NaN and the largest id, so they sort
-        after every row.  Every query keeps at least k rows, so no pad is
-        ranked among them.
-        """
-        if group is None:
-            done, qs = slice(s, s + qb.shape[0]), qb
-        else:
-            done, qs = s + group, qb[group]
-        found = pos if ids is None else ids[pos]
-        dist = _sq_dists(qs, rows, pos)
-        if pad is not None:
-            dist[pad] = np.nan
-            found = np.where(pad, _PAD_ID, found)
-        order = np.lexsort((found, dist), axis=1)[:, :kk]
-        by_query = np.arange(order.shape[0])[:, None]
-        nbr[done] = found[by_query, order]
-        d2[done] = dist[by_query, order]
-
+    exact = kk == n or q * n * dim <= _EXACT_TABLE
     screen = np.float32 if rows.dtype == np.float32 else np.float64
     # Queries per block: whole screening products, as many as fit _CHUNK_BYTES, at least one.
     block = max(1, _CHUNK_BYTES // (8 * max(1, n) * _SCREEN_ROWS)) * _SCREEN_ROWS
     block = min(block, max(1, q))
-    if kk == n or q * n * dim <= _EXACT_TABLE:
-        every_row = np.arange(n)[None, :].repeat(block, axis=0)
-        for s in range(0, q, block):
-            qb = queries[s : s + block]
-            finish(s, qb, None, every_row[: qb.shape[0]])
-        return nbr, d2
-    if row_sq is None:
-        row_sq, max_sq = _screen_norms(rows)
-    approx_buf = np.empty((block, n), dtype=screen)
-    part_buf = np.empty((block, n), dtype=screen) if k > 1 else None
+    if exact:
+        every_row = np.ones((block, n), dtype=bool)
+    else:
+        if row_sq is None:
+            row_sq, max_sq = _screen_norms(rows)
+        approx_buf = np.empty((block, n), dtype=screen)
+        part_buf = np.empty((block, n), dtype=screen) if k > 1 else None
     for s in range(0, q, block):
         qb = queries[s : s + block]
         b = qb.shape[0]
-        approx = approx_buf[:b]
-        screened = qb.astype(screen, copy=False)
-        for r in range(0, b, _SCREEN_ROWS):
-            np.matmul(screened[r : r + _SCREEN_ROWS], rows.T, out=approx[r : r + _SCREEN_ROWS])
-        approx *= -2.0
-        approx += row_sq
-        if k == 1:  # argmin and a gather beat a min over short rows
-            kth = approx[np.arange(b), approx.argmin(axis=1)]
+        if exact:
+            keep = every_row[:b]
         else:
-            part = part_buf[:b]
-            np.copyto(part, approx)
-            part.partition(k - 1, axis=1)
-            kth = part[:, k - 1]
-        qsq = np.einsum("ij,ij->i", qb, qb) if query_sq is None else query_sq[s : s + b]
-        threshold = kth + 2.0 * gemm_error_bound(dim, max_sq, qsq, screen)
-        # A row past the threshold is provably behind k others; NaN stays in.
-        keep = approx > threshold.astype(screen, copy=False)[:, None]
-        np.logical_not(keep, out=keep)
-        for table in _shortlists(keep, k):
-            finish(s, qb, *table)
+            approx = approx_buf[:b]
+            screened = qb.astype(screen, copy=False)
+            for r in range(0, b, _SCREEN_ROWS):
+                np.matmul(screened[r : r + _SCREEN_ROWS], rows.T, out=approx[r : r + _SCREEN_ROWS])
+            approx *= -2.0
+            approx += row_sq
+            if k == 1:  # argmin and a gather beat a min over short rows
+                kth = approx[np.arange(b), approx.argmin(axis=1)]
+            else:
+                part = part_buf[:b]
+                np.copyto(part, approx)
+                part.partition(k - 1, axis=1)
+                kth = part[:, k - 1]
+            qsq = np.einsum("ij,ij->i", qb, qb) if query_sq is None else query_sq[s : s + b]
+            threshold = kth + 2.0 * gemm_error_bound(dim, max_sq, qsq, screen)
+            # A row past the threshold is provably behind k others; NaN stays in.
+            keep = approx > threshold.astype(screen, copy=False)[:, None]
+            np.logical_not(keep, out=keep)
+        # The kept (query, row) pairs, by query; each query keeps at least kk rows.
+        which, cols = np.divmod(np.flatnonzero(keep), n)
+        dist = _sq_dists(qb, rows, which, cols)
+        found = cols if ids is None else ids[cols]
+        order = np.lexsort((found, dist, which))
+        # Each query's pairs fill the same span of ``order`` as of ``which``.
+        first = np.searchsorted(which, np.arange(b))
+        top = order[(first[:, None] + np.arange(kk)).ravel()]
+        nbr[s : s + b] = found[top].reshape(b, kk)
+        d2[s : s + b] = dist[top].reshape(b, kk)
     return nbr, d2
 
 
@@ -311,7 +270,7 @@ def _seed_centers(points: np.ndarray, m: int, rng: np.random.Generator) -> np.nd
     centers = np.empty((m, points.shape[1]), dtype=np.float64)
 
     def dists_to(c: int) -> np.ndarray:
-        return _sq_dists(points, centers, np.full((n, 1), c))[:, 0]
+        return _sq_dists(points, centers, None, np.full(n, c))
 
     centers[0] = points[int(rng.integers(n))]
     d2 = dists_to(0)
@@ -371,7 +330,7 @@ def kmeans(
             else:
                 empties.append(c)
         if empties:
-            d_own = _sq_dists(pts, centers, assign[:, None])[:, 0]
+            d_own = _sq_dists(pts, centers, None, assign)
             for c in empties:
                 far = int(np.argmax(d_own))
                 centers[c] = pts[far]

@@ -8,7 +8,7 @@ benchmark files: a header line ``n d L`` followed by one line per data point,
 The label field is a comma-separated list of 0-based label indices and may be
 empty, in which case the line starts with a space.  Feature indices are
 0-based and strictly increasing within a line.  Files are UTF-8 with LF or
-CRLF line endings.
+CRLF line endings; a lone CR does not end a line, in a file as in a string.
 
 A ``Dataset`` keeps its points as CSR arrays.  Files are parsed a block of
 lines at a time, by one of two readers with the same result.  A clean
@@ -438,8 +438,12 @@ def write_repo_file(dataset: Dataset, stream: IO[str] | None = None) -> str:
 
 @contextmanager
 def open_text(path: str) -> Iterator[IO[str]]:
-    """Open a UTF-8 text input; bytes that do not decode raise DataFormatError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Open a UTF-8 text input; bytes that do not decode raise DataFormatError naming the file.
+
+    Lines end at LF only, as in a parsed string, so a lone CR stays inside
+    its line; readers strip a CRLF ending themselves.
+    """
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

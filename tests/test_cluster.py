@@ -185,26 +185,33 @@ def broadcast_sq_dists(points, centers):
     return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
 
 
+def all_pairs(n, m):
+    """Every (point, target) pair, point-major: the exact table's pairs."""
+    return np.divmod(np.arange(n * m), m)
+
+
 def assign(points, centers):
     """k-means assignment: the first column of the kernel at k=1."""
     return _nearest_rows(centers, points, 1)[0][:, 0]
 
 
 def shortlist_lengths(monkeypatch):
-    """Spy on the screen; returns the shortlist length of each screened query, in query order.
+    """Spy on the re-rank; returns the shortlist length of each screened query, in query order.
 
-    The exact table is turned off, so the screen decides every query.
+    A query's shortlist is its (query, row) pairs in the re-rank.  The exact
+    table is turned off, so the screen decides every query.
     """
     import dxml.cluster
 
     lengths = []
-    real = dxml.cluster._shortlists
+    real = dxml.cluster._sq_dists
 
-    def spy(keep, k):
-        lengths.extend(keep.sum(axis=1).tolist())
-        return real(keep, k)
+    def spy(points, targets, which, cols):
+        if which is not None:  # a re-rank, not seeding or reseeding
+            lengths.extend(np.bincount(which, minlength=points.shape[0]).tolist())
+        return real(points, targets, which, cols)
 
-    monkeypatch.setattr(dxml.cluster, "_shortlists", spy)
+    monkeypatch.setattr(dxml.cluster, "_sq_dists", spy)
     monkeypatch.setattr(dxml.cluster, "_EXACT_TABLE", 0)
     return lengths
 
@@ -225,14 +232,17 @@ class TestAssign:
             centers = scale * rng.standard_normal((m, dim))
         want = broadcast_sq_dists(points, centers)
         for c in range(m):  # the distances to one center, as k-means++ seeding takes them
-            assert np.array_equal(_sq_dists(points, centers, np.full((n, 1), c))[:, 0], want[:, c])
-        for i in range(n):  # the distances from one point, as the per-query re-rank takes them
-            assert np.array_equal(_sq_dists(points[i : i + 1], centers, np.arange(m)[None, :])[0],
+            assert np.array_equal(_sq_dists(points, centers, None, np.full(n, c)), want[:, c])
+        for i in range(n):  # the distances from one point, as one query's re-rank takes them
+            assert np.array_equal(_sq_dists(points, centers, np.full(m, i), np.arange(m)),
                                   want[i])
-        every = np.arange(m)[None, :].repeat(n, axis=0)  # the exact table
-        assert np.array_equal(_sq_dists(points, centers, every), want)
+        every = all_pairs(n, m)  # the exact table
+        assert np.array_equal(_sq_dists(points, centers, *every).reshape(n, m), want)
         picks = np.argsort(-want, axis=1, kind="stable")  # gathered rows, as a shortlist's
-        assert np.array_equal(_sq_dists(points, centers, picks), np.take_along_axis(want, picks, 1))
+        got = _sq_dists(points, centers, every[0], picks.ravel()).reshape(n, m)
+        assert np.array_equal(got, np.take_along_axis(want, picks, 1))
+        own = picks[:, 0]  # one center per point, as reseeding takes them
+        assert np.array_equal(_sq_dists(points, centers, None, own), want[np.arange(n), own])
         order = np.lexsort((np.broadcast_to(np.arange(m), want.shape), want), axis=1)
         for screened in (contextlib.nullcontext(), screen_blocks(64)):
             with screened:
@@ -256,13 +266,16 @@ class TestAssign:
         for pts in (points, points.astype(np.float32)):
             wide = pts.astype(np.float64)
             for c in range(m):  # one center for every point, as k-means++ seeding takes it
-                one = np.full((n, 1), c)
-                assert _sq_dists(pts, t32, one).tobytes() == _sq_dists(wide, t64, one).tobytes()
-            every = np.arange(m)[None, :].repeat(n, axis=0)  # the exact table
-            assert _sq_dists(pts, t32, every).tobytes() == _sq_dists(wide, t64, every).tobytes()
+                one = np.full(n, c)
+                assert (_sq_dists(pts, t32, None, one).tobytes()
+                        == _sq_dists(wide, t64, None, one).tobytes())
+            every = all_pairs(n, m)  # the exact table
+            assert _sq_dists(pts, t32, *every).tobytes() == _sq_dists(wide, t64, *every).tobytes()
             picks = rng.integers(m, size=(n, 5))  # gathered rows, as a shortlist's
-            assert _sq_dists(pts, t32, picks).tobytes() == _sq_dists(wide, t64, picks).tobytes()
-        assert np.array_equal(_sq_dists(points, t32, every), broadcast_sq_dists(points, t64))
+            pairs = np.repeat(np.arange(n), 5), picks.ravel()
+            assert _sq_dists(pts, t32, *pairs).tobytes() == _sq_dists(wide, t64, *pairs).tobytes()
+        assert np.array_equal(_sq_dists(points, t32, *every).reshape(n, m),
+                              broadcast_sq_dists(points, t64))
 
     def test_chunk_boundaries(self, monkeypatch):
         import dxml.cluster
@@ -308,6 +321,38 @@ class TestAssign:
         assert d2.tobytes() == np.take_along_axis(want, ids, axis=1).tobytes()
         assert lengths == np.where(np.abs(steps) < 40, 3, 2).tolist()
 
+    @pytest.mark.parametrize("bad_rows", [False, True], ids=["finite-rows", "nan-inf-rows"])
+    def test_one_block_ranks_shortlists_of_k_rows_and_longer_together(self, monkeypatch, bad_rows):
+        # One screened block of 39 queries.  Duplicate rows and grid queries
+        # tie exactly, and NaN, inf and huge queries get an infinite bound,
+        # so some queries keep exactly k rows and others more, up to every
+        # row.  A NaN or inf row makes max |v|^2, and so every query's
+        # bound, infinite: with those rows every query keeps every row.
+        lengths = shortlist_lengths(monkeypatch)
+        rng = np.random.default_rng(33)
+        base = rng.integers(-2, 3, size=(20, 3)).astype(np.float64)
+        rows = np.concatenate([base, base[:4]])
+        if bad_rows:
+            rows = np.concatenate([rows, [[np.nan, 1.0, 1.0], [0.0, np.inf, 0.0], [-np.inf] * 3]])
+        queries = np.concatenate([rng.standard_normal((24, 3)), base[:8], base[:3] + 0.5,
+                                  [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, -np.inf, 1.0],
+                                   [1e300, 0.0, 0.0]]])
+        n = rows.shape[0]
+        for k in (1, 3, n - 1):
+            with np.errstate(all="ignore"):
+                want_ids, want_d2 = nearest_oracle(rows, queries, k)
+            for searched in (rows, rows.astype(np.float32)):
+                del lengths[:]
+                with screen_blocks(64), np.errstate(all="ignore"):  # 64 queries per block
+                    ids, d2 = _nearest_rows(searched, queries, k)
+                assert np.array_equal(ids, want_ids), (k, searched.dtype)
+                assert d2.tobytes() == want_d2.tobytes(), (k, searched.dtype)
+                assert len(lengths) == len(queries) and min(lengths) >= k
+                if bad_rows:
+                    assert set(lengths) == {n}
+                else:
+                    assert k in lengths and max(lengths) == n, (k, searched.dtype)
+
     def test_both_sides_of_the_size_rule_give_the_same_bits(self, monkeypatch):
         import dxml.cluster
 
@@ -316,10 +361,10 @@ class TestAssign:
         tables = []
         real = dxml.cluster._sq_dists
 
-        def spy(points, targets, which=None):
-            if which is not None and which.shape[1] == targets.shape[0]:
-                tables.append(points.shape[0])
-            return real(points, targets, which)
+        def spy(points, targets, which, cols):
+            if which is not None and cols.size == points.shape[0] * targets.shape[0]:
+                tables.append(points.shape[0])  # every (query, row) pair: the exact table
+            return real(points, targets, which, cols)
 
         monkeypatch.setattr(dxml.cluster, "_sq_dists", spy)
         rng = np.random.default_rng(31)

@@ -15,6 +15,7 @@ from dxml import (
     SparseVector,
     ValidationError,
     data_io,
+    load_repo_file,
     normalize_features,
     parse_repo_file,
     write_repo_file,
@@ -148,6 +149,17 @@ class TestParse:
     def test_crlf_accepted(self):
         ds = parse_repo_file(SAMPLE.replace("\n", "\r\n"))
         assert ds == parse_repo_file(SAMPLE)
+
+    def test_file_splits_lines_as_its_text_does(self, tmp_path):
+        # A lone CR is not a line end, in a file as in a string.
+        lone_cr = tmp_path / "lone-cr.txt"
+        lone_cr.write_bytes(b"1 3 2\n0 0:1.0\r 1:2.0\n")
+        ds = load_repo_file(str(lone_cr))
+        assert ds == parse_repo_file("1 3 2\n0 0:1.0\r 1:2.0\n")
+        assert ds.points[0][0].indices.tolist() == [0, 1]
+        crlf = tmp_path / "crlf.txt"
+        crlf.write_bytes(SAMPLE.replace("\n", "\r\n").encode())
+        assert load_repo_file(str(crlf)) == parse_repo_file(SAMPLE)
 
     def test_stream_input(self):
         assert parse_repo_file(io.StringIO(SAMPLE)) == parse_repo_file(SAMPLE)
