@@ -55,7 +55,7 @@ from .predictor import (
     top_p,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "ClusterIndex", "kmeans", "nearest_clusters",

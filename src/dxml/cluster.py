@@ -253,8 +253,12 @@ def _nearest_rows(
             np.logical_not(keep, out=keep)
         # The kept (query, row) pairs, by query; each query keeps at least kk rows.
         which, cols = np.divmod(np.flatnonzero(keep), n)
-        dist = _sq_dists(qb, rows, which, cols)
         found = cols if ids is None else ids[cols]
+        if which.size == b:  # one pair per query, in query order: nothing to rank
+            nbr[s : s + b, 0] = found
+            d2[s : s + b, 0] = _sq_dists(qb, rows, None, cols)
+            continue
+        dist = _sq_dists(qb, rows, which, cols)
         order = np.lexsort((found, dist, which))
         # Each query's pairs fill the same span of ``order`` as of ``which``.
         first = np.searchsorted(which, np.arange(b))

@@ -23,19 +23,22 @@ network runs in float64 with no float64 copy of the whole matrix.  Training
 ends by rounding b1, W2 and b2 through float32, so the trained network is
 the one ``load_model`` returns, bit for bit.
 
-The W1 gradient is compact: ``loss_and_gradients`` accumulates it in float64
-only for the batch's sorted distinct feature ids, one row each, in the same
-per-point order as a dense scatter would, so every sum has the same bits.  No
-d x H gradient exists; the trainer reuses one scratch buffer of at most as
+The W1 gradient is compact: ``loss_and_gradients`` accumulates it only for
+the batch's sorted distinct feature ids, one row each, in the same per-point
+order as a dense scatter would, so every sum has the same bits.  It sums in
+W1's dtype, float32 for a trained or loaded model: the batch's feature values
+and the hidden layer's gradient are cast to it once, and every product and
+sum runs in it.  A float64 W1 keeps float64 arithmetic.  No d x H gradient
+exists; the trainer reuses one scratch buffer, of W1's dtype and at most as
 many rows as a batch can name, and each batch zeroes only the rows it uses.
 
 ``sgd_step`` applies the exact dense momentum and decay update in row blocks
 of about 128 KB per array, so each block stays in cache through all of its
 operations; they are elementwise, so the bits do not depend on the block
 size.  The arithmetic runs in the parameter's dtype, float32 for W1.  Each
-block's dense W1 gradient is rebuilt in a float32 block scratch from the
-compact rows that fall in it, rounded once there, zeros elsewhere, so adding
-it gives the bits of the dense update, the sign of every zero included.
+block's dense W1 gradient is rebuilt in a block scratch of W1's dtype from
+the compact rows that fall in it, zeros elsewhere, so adding it gives the
+bits of the dense update, the sign of every zero included.
 """
 
 from __future__ import annotations
@@ -142,6 +145,7 @@ class Gradients:
 
     ``dW1[j]`` is the gradient of ``W1[rows[j]]``.  ``rows`` holds sorted,
     distinct feature ids; every other row of the W1 gradient is zero.
+    ``loss_and_gradients`` gives ``dW1`` W1's dtype and the rest float64.
     """
 
     dW1: np.ndarray
@@ -261,10 +265,12 @@ def loss_and_gradients(
     output has a squared norm that is not finite in float64 raises
     ``PointError`` naming its row in the batch; a row whose masked output is
     exactly zero passes no gradient.  The W1 gradient is compact,
-    one row per distinct feature id of the batch (``Gradients.rows``).
-    ``dW1``, if given, is a float64 scratch array of H columns and at least
-    that many rows; its leading rows are zeroed and hold the gradient, which
-    is then a view of it, in place of a new array.
+    one row per distinct feature id of the batch (``Gradients.rows``), and
+    summed in W1's dtype; an entry past that dtype's range becomes inf or
+    NaN, without a warning, and ``sgd_step`` refuses it.  ``dW1``, if given,
+    is a scratch array of W1's dtype, H columns and at least that many rows;
+    its leading rows are zeroed and hold the gradient, which is then a view
+    of it, in place of a new array.
     """
     x, T = batch
     B = len(x)
@@ -297,18 +303,24 @@ def loss_and_gradients(
     named = np.bincount(x.indices, minlength=model.input_dim) > 0
     rows = np.flatnonzero(named)
     local = (np.cumsum(named) - 1)[x.indices]
+    dtype = model.W1.dtype
     if dW1 is None:
-        dW1 = np.zeros((rows.size, model.hidden_size))
+        dW1 = np.zeros((rows.size, model.hidden_size), dtype=dtype)
+    elif dW1.dtype != dtype:
+        raise ValidationError(f"W1 gradient buffer is {dW1.dtype}, not W1's {dtype}")
     elif dW1.shape[0] < rows.size or dW1.shape[1] != model.hidden_size:
         raise ValidationError(f"W1 gradient buffer {dW1.shape} cannot hold the batch's "
                               f"({rows.size}, {model.hidden_size})")
     else:
         dW1 = dW1[: rows.size]
         dW1.fill(0.0)
-    val, ip = x.values, x.indptr.tolist()
-    for i, (a, b) in enumerate(zip(ip, ip[1:])):
-        if a < b:
-            dW1[local[a:b]] += val[a:b, None] * dH[i]
+    ip = x.indptr.tolist()
+    # Past W1's range a value becomes inf here (inf - inf a NaN); sgd_step refuses it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        val, dHw = x.values.astype(dtype, copy=False), dH.astype(dtype, copy=False)
+        for i, (a, b) in enumerate(zip(ip, ip[1:])):
+            if a < b:
+                dW1[local[a:b]] += val[a:b, None] * dHw[i]
     db1 = dH.sum(axis=0)
     return loss, Gradients(dW1=dW1, db1=db1, dW2=dW2, db2=db2, rows=rows)
 
@@ -328,10 +340,10 @@ def _momentum_rows(
     dense gradient, of that dtype too, or with ``rows`` the compact one, of
     any float dtype: ``g[j]`` is row ``rows[j]`` (sorted, distinct) and every
     other row is zero.  Each block's dense rows are then rebuilt in a block
-    scratch of ``W``'s dtype, which rounds them once, zeros included, and
-    added as a dense block would be: ``t += 0.0`` turns a -0.0 into +0.0, so
-    skipping the zero rows would change bits.  Every operation is
-    elementwise, so the bits do not depend on the block.
+    scratch of ``W``'s dtype, zeros included (a wider ``g`` is rounded once
+    there), and added as a dense block would be: ``t += 0.0`` turns a -0.0
+    into +0.0, so skipping the zero rows would change bits.  Every operation
+    is elementwise, so the bits do not depend on the block.
     """
     n, h = W.shape
     step = max(1, _UPDATE_BYTES // (h * W.itemsize))
@@ -410,12 +422,12 @@ def train_embedding_net(
     model = init_model(num_features, hidden_size, targets.shape[1], rng)
     state = OptimizerState.zeros_like(model)
     B = config.minibatch_size
-    # One compact W1 gradient buffer for the whole training.  A batch names
-    # at most as many distinct rows as the B longest points hold ids; each
-    # batch zeroes and uses only the leading rows it needs, so the rest of
-    # the buffer is never touched.
+    # One compact W1 gradient buffer, of W1's float32, for the whole training.
+    # A batch names at most as many distinct rows as the B longest points
+    # hold ids; each batch zeroes and uses only the leading rows it needs, so
+    # the rest of the buffer is never touched.
     most = int(np.sort(np.diff(x.indptr))[-B:].sum())
-    dW1 = np.empty((min(num_features, most), hidden_size))
+    dW1 = np.empty((min(num_features, most), hidden_size), dtype=model.W1.dtype)
     rate = config.dropout_rate
     for epoch in range(config.epochs):
         t0 = time.perf_counter()

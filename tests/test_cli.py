@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tomllib
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,8 @@ import dxml
 from dxml import (ClusterIndex, DeepWalkConfig, TrainConfig, load_model, load_repo_file,
                   nearest_clusters, normalize_features, save_model, save_repo_file)
 from dxml.cli import _build_parser, _derived_seeds, _int_list, _seed, _write_predictions, main
-from dxml.net import embed_points
+from dxml import net
+from dxml.net import MlpModel, embed_points
 
 from conftest import random_dataset, read_payload, stored_array, without_clusters, write_payload
 
@@ -155,6 +157,27 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "point 3: its network output's squared norm is not finite" in err
         assert "epoch 1/" not in err
+        assert not model.exists()
+
+    def test_w1_gradient_beyond_float32_fails(self, tmp_path, capsys):
+        # The network starts from weights whose hidden-layer gradient is about
+        # 1e299 (the weights of test_net.py's TestSgdStep test of a hidden
+        # gradient beyond float32): the W1 gradient, summed in float32, is not
+        # finite and the first step is refused, with no numpy warning on the way.
+        path = str(tmp_path / "train.txt")
+        with open(path, "w") as fh:
+            fh.write("3 4 2\n0 0:1.0\n1 0:2.0 2:1.0\n0,1 1:0.5 3:3.0\n")
+        start = MlpModel(W1=np.ones((4, 3), dtype=np.float32), b1=np.zeros(3),
+                         W2=np.array([[2.0**996, 1.0], [-2.0**996, 1.0], [0.5, -0.5]]),
+                         b2=np.array([1.0, 0.0]))
+        model = tmp_path / "m.dxml"
+        with mock.patch.object(net, "init_model", return_value=start):
+            code = main(["train", path, "--model-out", str(model), "--normalize", "none",
+                         *TINY_FLAGS, "--embed-dim", "2", "--hidden", "3", "--dropout", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "gradient in dW1 is not finite in float32" in err
+        assert "Warning" not in err and "epoch 1/" not in err
         assert not model.exists()
 
     @pytest.mark.parametrize("flags", [["--loss-mode", "sum"], ["--no-bias"]])

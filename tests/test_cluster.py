@@ -207,7 +207,11 @@ def shortlist_lengths(monkeypatch):
     real = dxml.cluster._sq_dists
 
     def spy(points, targets, which, cols):
-        if which is not None:  # a re-rank, not seeding or reseeding
+        # These tests neither seed nor reseed, so every call is a re-rank: of
+        # one pair per query, in query order, when ``which`` is None.
+        if which is None:
+            lengths.extend([1] * points.shape[0])
+        else:
             lengths.extend(np.bincount(which, minlength=points.shape[0]).tolist())
         return real(points, targets, which, cols)
 
@@ -296,13 +300,22 @@ class TestAssign:
         # (4 - 4p for center 2, 0 for center 0) is exact, so the screened gap
         # is 4|j| eps, against 2 * 16 * dim * eps * (max|c|^2 + |p|^2), about
         # 160 eps.  Steps with |j| < 40 must keep both centers, the others one.
+        # In blocks of 4 queries the third block mixes both lengths and the
+        # last keeps one row per query, which skips the sort.
         lengths = shortlist_lengths(monkeypatch)
         eps = np.finfo(np.float64).eps
         steps = np.array([0, 1, -1, 3, -3, 7, 12, -19, 30, 36, -37, 44, -45, 60, 200, -1000])
         points = (1.0 + steps * eps)[:, None]
         centers = np.array([[0.0], [2.0]])
-        assert np.array_equal(assign(points, centers), (steps > 0).astype(np.int64))
-        assert lengths == np.where(np.abs(steps) < 40, 2, 1).tolist()
+        want_ids, want_d2 = nearest_oracle(centers, points, 1)
+        assert want_ids[:, 0].tolist() == (steps > 0).tolist()
+        for block in (None, 4):
+            del lengths[:]
+            with contextlib.nullcontext() if block is None else screen_blocks(block):
+                ids, d2 = _nearest_rows(centers, points, 1)
+            assert np.array_equal(ids, want_ids)
+            assert d2.tobytes() == want_d2.tobytes()
+            assert lengths == np.where(np.abs(steps) < 40, 2, 1).tolist()
 
     def test_second_neighbor_gaps_within_twice_the_bound_reach_the_re_rank(self, monkeypatch):
         # The k=2 form of the test above: a row at 1 is every point's nearest,

@@ -3,6 +3,7 @@
 import contextlib
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -73,8 +74,8 @@ def random_sparse(rng, d):
 
 # ── The per-point network, kept as the bitwise reference ────────────────────
 # Each point's forward pass on its own, the W1 gradient scattered one point at
-# a time into a new float64 array, and the momentum step on whole arrays in
-# W1's dtype.  The batched network must reproduce its bits.
+# a time into a new array of W1's dtype, and the momentum step on whole arrays
+# in W1's dtype.  The batched network must reproduce its bits.
 
 
 def reference_forward(model, x, dropout_mask=None):
@@ -112,6 +113,12 @@ def reference_forward_batch(model, xs, masks):
 
 
 def reference_loss_and_gradients(model, batch, masks=None):
+    """The loss and dense gradients; the W1 scatter runs in W1's dtype.
+
+    Each point's values and ``dH`` row are cast to that dtype, multiplied and
+    added in it.  For a float64 W1 this is the float64 scatter of versions
+    before 0.10.0.
+    """
     xs = [x for x, _ in batch]
     T = np.stack([t for _, t in batch]).astype(np.float64)
     B = len(xs)
@@ -125,17 +132,18 @@ def reference_loss_and_gradients(model, batch, masks=None):
     dZd[norms == 0.0] = 0.0  # an all-zero output passes no gradient
     dZ = dZd * masks if masks is not None else dZd
     dH = (dZ @ model.W2.T) * (Hpre > 0.0)
-    dW1 = np.zeros(model.W1.shape)
+    dtype = model.W1.dtype
+    dW1 = np.zeros(model.W1.shape, dtype=dtype)
     for i, sv in enumerate(xs):
         if sv.indices.size:
-            dW1[sv.indices] += sv.values[:, None] * dH[i]
+            dW1[sv.indices] += sv.values.astype(dtype)[:, None] * dH[i].astype(dtype)
     return loss, Gradients(dW1=dW1, db1=dH.sum(axis=0), dW2=A.T @ dZ, db2=dZ.sum(axis=0),
                            rows=np.arange(model.input_dim))
 
 
 def dense_dW1(grads, d):
-    """The compact W1 gradient as the dense (d, H) array it stands for."""
-    out = np.zeros((d, grads.dW1.shape[1]))
+    """The compact W1 gradient as the dense (d, H) array it stands for, in its dtype."""
+    out = np.zeros((d, grads.dW1.shape[1]), dtype=grads.dW1.dtype)
     out[grads.rows] = grads.dW1
     return out
 
@@ -143,7 +151,7 @@ def dense_dW1(grads, d):
 def reference_sgd_step(model, state, grads, config):
     """The dense momentum step on whole arrays; W1's runs in W1's dtype.
 
-    The dense float64 W1 gradient is rounded to that dtype once, as a whole.
+    A dense W1 gradient of a wider dtype is rounded to W1's once, as a whole.
     """
     for g in (grads.dW1, grads.db1, grads.dW2, grads.db2):
         if not np.all(np.isfinite(g)):
@@ -286,6 +294,24 @@ class TestMatchesPerPointReference:
         assert loss == want_loss
         assert got.rows.tolist() == named.tolist()  # the batch's distinct ids, sorted
         assert got.dW1.shape == (named.size, model.hidden_size)
+        assert got.dW1.dtype == np.float32
+        for a, b in ((dense_dW1(got, model.input_dim), want.dW1), (got.db1, want.db1),
+                     (got.dW2, want.dW2), (got.db2, want.db2)):
+            assert a.tobytes() == b.tobytes()
+
+    @given(net_problems, st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_float64_w1_keeps_the_float64_scatter(self, problem, dropout):
+        # A float64 W1 with the float32 weights' values sums its W1 gradient
+        # in float64, bit for bit as versions before 0.10.0 did.
+        xs, targets, model = problem
+        wide = MlpModel(model.W1.astype(np.float64), model.b1, model.W2, model.b2)
+        rng = np.random.default_rng(len(xs))
+        masks = (rng.random(targets.shape) >= 0.5) / 0.5 if dropout else None
+        want_loss, want = reference_loss_and_gradients(wide, list(zip(xs, targets)), masks)
+        loss, got = loss_and_gradients(wide, (rows_of(xs), targets), masks)
+        assert loss == want_loss
+        assert got.dW1.dtype == np.float64
         for a, b in ((dense_dW1(got, model.input_dim), want.dW1), (got.db1, want.db1),
                      (got.dW2, want.dW2), (got.db2, want.db2)):
             assert a.tobytes() == b.tobytes()
@@ -409,12 +435,17 @@ class TestMatchesPerPointReference:
         xs, targets, model = net_problem(4, n=6, d=30, hidden=5, out=3, empty_share=0.3)
         batch = (rows_of(xs), targets)
         _, want = loss_and_gradients(model, batch)
-        buffer = np.full((30, 5), np.nan)  # leftovers of an earlier batch are zeroed
+        # Leftovers of an earlier batch are zeroed.
+        buffer = np.full((30, 5), np.nan, dtype=np.float32)
         _, got = loss_and_gradients(model, batch, dW1=buffer)
         assert np.shares_memory(got.dW1, buffer)
         assert got.dW1.tobytes() == want.dW1.tobytes()
-        with pytest.raises(ValidationError):
-            loss_and_gradients(model, batch, dW1=np.zeros((want.rows.size - 1, 5)))
+        with pytest.raises(ValidationError, match="cannot hold"):
+            loss_and_gradients(model, batch,
+                               dW1=np.zeros((want.rows.size - 1, 5), dtype=np.float32))
+        # A buffer of another dtype would round every sum to its own.
+        with pytest.raises(ValidationError, match="buffer is float64, not W1's float32"):
+            loss_and_gradients(model, batch, dW1=np.zeros((30, 5)))
 
     def test_wide_enough_for_several_default_blocks(self):
         # 1300 rows of 64 float32s: the default block holds 512 rows, so three
@@ -465,17 +496,25 @@ class TestGradientMemory:
 
     def test_training_holds_only_w1_and_its_momentum(self):
         # W1 and vW1 in float32 take 2 d H 4 bytes.  On top of them come the
-        # compact float64 W1 gradient buffer and a stated 1 MB of slack: the
-        # init's and the update's 128 KB row blocks, the batch's d-long id
-        # counts and the small tensors.  A float64 W1, vW1 or whole init draw
-        # would add d H 4 bytes (5.12 MB) or more.
-        x, targets = self.problem()
-        cfg = TrainConfig(epochs=2, minibatch_size=2)
-        compact = int(np.sort(np.diff(x.indptr))[-2:].sum()) * self.hidden * 8
+        # compact W1 gradient buffer, in W1's dtype, and a stated 1 MB of
+        # slack: the init's and the update's 128 KB row blocks, the batch's
+        # d-long id counts and the small tensors.  Batches of 100 points of
+        # 100 ids each size the buffer at 10,000 rows, 2.56 MB in float32; in
+        # float64 it would take 2.56 MB more, and a float64 W1, vW1 or whole
+        # init draw would add d H 4 bytes (5.12 MB) or more.
+        rng = np.random.default_rng(12)
+        xs = [SparseVector(np.sort(rng.choice(self.d, 100, replace=False)).astype(np.int32),
+                           rng.uniform(0.5, 1.5, 100)) for _ in range(100)]
+        targets = rng.standard_normal((len(xs), 8))
+        targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+        x = rows_of(xs)
+        cfg = TrainConfig(epochs=2, minibatch_size=100)
         peak, model = self.peak_bytes(
             lambda: train_embedding_net(x, targets, self.d, cfg, self.hidden)
         )
         assert model.W1.dtype == np.float32
+        compact = int(np.sort(np.diff(x.indptr))[-100:].sum()) * self.hidden * model.W1.itemsize
+        assert compact == 10_000 * self.hidden * 4
         assert peak < 2 * self.d * self.hidden * 4 + compact + (1 << 20)
 
 
@@ -754,6 +793,33 @@ class TestSgdStep:
     def test_w1_gradient_beyond_float32_writes_nothing(self, where, bad):
         # Finite in the compact gradient's float64, but inf once rounded to W1's float32.
         self.assert_step_writes_nothing(where, bad)
+
+    def test_hidden_gradient_beyond_float32_is_refused_without_a_warning(self):
+        # Hidden units 0 and 1 carry the same activation into W2 rows of
+        # +-2**996 (6.7e299), where every product is exact, so they cancel in
+        # the output in any order of summation.  The forward pass and the
+        # loss stay finite while dH reaches about 1e299: finite in float64,
+        # inf once cast to W1's float32.  The step is refused as a
+        # float64 W1 gradient past float32 was, and nothing is written.
+        model = MlpModel(W1=np.ones((4, 3), dtype=np.float32), b1=np.zeros(3),
+                         W2=np.array([[2.0**996, 1.0], [-2.0**996, 1.0], [0.5, -0.5]]),
+                         b2=np.array([1.0, 0.0]))
+        xs = [dense_sv([1.0]), dense_sv([2.0, 0.0, 1.0]), dense_sv([0.0, 0.5, 0.0, 3.0])]
+        targets = np.array([[0.0, 1.0], [1.0, 0.0], [-0.6, 0.8]])
+        state = OptimizerState.zeros_like(model)
+        before = [a.copy() for a in (model.W1, model.b1, model.W2, model.b2,
+                                     state.vW1, state.vb1, state.vW2, state.vb2)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, grads = loss_and_gradients(model, (rows_of(xs), targets))
+            assert np.isfinite(grads.db1).all() and np.abs(grads.db1).max() > 1e290
+            assert not np.isfinite(grads.dW1).all()
+            with pytest.raises(ValidationError, match="gradient in dW1 is not finite in float32"):
+                sgd_step(model, state, grads, TrainConfig())
+        assert caught == []
+        after = (model.W1, model.b1, model.W2, model.b2, state.vW1, state.vb1, state.vW2, state.vb2)
+        for a, b in zip(after, before):
+            assert a.tobytes() == b.tobytes()
 
     def assert_step_writes_nothing(self, where, bad):
         rng = np.random.default_rng(9)
